@@ -8,11 +8,18 @@ variance conditional on the augmented measurement set (variogram held
 fixed).  The candidate minimizing that remaining-uncertainty score is
 measured next.  The run stops naturally once no interval straddles the
 threshold, or on budget after max_iterations adaptive measurements.
+
+suggest_next is one planner step: fit, evaluate the grid once, apply the
+stop rule, pick the argmin.  run_experiment is the interactive step/append
+loop with the oracle in the middle, so batch and interactive runs share one
+code path and an oracle miss on any point resumes with an append.  The
+read-only views (select_next, check_stop, candidate_scores, rc_score) share
+the same grid evaluation.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -26,7 +33,7 @@ from .grid import (
     ensure_unique_locations,
     scaled_coords,
 )
-from .kriging import assemble_system, solve_grid, z_quantile
+from .kriging import GridSolution, assemble_system, solve_grid, z_quantile
 from .variogram import VariogramModel, empirical_variogram, eval_model, select_model
 
 STOP_NATURAL = "natural"
@@ -111,19 +118,38 @@ class ExperimentState:
         return {m.location for m in self.measurements}
 
 
+def _straddles(lower, upper, threshold: float):
+    """The straddle rule of weight_indicator, elementwise on arrays."""
+    return np.logical_not((lower > threshold) | (upper <= threshold))
+
+
 def weight_indicator(prediction, threshold: float) -> int:
     """1 while the CI straddles the threshold, 0 once it falls entirely on
     one side (an upper bound exactly at the threshold counts as below)."""
-    if prediction.ci_lower > threshold or prediction.ci_upper <= threshold:
-        return 0
-    return 1
+    return int(_straddles(prediction.ci_lower, prediction.ci_upper, threshold))
 
 
-def _current_model(state: ExperimentState) -> VariogramModel:
-    if state.model is not None:
-        return state.model
-    emp = empirical_variogram(state.measurements, state.config.grid)
-    return select_model(emp)
+def _fit(state: ExperimentState) -> VariogramModel:
+    return select_model(empirical_variogram(state.measurements, state.config.grid))
+
+
+class _Grid:
+    """The config's grid, built once per public call: points in row-major
+    order, their scaled coordinates, and each point's flat index."""
+
+    def __init__(self, spec: GridSpec):
+        self.points = build_grid(spec)
+        self.coords = scaled_coords(self.points, spec)
+        self.index = {p: i for i, p in enumerate(self.points)}
+
+    def unmeasured(self, measurements) -> np.ndarray:
+        """Flat indices of the points no measurement sits on, ascending."""
+        measured = np.zeros(len(self.points), dtype=bool)
+        for m in measurements:
+            i = self.index.get(m.location)
+            if i is not None:
+                measured[i] = True
+        return np.flatnonzero(~measured)
 
 
 @dataclass
@@ -131,11 +157,8 @@ class _Evaluation:
     """One fit's view of the grid: predictions plus straddle indicators."""
 
     model: VariogramModel
-    grid: list[Combination]
-    means: np.ndarray
-    variances: np.ndarray
-    rhs: np.ndarray | None
-    solution: np.ndarray | None
+    grid: _Grid
+    sol: GridSolution
     unmeasured_idx: np.ndarray
     indicators: np.ndarray  # bool, aligned with unmeasured_idx
 
@@ -143,33 +166,37 @@ class _Evaluation:
     def n_uncertain(self) -> int:
         return int(self.indicators.sum())
 
+    def candidate(self, pos: int) -> Combination:
+        return self.grid.points[self.unmeasured_idx[pos]]
 
-def _evaluate_grid(state: ExperimentState, model: VariogramModel) -> _Evaluation:
+
+def _evaluate(state: ExperimentState, grid: _Grid, model: VariogramModel) -> _Evaluation:
     config = state.config
-    grid = build_grid(config.grid)
-    measured = state.measured_locations()
-    unmeasured_idx = np.array([i for i, p in enumerate(grid) if p not in measured], dtype=int)
-
-    if model.is_degenerate:
-        mean = float(np.mean([m.response for m in state.measurements]))
-        means = np.full(len(grid), mean)
-        observed = {m.location: m.response for m in state.measurements}
-        for i, p in enumerate(grid):
-            if p in observed:
-                means[i] = observed[p]
-        variances = np.zeros(len(grid))
-        indicators = np.zeros(len(unmeasured_idx), dtype=bool)
-        return _Evaluation(model, grid, means, variances, None, None, unmeasured_idx, indicators)
-
+    unmeasured_idx = grid.unmeasured(state.measurements)
     system = assemble_system(state.measurements, model, config.grid)
-    sol = solve_grid(system, grid)
+    sol = solve_grid(system, grid.points)
     z = z_quantile(config.alpha)
     half = z * np.sqrt(sol.variances[unmeasured_idx])
     mu = sol.means[unmeasured_idx]
-    lower, upper = mu - half, mu + half
-    indicators = ~((lower > config.threshold) | (upper <= config.threshold))
-    return _Evaluation(model, grid, sol.means, sol.variances, sol.rhs, sol.solution,
-                       unmeasured_idx, indicators)
+    indicators = _straddles(mu - half, mu + half, config.threshold)
+    return _Evaluation(model, grid, sol, unmeasured_idx, indicators)
+
+
+def _current_evaluation(state: ExperimentState) -> _Evaluation:
+    """The evaluation under the state's model (fitted if it has none yet),
+    for the read-only views."""
+    model = state.model if state.model is not None else _fit(state)
+    return _evaluate(state, _Grid(state.config.grid), model)
+
+
+def _stop_reason(state: ExperimentState, ev: _Evaluation) -> str | None:
+    """STOP_NATURAL once nothing unmeasured straddles the threshold (checked
+    first), STOP_BUDGET once the adaptive budget is spent, else None."""
+    if ev.n_uncertain == 0:
+        return STOP_NATURAL
+    if state.iteration >= state.config.max_iterations:
+        return STOP_BUDGET
+    return None
 
 
 def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray) -> np.ndarray:
@@ -185,14 +212,17 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     with q the cross-solve term rhs(x) . solve(rhs(t)) and g = gamma(x, t).
     Everything needed is already in the batch grid solution, so all candidate
     scores come out of two matrix products.  Candidates with vanishing
-    current variance fall back to full re-assembly (rc_score).
+    current variance fall back to full re-assembly (rc_score).  A degenerate
+    model leaves no variance to reduce, so every score is zero.
     """
     idx = ev.unmeasured_idx
-    variances = ev.variances[idx]
-    X = ev.solution[:, idx]
-    D = ev.rhs[:, idx]
+    if ev.model.is_degenerate or len(idx) == 0:
+        return np.zeros(len(idx))
+    variances = ev.sol.variances[idx]
+    X = ev.sol.solution[:, idx]
+    D = ev.sol.rhs[:, idx]
     q = X.T @ D
-    pts = scaled_coords([ev.grid[i] for i in idx], state.config.grid)
+    pts = ev.grid.coords[idx]
     g = eval_model(ev.model, cdist(pts, pts))
     np.fill_diagonal(g, 0.0)
 
@@ -213,12 +243,11 @@ def _score_by_reassembly(state: ExperimentState, ev: _Evaluation,
                          indicators: np.ndarray, pos: int) -> float:
     """Reference score: rebuild the augmented system and solve it afresh."""
     idx = ev.unmeasured_idx
-    candidate = ev.grid[idx[pos]]
     target_pos = [p for p in range(len(idx)) if p != pos and indicators[p]]
     if not target_pos:
         return 0.0
-    targets = [ev.grid[idx[p]] for p in target_pos]
-    hyp = list(state.measurements) + [Measurement(candidate, 0.0)]
+    targets = [ev.candidate(p) for p in target_pos]
+    hyp = list(state.measurements) + [Measurement(ev.candidate(pos), 0.0)]
     hyp_system = assemble_system(hyp, ev.model, state.config.grid)
     hyp_sol = solve_grid(hyp_system, targets)
     return float(hyp_sol.variances.sum())
@@ -233,18 +262,15 @@ def rc_score(candidate: Combination, state: ExperimentState, indicators=None) ->
     an explicit boolean array (aligned with the unmeasured grid points in
     row-major order) is supplied.
     """
-    model = _current_model(state)
-    ev = _evaluate_grid(state, model)
-    idx_list = list(ev.unmeasured_idx)
-    positions = {ev.grid[i]: p for p, i in enumerate(idx_list)}
-    if candidate not in positions:
+    ev = _current_evaluation(state)
+    i = ev.grid.index.get(candidate, -1)
+    pos = int(np.searchsorted(ev.unmeasured_idx, i))
+    if pos == len(ev.unmeasured_idx) or ev.unmeasured_idx[pos] != i:
         raise ConfigurationError(
             f"candidate ({candidate.m}, {candidate.k}) is measured or off-grid"
         )
     ind = ev.indicators if indicators is None else np.asarray(indicators, dtype=bool)
-    if model.is_degenerate:
-        return 0.0
-    return _score_by_reassembly(state, ev, ind, positions[candidate])
+    return _score_by_reassembly(state, ev, ind, pos)
 
 
 def candidate_scores(state: ExperimentState, indicators=None):
@@ -253,16 +279,13 @@ def candidate_scores(state: ExperimentState, indicators=None):
     indicators defaults to the straddle set of the current fit; tests pass
     explicit arrays (e.g. all ones) to probe the pure variance objective.
     """
-    model = _current_model(state)
-    ev = _evaluate_grid(state, model)
-    candidates = [ev.grid[i] for i in ev.unmeasured_idx]
+    ev = _current_evaluation(state)
+    candidates = [ev.grid.points[i] for i in ev.unmeasured_idx]
     ind = ev.indicators if indicators is None else np.asarray(indicators, dtype=bool)
     if len(ind) != len(candidates):
         raise ConfigurationError(
             f"indicator array length {len(ind)} does not match {len(candidates)} unmeasured points"
         )
-    if model.is_degenerate or not candidates:
-        return candidates, np.zeros(len(candidates))
     return candidates, _fast_scores(state, ev, ind)
 
 
@@ -272,6 +295,13 @@ def _argmin_tied(scores: np.ndarray) -> int:
     return int(np.argmax(scores <= smin + tol))
 
 
+def _pick(state: ExperimentState, ev: _Evaluation) -> tuple[int, float]:
+    """(position among the unmeasured points, score) of the next measurement."""
+    scores = _fast_scores(state, ev, ev.indicators)
+    pos = _argmin_tied(scores)
+    return pos, float(scores[pos])
+
+
 def select_next(state: ExperimentState) -> Combination | None:
     """Next combination to measure, or None when nothing is left to learn.
 
@@ -279,13 +309,10 @@ def select_next(state: ExperimentState) -> Combination | None:
     entirely on one side of the threshold (or the grid is fully measured).
     Score ties break toward the earliest point in row-major grid order.
     """
-    model = _current_model(state)
-    ev = _evaluate_grid(state, model)
-    if len(ev.unmeasured_idx) == 0 or ev.n_uncertain == 0:
+    ev = _current_evaluation(state)
+    if _stop_reason(state, ev) == STOP_NATURAL:
         return None
-    scores = _fast_scores(state, ev, ev.indicators)
-    pos = _argmin_tied(scores)
-    return ev.grid[ev.unmeasured_idx[pos]]
+    return ev.candidate(_pick(state, ev)[0])
 
 
 def check_stop(state: ExperimentState) -> str | None:
@@ -294,21 +321,7 @@ def check_stop(state: ExperimentState) -> str | None:
     The natural condition is evaluated first, so a run that exhausts its
     budget on the same pass that resolves all uncertainty reports natural.
     """
-    model = _current_model(state)
-    ev = _evaluate_grid(state, model)
-    if len(ev.unmeasured_idx) == 0 or ev.n_uncertain == 0:
-        return STOP_NATURAL
-    if state.iteration >= state.config.max_iterations:
-        return STOP_BUDGET
-    return None
-
-
-def _oracle_value(oracle, location: Combination, state: ExperimentState) -> float:
-    try:
-        return oracle.evaluate(location)
-    except OracleMissError as exc:
-        exc.state = state
-        raise
+    return _stop_reason(state, _current_evaluation(state))
 
 
 def _notify(on_update, state: ExperimentState) -> None:
@@ -320,61 +333,63 @@ def run_experiment(config: ExperimentConfig, oracle, state: ExperimentState | No
                    on_update=None) -> ExperimentState:
     """Run (or resume) the measure-fit-select loop to a stop.
 
-    The loop is deterministic given the config and oracle: refits depend only
-    on the measurement set, selection ties break by grid order, and oracle
-    noise is keyed by location.  A run interrupted at any point can therefore
-    be resumed from its persisted state and will reproduce exactly the
-    history an uninterrupted run would have produced.  on_update (when given)
-    is called after every appended measurement, which is the persistence
-    hook the CLI uses.  An oracle miss aborts with the partial state attached
-    to the exception.
+    This is the interactive step/append loop with the oracle in the middle:
+    suggest_next, measure, record_appended_measurement, on_update, until a
+    stop.  The loop is deterministic given the config and oracle: refits
+    depend only on the measurement set, selection ties break by grid order,
+    and oracle noise is keyed by location.  A run interrupted at any point
+    can therefore be resumed from its persisted state and will reproduce
+    exactly the history an uninterrupted run would have produced.  on_update
+    (when given) is called after every appended measurement and once at the
+    stop, which is the persistence hook the CLI uses.  An oracle miss aborts
+    with the partial state attached to the exception; the missed point is
+    that state's pending suggestion, so appending its value resumes the loop.
     """
     if state is None:
         state = ExperimentState(config=config)
     elif state.config != config:
         raise ConfigurationError("state was created under a different config")
 
-    state.stop_reason = None
-    state.pending = None
-    measured = state.measured_locations()
-
-    for point in config.initial_design:
-        if point in measured:
-            continue
-        value = _oracle_value(oracle, point, state)
-        state.measurements.append(Measurement(point, value))
-        measured.add(point)
-        _notify(on_update, state)
-
+    grid = _Grid(config.grid)
     while True:
-        emp = empirical_variogram(state.measurements, config.grid)
-        model = select_model(emp)
-        state.model = model
-        ev = _evaluate_grid(state, model)
-        if len(ev.unmeasured_idx) == 0 or ev.n_uncertain == 0:
-            state.stop_reason = STOP_NATURAL
+        suggestion, _ = _suggest(state, grid)
+        if suggestion is None:
             break
-        if state.iteration >= config.max_iterations:
-            state.stop_reason = STOP_BUDGET
-            break
-        scores = _fast_scores(state, ev, ev.indicators)
-        pos = _argmin_tied(scores)
-        chosen = ev.grid[ev.unmeasured_idx[pos]]
-        value = _oracle_value(oracle, chosen, state)
-        state.measurements.append(Measurement(chosen, value))
-        measured.add(chosen)
-        state.iteration += 1
-        state.history.append(IterationRecord(
-            iteration=state.iteration,
-            location=chosen,
-            rc_score=float(scores[pos]),
-            model=model,
-            n_uncertain=ev.n_uncertain,
-        ))
+        try:
+            value = oracle.evaluate(suggestion.location)
+        except OracleMissError as exc:
+            exc.state = state
+            raise
+        record_appended_measurement(state, Measurement(suggestion.location, value))
         _notify(on_update, state)
 
     _notify(on_update, state)
     return state
+
+
+def _suggest(state: ExperimentState, grid: _Grid) -> tuple[PendingSuggestion | None, str | None]:
+    """suggest_next on a grid the caller already built."""
+    measured = state.measured_locations()
+    for point in state.config.initial_design:
+        if point not in measured:
+            state.pending = PendingSuggestion(location=point, phase="initial")
+            return state.pending, None
+
+    model = state.model = _fit(state)
+    ev = _evaluate(state, grid, model)
+    state.stop_reason = _stop_reason(state, ev)
+    if state.stop_reason is not None:
+        state.pending = None
+        return None, state.stop_reason
+    pos, score = _pick(state, ev)
+    state.pending = PendingSuggestion(
+        location=ev.candidate(pos),
+        phase="adaptive",
+        rc_score=score,
+        model=model,
+        n_uncertain=ev.n_uncertain,
+    )
+    return state.pending, None
 
 
 def suggest_next(state: ExperimentState) -> tuple[PendingSuggestion | None, str | None]:
@@ -385,37 +400,7 @@ def suggest_next(state: ExperimentState) -> tuple[PendingSuggestion | None, str 
     point, after that it is the score argmin.  The suggestion is also stored
     on state.pending so the completing append can record the audit entry.
     """
-    measured = state.measured_locations()
-    for point in state.config.initial_design:
-        if point not in measured:
-            suggestion = PendingSuggestion(location=point, phase="initial")
-            state.pending = suggestion
-            return suggestion, None
-
-    emp = empirical_variogram(state.measurements, state.config.grid)
-    model = select_model(emp)
-    state.model = model
-    ev = _evaluate_grid(state, model)
-    if len(ev.unmeasured_idx) == 0 or ev.n_uncertain == 0:
-        state.stop_reason = STOP_NATURAL
-        state.pending = None
-        return None, STOP_NATURAL
-    if state.iteration >= state.config.max_iterations:
-        state.stop_reason = STOP_BUDGET
-        state.pending = None
-        return None, STOP_BUDGET
-    scores = _fast_scores(state, ev, ev.indicators)
-    pos = _argmin_tied(scores)
-    suggestion = PendingSuggestion(
-        location=ev.grid[ev.unmeasured_idx[pos]],
-        phase="adaptive",
-        rc_score=float(scores[pos]),
-        model=model,
-        n_uncertain=ev.n_uncertain,
-    )
-    state.stop_reason = None
-    state.pending = suggestion
-    return suggestion, None
+    return _suggest(state, _Grid(state.config.grid))
 
 
 def record_appended_measurement(state: ExperimentState, measurement: Measurement) -> None:

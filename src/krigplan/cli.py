@@ -49,6 +49,9 @@ OUT_DIR_ENV = "KRIGPLAN_OUT_DIR"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
+# What int()/float() and unpacking raise on malformed config values.
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
+
 
 def _out_dir(experiment_path: str) -> str:
     override = os.environ.get(OUT_DIR_ENV)
@@ -83,22 +86,28 @@ def _load_config(path: str) -> tuple[ExperimentConfig, dict, str]:
         raise ConfigurationError(f"{path}: bad grid spec: {exc}") from None
 
     design_raw = data.get("initial_design")
-    if isinstance(design_raw, dict) and set(design_raw) == {"lattice"}:
-        n_m, n_k = design_raw["lattice"]
-        initial = evenly_spaced_design(grid, int(n_m), int(n_k))
-    elif isinstance(design_raw, list):
-        initial = [grid.snap(float(m), float(k)) for m, k in design_raw]
-    else:
+    initial = None
+    try:
+        if isinstance(design_raw, dict) and set(design_raw) == {"lattice"}:
+            n_m, n_k = design_raw["lattice"]
+            initial = evenly_spaced_design(grid, int(n_m), int(n_k))
+        elif isinstance(design_raw, list):
+            initial = [grid.snap(float(m), float(k)) for m, k in design_raw]
+    except _BAD_VALUE:
+        pass
+    if initial is None:
         raise ConfigurationError(
             f"{path}: initial_design must be a list of [m, k] pairs or {{\"lattice\": [n_m, n_k]}}"
         )
 
-    seed = int(data.get("seed", 0))
+    if "threshold" not in data:
+        raise ConfigurationError(f"{path}: config needs a 'threshold' value")
+    seed = _number(path, data, "seed", int, 0)
     config = ExperimentConfig(
         grid=grid,
-        threshold=float(data["threshold"]) if "threshold" in data else _missing(path, "threshold"),
-        alpha=float(data.get("alpha", 0.1)),
-        max_iterations=int(data.get("max_iterations", 50)),
+        threshold=_number(path, data, "threshold", float, None),
+        alpha=_number(path, data, "alpha", float, 0.1),
+        max_iterations=_number(path, data, "max_iterations", int, 50),
         initial_design=tuple(initial),
         seed=seed,
     )
@@ -116,8 +125,12 @@ def _load_config(path: str) -> tuple[ExperimentConfig, dict, str]:
     return config, oracle_spec, name
 
 
-def _missing(path, fieldname):
-    raise ConfigurationError(f"{path}: config needs a '{fieldname}' value")
+def _number(path, data: dict, key: str, convert, default):
+    value = data.get(key, default)
+    try:
+        return convert(value)
+    except _BAD_VALUE:
+        raise ConfigurationError(f"{path}: '{key}' must be a number, got {value!r}") from None
 
 
 def _write_artifacts(state: ExperimentState, out_dir: str, alpha: float | None = None) -> dict:

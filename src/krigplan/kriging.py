@@ -154,29 +154,25 @@ def assemble_system(measurements, model: VariogramModel, spec: GridSpec) -> Krig
     return KrigingSystem(measurements, model, spec)
 
 
-def _clamp_variance(sigma2: float, target: Combination) -> float:
-    if sigma2 < VARIANCE_FLOOR:
+def _checked_variances(variances: np.ndarray, targets) -> np.ndarray:
+    """Clamp roundoff below zero to 0; raise, naming the first offending
+    target, for any variance below VARIANCE_FLOOR."""
+    bad = np.flatnonzero(variances < VARIANCE_FLOOR)
+    if bad.size:
+        target = targets[bad[0]]
         raise NumericalFailureError(
-            f"kriging variance {sigma2} at ({target.m}, {target.k}) is negative "
+            f"kriging variance {float(variances[bad[0]])} at ({target.m}, {target.k}) is negative "
             "beyond roundoff; the fitted model is not usable on this layout"
         )
-    return max(sigma2, 0.0)
+    return np.maximum(variances, 0.0)
 
 
-def solve(system: KrigingSystem, target: Combination, model=None, spec=None):
-    """Weights and prediction variance for one target.
-
-    model/spec default to the system's own; passing different ones is an error
-    since the factorized matrix would not match.
-    """
-    if model is not None and model != system.model:
-        raise ConfigurationError("model differs from the one the system was assembled with")
-    if spec is not None and spec != system.spec:
-        raise ConfigurationError("grid spec differs from the one the system was assembled with")
+def solve(system: KrigingSystem, target: Combination):
+    """Weights and prediction variance for one target."""
     system.check_conditioning()
     rhs = system.rhs([target])[:, 0]
     sol = system.solve_rhs(rhs)
-    sigma2 = _clamp_variance(float(rhs @ sol), target)
+    sigma2 = float(_checked_variances(np.array([rhs @ sol]), [target])[0])
     return SolvedWeights(weights=sol[: system.n].copy(), lagrange=float(-sol[-1])), sigma2
 
 
@@ -196,19 +192,25 @@ class GridSolution:
 
 
 def solve_grid(system: KrigingSystem, targets) -> GridSolution:
-    targets = list(targets)
-    if not targets:
-        return GridSolution((), np.empty(0), np.empty(0), np.empty((system.n + 1, 0)), np.empty((system.n + 1, 0)))
-    system.check_conditioning()
-    rhs = system.rhs(targets)
-    sol = system.solve_rhs(rhs)
-    means = system.values @ sol[: system.n, :]
-    variances = np.einsum("ip,ip->p", rhs, sol)
-    for t, v in zip(targets, variances):
-        _clamp_variance(float(v), t)
-    variances = np.maximum(variances, 0.0)
+    """Means and variances at every target; measured targets reproduce their
+    observations exactly with zero variance.
 
-    # Measured targets reproduce their observations exactly by convention.
+    A degenerate model (zero nugget and sill, i.e. no observed variability)
+    predicts the common response everywhere with zero variance rather than
+    failing on its singular system; its rhs and solution are zero.
+    """
+    targets = list(targets)
+    if system.model.is_degenerate or not targets:
+        rhs = sol = np.zeros((system.n + 1, len(targets)))
+        means = np.full(len(targets), system.values.mean())
+        variances = np.zeros(len(targets))
+    else:
+        system.check_conditioning()
+        rhs = system.rhs(targets)
+        sol = system.solve_rhs(rhs)
+        means = system.values @ sol[: system.n, :]
+        variances = _checked_variances(np.einsum("ip,ip->p", rhs, sol), targets)
+
     observed = {loc: val for loc, val in zip(system.locations, system.values)}
     for idx, t in enumerate(targets):
         if t in observed:
@@ -230,30 +232,9 @@ def predict(measurements, model: VariogramModel, spec: GridSpec, target: Combina
 
 def predict_grid(measurements, model: VariogramModel, spec: GridSpec, targets,
                  alpha: float = 0.1) -> list[Prediction]:
-    """Batch prediction; the system is factorized once and reused.
-
-    A degenerate model (zero nugget and sill, i.e. no observed variability)
-    predicts the common response everywhere with zero variance rather than
-    failing on the singular system it would otherwise build.
-    """
+    """Batch prediction; the system is factorized once and reused."""
     z = z_quantile(alpha)
-    measurements = list(measurements)
     targets = list(targets)
-    if not measurements:
-        raise InsufficientDataError("prediction needs at least one measurement")
-    if not targets:
-        return []
-
-    if model.is_degenerate:
-        ensure_unique_locations(measurements)
-        observed = {m.location: m.response for m in measurements}
-        mean = float(np.mean([m.response for m in measurements]))
-        out = []
-        for t in targets:
-            value = observed.get(t, mean)
-            out.append(Prediction(t, value, 0.0, value, value))
-        return out
-
     system = assemble_system(measurements, model, spec)
     solution = solve_grid(system, targets)
     out = []

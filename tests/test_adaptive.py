@@ -21,6 +21,7 @@ from krigplan import (
     build_grid,
     candidate_scores,
     check_stop,
+    predict_grid,
     rc_score,
     record_appended_measurement,
     run_experiment,
@@ -33,6 +34,7 @@ from krigplan.adaptive import STOP_BUDGET, STOP_NATURAL
 from krigplan.experiment_io import audit_log_text, state_from_dict, state_to_dict
 
 from conftest import random_measurements
+from test_acceptance import NOISE_STD, study_config
 
 SPH = VariogramModel("spherical", 0.025, 2.0, 0.5)
 
@@ -310,6 +312,31 @@ def test_oracle_miss_aborts_with_partial_state():
     assert len(exc.value.state.measurements) == 2  # the points before the miss
 
 
+def test_degenerate_model_behaviour():
+    """All-equal responses fit a variogram with no variability: every cell is
+    predicted with certainty, so nothing is uncertain and nothing scores."""
+    config = small_config()
+    flat = TableReplayOracle([ResponseRecord(c, 3.0) for c in build_grid(config.grid)])
+    state = run_experiment(config, flat)
+    assert state.model.is_degenerate
+    assert state.stop_reason == STOP_NATURAL
+    assert state.iteration == 0 and state.history == []
+    assert check_stop(state) == STOP_NATURAL
+    assert select_next(state) is None
+
+    candidates, scores = candidate_scores(state)
+    ones = np.ones(len(candidates), dtype=bool)
+    np.testing.assert_array_equal(scores, np.zeros(len(candidates)))
+    np.testing.assert_array_equal(candidate_scores(state, indicators=ones)[1],
+                                  np.zeros(len(candidates)))
+    assert rc_score(candidates[0], state) == 0.0
+    assert rc_score(candidates[7], state, indicators=ones) == 0.0
+
+    preds = predict_grid(state.measurements, state.model, config.grid, build_grid(config.grid))
+    assert all(p.mean == 3.0 and p.variance == 0.0 and p.ci_lower == p.ci_upper == 3.0
+               for p in preds)
+
+
 # --- interactive stepping ----------------------------------------------------
 
 def test_suggest_walks_initial_design_first():
@@ -389,3 +416,28 @@ def test_suggest_reports_budget_stop():
     suggestion, stop = suggest_next(state)
     assert suggestion is None
     assert stop == STOP_BUDGET
+
+
+def step_append_to_stop(config, oracle):
+    """The interactive loop driven by hand: suggest, measure, append, repeat."""
+    state = ExperimentState(config=config)
+    while True:
+        suggestion, stop = suggest_next(state)
+        if stop is not None:
+            return state
+        location = suggestion.location
+        record_appended_measurement(state, Measurement(location, oracle.evaluate(location)))
+
+
+@pytest.mark.parametrize("config, make_oracle", [
+    (small_config(), lambda: replay_oracle(small_config())),
+    (study_config(max_iterations=12, seed=9),
+     lambda: SyntheticLogisticOracle(noise_std=NOISE_STD, seed=9)),
+], ids=["small", "criterion-8"])
+def test_step_append_loop_equals_run_experiment(config, make_oracle):
+    batch = run_experiment(config, make_oracle())
+    stepped = step_append_to_stop(config, make_oracle())
+    assert stepped.history == batch.history
+    assert stepped.measurements == batch.measurements
+    assert stepped.stop_reason == batch.stop_reason
+    assert audit_log_text(stepped.history) == audit_log_text(batch.history)

@@ -266,40 +266,50 @@ def test_cli_append_rejects_unsolicited_point(tmp_path, capsys):
     assert main(["append", exp_path, "--m", "1.5", "--k", "7", "--response", "3.0"]) == 2
 
 
-def test_cli_run_resumes_after_oracle_miss(tmp_path, capsys):
-    # replay table that withholds one initial-design point
-    grid = GridSpec(**CONFIG["grid"])
+@pytest.mark.parametrize("missed", ["initial-design", "adaptive"])
+def test_cli_run_resumes_after_oracle_miss(tmp_path, capsys, missed):
     from krigplan import SyntheticLogisticOracle, build_grid
-    oracle = SyntheticLogisticOracle(noise_std=0.0)
-    withheld = Combination(3.0, 15.0)
-    rows = ["m,k,response"]
-    for c in build_grid(grid):
-        if c != withheld:
-            rows.append(f"{c.m},{c.k},{oracle.evaluate(c)!r}")
-    table_path = tmp_path / "table.csv"
-    table_path.write_text("\n".join(rows) + "\n")
+    grid = GridSpec(**CONFIG["grid"])
+    surface = SyntheticLogisticOracle(noise_std=0.0)
 
-    config_path = write_config(
-        tmp_path, {"oracle": {"kind": "table_replay", "path": str(table_path)},
-                   "max_iterations": 2})
-    main(["init", "--config", str(config_path)])
-    exp_path = capsys.readouterr().out.strip()
+    def replay_experiment(subdir, withheld=None):
+        """A 2-iteration experiment whose replay table lacks `withheld`."""
+        directory = tmp_path / subdir
+        directory.mkdir()
+        rows = ["m,k,response"] + [f"{c.m},{c.k},{surface.evaluate(c)!r}"
+                                   for c in build_grid(grid) if c != withheld]
+        table_path = directory / "table.csv"
+        table_path.write_text("\n".join(rows) + "\n")
+        config_path = write_config(
+            directory, {"oracle": {"kind": "table_replay", "path": str(table_path)},
+                        "max_iterations": 2})
+        assert main(["init", "--config", str(config_path)]) == 0
+        return capsys.readouterr().out.strip()
 
+    full_path = replay_experiment("full")
+    assert main(["run", full_path]) == 0
+    capsys.readouterr()
+    full, _ = load_state(full_path)
+    withheld = Combination(3.0, 15.0) if missed == "initial-design" else full.history[0].location
+
+    exp_path = replay_experiment("missed", withheld)
     assert main(["run", exp_path]) == 3
     err = capsys.readouterr().err
-    assert "append" in err  # resume instructions
+    assert f"krigplan append {exp_path} --m {withheld.m} --k {withheld.k}" in err
     state, _ = load_state(exp_path)
-    measured_before = len(state.measurements)
-    assert measured_before > 0
+    assert state.pending.location == withheld
+    assert 0 < len(state.measurements)  # everything before the miss was saved
+    assert state.measurements == full.measurements[:len(state.measurements)]
 
-    value = oracle.evaluate(withheld)
-    assert main(["append", exp_path, "--m", "3.0", "--k", "15",
-                 "--response", repr(value)]) == 0
+    assert main(["append", exp_path, "--m", str(withheld.m), "--k", str(withheld.k),
+                 "--response", repr(surface.evaluate(withheld))]) == 0
     capsys.readouterr()
     assert main(["run", exp_path]) == 0
-    state, _ = load_state(exp_path)
-    assert state.stop_reason == "budget"
-    assert len(state.measurements) == 6 + 2
+    resumed, _ = load_state(exp_path)
+    assert resumed.stop_reason == "budget"
+    assert len(resumed.measurements) == 6 + 2
+    assert resumed.history == full.history
+    assert resumed.measurements == full.measurements
 
 
 def test_cli_exit_code_2_on_bad_config(tmp_path, capsys):
@@ -317,6 +327,14 @@ def test_cli_exit_code_2_on_bad_config(tmp_path, capsys):
 
     bad_name = write_config(tmp_path, {"name": "no/slashes"}, name="bad_name.json")
     assert main(["init", "--config", str(bad_name)]) == 2
+
+    for malformed in ({"initial_design": {"lattice": [3]}},
+                      {"max_iterations": "many"},
+                      {"initial_design": [[0.5, 1.0], [1.0, "x"]]},
+                      {"alpha": "x"},
+                      {"seed": "x"}):
+        path = write_config(tmp_path, malformed, name="malformed.json")
+        assert main(["init", "--config", str(path)]) == 2, malformed
 
 
 def test_cli_exit_code_4_on_numerical_failure(tmp_path, capsys):

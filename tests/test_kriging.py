@@ -95,17 +95,6 @@ def test_system_rejects_empty_and_duplicates(study_grid):
         assemble_system(dup, SPH, study_grid)
 
 
-def test_solve_rejects_mismatched_model_and_spec(study_grid):
-    ms = [Measurement(Combination(1.0, 3.0), 2.0), Measurement(Combination(2.0, 9.0), 3.0)]
-    system = assemble_system(ms, SPH, study_grid)
-    other_model = VariogramModel("spherical", 0.1, 2.0, 0.5)
-    with pytest.raises(ConfigurationError):
-        solve(system, Combination(1.5, 5.0), model=other_model)
-    other_spec = unit_grid()
-    with pytest.raises(ConfigurationError):
-        solve(system, Combination(1.5, 5.0), spec=other_spec)
-
-
 def test_ill_conditioned_system_raises():
     spec = GridSpec(0.5, 6.0, 0.5, 1.0, 60.0, 1.0, k_scale=0.1)
     # adjacent grid points under a near-flat long-range model are numerically
