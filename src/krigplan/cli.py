@@ -16,7 +16,6 @@ is set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -39,7 +38,7 @@ from .errors import (
     OracleMissError,
     SchemaError,
 )
-from .grid import GridSpec, Measurement, build_grid, evenly_spaced_design
+from .grid import Measurement, build_grid
 from .kriging import predict_grid
 from .oracle import REPLAY_KIND, SYNTHETIC_KIND, build_oracle
 from .region import classify_grid, largest_reliable_region, threshold_contour
@@ -48,9 +47,6 @@ from .variogram import empirical_variogram, select_model
 OUT_DIR_ENV = "KRIGPLAN_OUT_DIR"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
-
-# What int()/float() and unpacking raise on malformed config values.
-_BAD_VALUE = (TypeError, ValueError, OverflowError)
 
 
 def _out_dir(experiment_path: str) -> str:
@@ -62,15 +58,7 @@ def _out_dir(experiment_path: str) -> str:
 
 
 def _load_config(path: str) -> tuple[ExperimentConfig, dict, str]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file {path} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = eio.read_json(path, ConfigurationError, "config file")
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: config must be a JSON object")
 
@@ -79,58 +67,21 @@ def _load_config(path: str) -> tuple[ExperimentConfig, dict, str]:
         raise ConfigurationError(f"experiment name {name!r} must match {_NAME_RE.pattern}")
 
     try:
-        grid = GridSpec(**data["grid"])
-    except KeyError:
-        raise ConfigurationError(f"{path}: config needs a 'grid' object") from None
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}: bad grid spec: {exc}") from None
-
-    design_raw = data.get("initial_design")
-    initial = None
-    try:
-        if isinstance(design_raw, dict) and set(design_raw) == {"lattice"}:
-            n_m, n_k = design_raw["lattice"]
-            initial = evenly_spaced_design(grid, int(n_m), int(n_k))
-        elif isinstance(design_raw, list):
-            initial = [grid.snap(float(m), float(k)) for m, k in design_raw]
-    except _BAD_VALUE:
-        pass
-    if initial is None:
-        raise ConfigurationError(
-            f"{path}: initial_design must be a list of [m, k] pairs or {{\"lattice\": [n_m, n_k]}}"
-        )
-
-    if "threshold" not in data:
-        raise ConfigurationError(f"{path}: config needs a 'threshold' value")
-    seed = _number(path, data, "seed", int, 0)
-    config = ExperimentConfig(
-        grid=grid,
-        threshold=_number(path, data, "threshold", float, None),
-        alpha=_number(path, data, "alpha", float, 0.1),
-        max_iterations=_number(path, data, "max_iterations", int, 50),
-        initial_design=tuple(initial),
-        seed=seed,
-    )
+        config = eio.config_from_dict(data)
+    except eio.PARSE_ERRORS as exc:
+        raise ConfigurationError(f"{path}: config is missing or mistypes a field: {exc!r}") from None
 
     oracle_spec = data.get("oracle")
     if not isinstance(oracle_spec, dict) or "kind" not in oracle_spec:
         raise ConfigurationError(f"{path}: config needs an 'oracle' object with a 'kind'")
     if oracle_spec["kind"] == SYNTHETIC_KIND:
-        build_oracle(oracle_spec, grid, default_seed=seed)  # validates parameters
+        build_oracle(oracle_spec, config.grid, default_seed=config.seed)  # validates parameters
     elif oracle_spec["kind"] == REPLAY_KIND:
-        if "path" not in oracle_spec:
-            raise ConfigurationError(f"{path}: table_replay oracle needs a 'path'")
+        if not isinstance(oracle_spec.get("path"), str):
+            raise ConfigurationError(f"{path}: table_replay oracle needs a 'path' string")
     else:
         raise ConfigurationError(f"{path}: unknown oracle kind {oracle_spec['kind']!r}")
     return config, oracle_spec, name
-
-
-def _number(path, data: dict, key: str, convert, default):
-    value = data.get(key, default)
-    try:
-        return convert(value)
-    except _BAD_VALUE:
-        raise ConfigurationError(f"{path}: '{key}' must be a number, got {value!r}") from None
 
 
 def _write_artifacts(state: ExperimentState, out_dir: str, alpha: float | None = None) -> dict:

@@ -21,7 +21,7 @@ from .adaptive import (
     PendingSuggestion,
 )
 from .errors import SchemaError
-from .grid import Combination, GridSpec, Measurement
+from .grid import Combination, GridSpec, Measurement, evenly_spaced_design
 from .region import RegionReport
 from .variogram import VariogramModel
 
@@ -53,29 +53,47 @@ def atomic_write_text(path, text: str) -> None:
 
 # --- experiment state -------------------------------------------------------
 
-def _model_to_dict(model: VariogramModel | None):
-    if model is None:
-        return None
-    return {
-        "family": model.family,
-        "nugget": model.nugget,
-        "range": model.range,
-        "sill": model.sill,
-        "fit_mse": model.fit_mse,
-        "flag": model.flag,
-    }
+# What a malformed field raises while it is parsed: a missing key, a value of
+# the wrong JSON type, a bad number, or a number too large for a float.  Each
+# caller turns these into its own exit-2 error.
+PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def _model_from_dict(data) -> VariogramModel | None:
-    if data is None:
-        return None
-    return VariogramModel(
-        family=data["family"],
-        nugget=data["nugget"],
-        range=data["range"],
-        sill=data["sill"],
-        fit_mse=data.get("fit_mse", 0.0),
-        flag=data.get("flag"),
+def as_int(value) -> int:
+    """The rule for every integer field: a value equal to an integer in the
+    signed 64-bit range.  Non-integral values are rejected, not truncated."""
+    integer = int(value)
+    if integer != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    if not -2**63 <= integer < 2**63:
+        raise OverflowError(f"integer {integer} is out of range")
+    return integer
+
+
+def config_from_dict(data: dict) -> ExperimentConfig:
+    """Parse the experiment-config schema: a config file, or the ``config``
+    object of an experiment file.
+
+    ``initial_design`` is a list of [m, k] grid points or {"lattice": [n_m,
+    n_k]}.  Raises ConfigurationError for values the planner rejects and one
+    of PARSE_ERRORS for missing or mistyped fields.
+    """
+    grid = GridSpec(**data["grid"])
+    design = data.get("initial_design")
+    if isinstance(design, dict) and set(design) == {"lattice"}:
+        n_m, n_k = design["lattice"]
+        initial = evenly_spaced_design(grid, as_int(n_m), as_int(n_k))
+    elif isinstance(design, list):
+        initial = [grid.snap(float(m), float(k)) for m, k in design]
+    else:
+        raise TypeError('initial_design must be a list of [m, k] pairs or {"lattice": [n_m, n_k]}')
+    return ExperimentConfig(
+        grid=grid,
+        threshold=float(data["threshold"]),
+        alpha=float(data.get("alpha", 0.1)),
+        max_iterations=as_int(data.get("max_iterations", 50)),
+        initial_design=tuple(initial),
+        seed=as_int(data.get("seed", 0)),
     )
 
 
@@ -97,7 +115,7 @@ def state_to_dict(state: ExperimentState, oracle_spec: dict) -> dict:
             {"m": m.location.m, "k": m.location.k, "response": m.response}
             for m in state.measurements
         ],
-        "model": _model_to_dict(state.model),
+        "model": None if state.model is None else asdict(state.model),
         "iteration": state.iteration,
         "history": [
             {
@@ -105,7 +123,7 @@ def state_to_dict(state: ExperimentState, oracle_spec: dict) -> dict:
                 "chosen_m": rec.location.m,
                 "chosen_k": rec.location.k,
                 "rc_score": rec.rc_score,
-                "model": _model_to_dict(rec.model),
+                "model": asdict(rec.model),
                 "n_uncertain": rec.n_uncertain,
             }
             for rec in state.history
@@ -116,10 +134,25 @@ def state_to_dict(state: ExperimentState, oracle_spec: dict) -> dict:
             "k": pending.location.k,
             "phase": pending.phase,
             "rc_score": pending.rc_score,
-            "model": _model_to_dict(pending.model),
+            "model": None if pending.model is None else asdict(pending.model),
             "n_uncertain": pending.n_uncertain,
         },
     }
+
+
+def _pending_from_dict(pend: dict, grid: GridSpec) -> PendingSuggestion:
+    location = grid.snap(float(pend["m"]), float(pend["k"]))
+    if pend["phase"] == "initial":
+        return PendingSuggestion(location=location, phase="initial")
+    if pend["phase"] != "adaptive":
+        raise ValueError(f"unknown pending phase {pend['phase']!r}")
+    return PendingSuggestion(
+        location=location,
+        phase="adaptive",
+        rc_score=float(pend["rc_score"]),
+        model=VariogramModel(**pend["model"]),
+        n_uncertain=as_int(pend["n_uncertain"]),
+    )
 
 
 def state_from_dict(data: dict) -> tuple[ExperimentState, dict]:
@@ -129,50 +162,35 @@ def state_from_dict(data: dict) -> tuple[ExperimentState, dict]:
     if version != STATE_VERSION:
         raise SchemaError(f"unsupported experiment file version {version!r} (expected {STATE_VERSION})")
     try:
-        cfg = data["config"]
-        grid = GridSpec(**cfg["grid"])
-        config = ExperimentConfig(
-            grid=grid,
-            threshold=cfg["threshold"],
-            alpha=cfg["alpha"],
-            max_iterations=cfg["max_iterations"],
-            initial_design=tuple(grid.snap(m, k) for m, k in cfg["initial_design"]),
-            seed=cfg["seed"],
-        )
+        config = config_from_dict(data["config"])
+        grid = config.grid
         measurements = [
-            Measurement(grid.snap(row["m"], row["k"]), row["response"])
+            Measurement(grid.snap(float(row["m"]), float(row["k"])), float(row["response"]))
             for row in data["measurements"]
         ]
         history = [
             IterationRecord(
-                iteration=rec["iteration"],
-                location=grid.snap(rec["chosen_m"], rec["chosen_k"]),
-                rc_score=rec["rc_score"],
-                model=_model_from_dict(rec["model"]),
-                n_uncertain=rec["n_uncertain"],
+                iteration=as_int(rec["iteration"]),
+                location=grid.snap(float(rec["chosen_m"]), float(rec["chosen_k"])),
+                rc_score=float(rec["rc_score"]),
+                model=VariogramModel(**rec["model"]),
+                n_uncertain=as_int(rec["n_uncertain"]),
             )
             for rec in data["history"]
         ]
         pend = data.get("pending_suggestion")
-        pending = None if pend is None else PendingSuggestion(
-            location=grid.snap(pend["m"], pend["k"]),
-            phase=pend["phase"],
-            rc_score=pend["rc_score"],
-            model=_model_from_dict(pend["model"]),
-            n_uncertain=pend["n_uncertain"],
-        )
         state = ExperimentState(
             config=config,
             measurements=measurements,
-            model=_model_from_dict(data["model"]),
-            iteration=data["iteration"],
+            model=None if data["model"] is None else VariogramModel(**data["model"]),
+            iteration=as_int(data["iteration"]),
             history=history,
             stop_reason=data.get("stop_reason"),
-            pending=pending,
+            pending=None if pend is None else _pending_from_dict(pend, grid),
         )
         oracle_spec = data["oracle"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"experiment file is missing or mistypes a field: {exc}") from exc
+    except PARSE_ERRORS as exc:
+        raise SchemaError(f"experiment file is missing or mistypes a field: {exc!r}") from None
     return state, oracle_spec
 
 
@@ -181,15 +199,21 @@ def save_state(state: ExperimentState, oracle_spec: dict, path) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_state(path) -> tuple[ExperimentState, dict]:
+def read_json(path, error=SchemaError, what: str = "experiment file"):
+    """The JSON document at path; `error` names the problem if it cannot be read."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except FileNotFoundError:
-        raise SchemaError(f"experiment file {path} does not exist") from None
+        raise error(f"{what} {path} does not exist") from None
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return state_from_dict(data)
+        raise error(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (OSError, ValueError) as exc:
+        raise error(f"{path}: cannot read {what}: {exc}") from None
+
+
+def load_state(path) -> tuple[ExperimentState, dict]:
+    return state_from_dict(read_json(path))
 
 
 # --- derived exports --------------------------------------------------------

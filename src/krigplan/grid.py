@@ -105,8 +105,11 @@ class GridSpec:
         exact node coordinates, so equality checks against other snapped
         combinations are reliable.
         """
-        i = round((m - self.m_min) / self.m_stride)
-        j = round((k - self.k_min) / self.k_stride)
+        i = (m - self.m_min) / self.m_stride
+        j = (k - self.k_min) / self.k_stride
+        if not (math.isfinite(i) and math.isfinite(j)):
+            raise ConfigurationError(f"point ({m}, {k}) lies outside the grid domain")
+        i, j = round(i), round(j)
         if not (0 <= i < self.m_count and 0 <= j < self.k_count):
             raise ConfigurationError(f"point ({m}, {k}) lies outside the grid domain")
         sm, sk = self.m_value(i), self.k_value(j)

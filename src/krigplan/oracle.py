@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, OracleMissError, SchemaError
+from .experiment_io import PARSE_ERRORS, as_int
 from .grid import Combination, GridSpec
 
 EVENT_COUNT = 15
@@ -85,9 +86,12 @@ class SyntheticLogisticOracle:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.floor, self.amplitude, self.steepness,
+                                               self.boundary_ratio, self.noise_std)):
+            raise ConfigurationError("synthetic oracle parameters must be finite")
         if self.amplitude <= 0 or self.steepness <= 0:
             raise ConfigurationError("amplitude and steepness must be positive")
-        if self.noise_std < 0 or not math.isfinite(self.noise_std):
+        if self.noise_std < 0:
             raise ConfigurationError(f"noise_std must be >= 0, got {self.noise_std}")
 
     def mean(self, m: float, k: float) -> float:
@@ -154,41 +158,44 @@ _EVENT_COLUMNS = tuple(f"e{i}" for i in range(1, EVENT_COUNT + 1))
 
 def load_response_table(path, spec: GridSpec) -> list[ResponseRecord]:
     """Parse a measurement CSV: columns m,k,response or m,k,e1..e15."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except FileNotFoundError:
+        raise SchemaError(f"response table {path} does not exist") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: cannot read response table: {exc}") from None
+    if not rows:
+        raise SchemaError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    if header == ["m", "k", "response"]:
+        reduced = False
+    elif header == ["m", "k", *_EVENT_COLUMNS]:
+        reduced = True
+    else:
+        raise SchemaError(
+            f"{path}: header must be m,k,response or m,k,e1..e{EVENT_COUNT}, got {header}"
+        )
+    records = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if header == ["m", "k", "response"]:
-            reduced = False
-        elif header == ["m", "k", *_EVENT_COLUMNS]:
-            reduced = True
+            numbers = [float(v) for v in row]
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        try:
+            location = spec.snap(numbers[0], numbers[1])
+        except ConfigurationError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+        if reduced:
+            maxima = tuple(numbers[2:])
+            record = ResponseRecord(location, reduce_event_maxima(maxima), maxima)
         else:
-            raise SchemaError(
-                f"{path}: header must be m,k,response or m,k,e1..e{EVENT_COUNT}, got {header}"
-            )
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                numbers = [float(v) for v in row]
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            try:
-                location = spec.snap(numbers[0], numbers[1])
-            except ConfigurationError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            if reduced:
-                maxima = tuple(numbers[2:])
-                record = ResponseRecord(location, reduce_event_maxima(maxima), maxima)
-            else:
-                record = ResponseRecord(location, numbers[2])
-            records.append(record)
+            record = ResponseRecord(location, numbers[2])
+        records.append(record)
     return records
 
 
@@ -202,15 +209,18 @@ def build_oracle(spec_dict: dict, grid: GridSpec, default_seed: int = 0):
         raise ConfigurationError("oracle spec must be an object with a 'kind' field")
     kind = spec_dict["kind"]
     if kind == SYNTHETIC_KIND:
-        known = {"floor", "amplitude", "steepness", "boundary_ratio", "noise_std", "seed"}
-        extra = set(spec_dict) - known - {"kind"}
+        float_fields = ("floor", "amplitude", "steepness", "boundary_ratio", "noise_std")
+        extra = set(spec_dict) - set(float_fields) - {"kind", "seed"}
         if extra:
             raise ConfigurationError(f"unknown synthetic oracle fields: {sorted(extra)}")
-        kwargs = {k: spec_dict[k] for k in known if k in spec_dict}
-        kwargs.setdefault("seed", default_seed)
+        try:
+            kwargs = {k: float(spec_dict[k]) for k in float_fields if k in spec_dict}
+            kwargs["seed"] = as_int(spec_dict.get("seed", default_seed))
+        except PARSE_ERRORS as exc:
+            raise ConfigurationError(f"malformed synthetic oracle field: {exc!r}") from None
         return SyntheticLogisticOracle(**kwargs)
     if kind == REPLAY_KIND:
-        if "path" not in spec_dict:
-            raise ConfigurationError("table_replay oracle spec needs a 'path' field")
+        if not isinstance(spec_dict.get("path"), str):
+            raise ConfigurationError("table_replay oracle spec needs a 'path' string")
         return TableReplayOracle.from_csv(spec_dict["path"], grid)
     raise ConfigurationError(f"unknown oracle kind {kind!r}")

@@ -70,6 +70,9 @@ def test_snap_rejects_out_of_range(study_grid):
         study_grid.snap(6.5, 13.0)
     with pytest.raises(ConfigurationError):
         study_grid.snap(2.5, 0.0)
+    for m in (float("nan"), float("inf"), -1.7e308):
+        with pytest.raises(ConfigurationError):
+            study_grid.snap(m, 13.0)
 
 
 def test_contains(study_grid):

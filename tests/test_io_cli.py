@@ -94,6 +94,32 @@ def test_load_rejects_missing_field(tmp_path):
         state_from_dict(payload)
 
 
+@pytest.mark.parametrize("path, value", [
+    pytest.param(("history", 0, "rc_score"), "x", id="rc_score-str"),
+    pytest.param(("history", 0, "rc_score"), [1], id="rc_score-list"),
+    pytest.param(("history", 0, "model"), None, id="history-model-null"),
+    pytest.param(("history", 0, "iteration"), 1.5, id="history-iteration-fraction"),
+    pytest.param(("history", 0, "n_uncertain"), "x", id="n_uncertain-str"),
+    pytest.param(("iteration",), 2.5, id="iteration-fraction"),
+    pytest.param(("config", "max_iterations"), 1.5, id="max_iterations-fraction"),
+    pytest.param(("config", "initial_design", 0), [0.5], id="design-point-short"),
+    pytest.param(("measurements", 0, "m"), 10**400, id="m-overflow"),
+    pytest.param(("pending_suggestion", "phase"), "adaptive", id="pending-adaptive-unscored"),
+    pytest.param(("pending_suggestion", "phase"), "later", id="pending-unknown-phase"),
+])
+def test_load_rejects_mistyped_field(path, value):
+    payload = state_to_dict(finished_state(), {"kind": "synthetic_logistic"})
+    payload["pending_suggestion"] = {"m": 1.0, "k": 2.0, "phase": "initial",
+                                     "rc_score": None, "model": None, "n_uncertain": None}
+    state_from_dict(payload)  # valid before the mutation
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SchemaError):
+        state_from_dict(payload)
+
+
 def test_load_reports_json_position(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text('{"version": 1,\n  broken\n}')
@@ -328,13 +354,39 @@ def test_cli_exit_code_2_on_bad_config(tmp_path, capsys):
     bad_name = write_config(tmp_path, {"name": "no/slashes"}, name="bad_name.json")
     assert main(["init", "--config", str(bad_name)]) == 2
 
+    synthetic = CONFIG["oracle"]
     for malformed in ({"initial_design": {"lattice": [3]}},
                       {"max_iterations": "many"},
+                      {"max_iterations": 1.5},
                       {"initial_design": [[0.5, 1.0], [1.0, "x"]]},
                       {"alpha": "x"},
-                      {"seed": "x"}):
+                      {"seed": "x"},
+                      {"oracle": {**synthetic, "noise_std": "x"}},
+                      {"oracle": {**synthetic, "amplitude": "x"}},
+                      {"oracle": {**synthetic, "noise_std": 10**400}},
+                      {"oracle": {**synthetic, "floor": "x"}},
+                      {"oracle": {**synthetic, "seed": "x"}},
+                      {"oracle": {**synthetic, "seed": 1.5}}):
         path = write_config(tmp_path, malformed, name="malformed.json")
         assert main(["init", "--config", str(path)]) == 2, malformed
+
+
+def test_config_file_and_experiment_file_share_one_schema(tmp_path, capsys):
+    from krigplan.cli import _load_config
+    from krigplan.experiment_io import config_from_dict
+
+    config_path = write_config(tmp_path)
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = capsys.readouterr().out.strip()
+    saved = json.loads(open(exp_path).read())
+    config, _, _ = _load_config(str(config_path))
+    assert config_from_dict(saved["config"]) == config
+    assert load_state(exp_path)[0].config == config
+
+    saved["config"]["max_iterations"] = 1.5
+    open(exp_path, "w").write(json.dumps(saved))
+    assert main(["run", exp_path]) == 2
+    assert "expected an integer, got 1.5" in capsys.readouterr().err
 
 
 def test_cli_exit_code_4_on_numerical_failure(tmp_path, capsys):

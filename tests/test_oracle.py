@@ -207,6 +207,25 @@ def test_load_rejects_off_grid_location(tmp_path, grid):
     path.write_text("m,k,response\n1.25,3,2.5\n")
     with pytest.raises(SchemaError):
         load_response_table(path, grid)
+    for row in ("nan,3,2.5", "1e999,3,2.5"):
+        path.write_text(f"m,k,response\n{row}\n")
+        with pytest.raises(SchemaError):
+            load_response_table(path, grid)
+
+
+def test_load_rejects_missing_file(tmp_path, grid):
+    path = tmp_path / "absent.csv"
+    with pytest.raises(SchemaError) as exc:
+        load_response_table(path, grid)
+    assert str(path) in str(exc.value)
+
+
+def test_load_rejects_non_utf8_file(tmp_path, grid):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("m,k,response\n1.0,3,2.5 \u00b5\n".encode("latin-1"))
+    with pytest.raises(SchemaError) as exc:
+        load_response_table(path, grid)
+    assert str(path) in str(exc.value)
 
 
 # --- oracle factory ----------------------------------------------------------
@@ -220,6 +239,22 @@ def test_build_synthetic_oracle(grid):
 def test_build_synthetic_default_seed(grid):
     oracle = build_oracle({"kind": "synthetic_logistic"}, grid, default_seed=3)
     assert oracle.seed == 3
+
+
+def test_build_synthetic_types_its_fields(grid):
+    oracle = build_oracle({"kind": "synthetic_logistic", "floor": 2, "seed": 4.0}, grid)
+    assert oracle.floor == 2.0 and isinstance(oracle.floor, float)
+    assert oracle.seed == 4 and isinstance(oracle.seed, int)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise_std", "x"), ("amplitude", "x"), ("noise_std", 10**400), ("floor", "x"),
+    ("floor", float("nan")), ("seed", "x"), ("seed", 1.5), ("seed", 2**63),
+], ids=["noise_std-str", "amplitude-str", "noise_std-overflow", "floor-str",
+        "floor-nan", "seed-str", "seed-fraction", "seed-out-of-range"])
+def test_build_synthetic_rejects_malformed_field(grid, field, value):
+    with pytest.raises(ConfigurationError):
+        build_oracle({"kind": "synthetic_logistic", field: value}, grid)
 
 
 def test_build_synthetic_rejects_unknown_field(grid):
@@ -238,6 +273,8 @@ def test_build_replay_oracle(tmp_path, grid):
 def test_build_replay_needs_path(grid):
     with pytest.raises(ConfigurationError):
         build_oracle({"kind": "table_replay"}, grid)
+    with pytest.raises(ConfigurationError):
+        build_oracle({"kind": "table_replay", "path": 0}, grid)
 
 
 def test_build_rejects_unknown_kind(grid):
