@@ -17,6 +17,10 @@ from .errors import ConfigurationError, DuplicateLocationError
 # Absolute tolerance for deciding that a coordinate sits on a lattice node.
 SNAP_TOL = 1e-9
 
+# Largest grid the planner accepts (18x the 5,600-cell benchmark grid).
+# Grid solves, indicators and the point list all grow with the point count.
+MAX_GRID_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class Combination:
@@ -64,10 +68,18 @@ class GridSpec:
             if hi < lo:
                 raise ConfigurationError(f"grid {axis}_max {hi} is below {axis}_min {lo}")
             steps = (hi - lo) / stride
+            if not steps < MAX_GRID_POINTS:
+                raise ConfigurationError(
+                    f"grid {axis}-axis has {steps + 1:.3g} points, more than the limit of {MAX_GRID_POINTS}"
+                )
             if abs(steps - round(steps)) > SNAP_TOL:
                 raise ConfigurationError(
                     f"grid {axis}-axis span {hi - lo} is not an integer multiple of stride {stride}"
                 )
+        if self.point_count > MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"grid has {self.point_count} points, more than the limit of {MAX_GRID_POINTS}"
+            )
         if not math.isfinite(self.k_scale) or self.k_scale <= 0:
             raise ConfigurationError(f"k_scale must be positive and finite, got {self.k_scale}")
 

@@ -25,6 +25,11 @@ EVENT_COUNT = 15
 # Rank (1-based) of the per-event maximum that defines the response.
 RESPONSE_RANK = 4
 
+# Largest exponent the synthetic oracle's logistic passes to math.exp, which
+# overflows past about 709.  At 700 the logistic term is already below 1e-304
+# of the amplitude, so the clamp moves the mean by less than that.
+_MAX_EXPONENT = 700.0
+
 
 def reduce_event_maxima(maxima) -> float:
     """Fourth-largest of exactly 15 per-event maxima."""
@@ -95,7 +100,8 @@ class SyntheticLogisticOracle:
             raise ConfigurationError(f"noise_std must be >= 0, got {self.noise_std}")
 
     def mean(self, m: float, k: float) -> float:
-        return self.floor + self.amplitude / (1.0 + math.exp(self.steepness * (k - self.boundary_ratio * m)))
+        exponent = min(self.steepness * (k - self.boundary_ratio * m), _MAX_EXPONENT)
+        return self.floor + self.amplitude / (1.0 + math.exp(exponent))
 
     def boundary_k(self, m: float, threshold: float) -> float:
         """k where the noiseless mean equals threshold, for the given m.

@@ -1,7 +1,13 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import krigplan.adaptive as adaptive
 
 from krigplan import (
     Combination,
@@ -20,6 +26,7 @@ from krigplan import (
     assemble_system,
     build_grid,
     candidate_scores,
+    evenly_spaced_design,
     check_stop,
     predict_grid,
     rc_score,
@@ -131,6 +138,84 @@ def test_fast_scores_match_brute_force(nm, nk, n_meas, seed):
     assert candidates == expected_candidates
     np.testing.assert_allclose(fast, slow, atol=1e-10)
     assert int(np.argmin(fast)) == int(np.argmin(slow))
+
+
+# Models the property test draws from: one per family, each well conditioned
+# on a unit-spaced lattice.
+SCORE_MODELS = [
+    SPH,
+    VariogramModel("exponential", 0.05, 1.5, 0.8),
+    VariogramModel("gaussian", 0.1, 1.5, 0.6),
+    VariogramModel("bounded_linear", 0.02, 4.0, 1.0),
+]
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_fast_scores_match_brute_force_on_partial_indicators(data):
+    """Flagged-column scoring agrees with full re-assembly for any indicator
+    set, gives bit-identical scores whatever the block size, and agrees when
+    some candidates take the re-assembly path."""
+    nm, nk = data.draw(st.integers(3, 8)), data.draw(st.integers(3, 10))
+    grid = GridSpec(1.0, float(nm), 1.0, 1.0, float(nk), 1.0, k_scale=1.0)
+    n_meas = data.draw(st.integers(3, 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    ms = random_measurements(rng, grid, n_meas)
+    config = ExperimentConfig(grid=grid, threshold=4.0,
+                              initial_design=tuple(m.location for m in ms))
+    model = data.draw(st.sampled_from(SCORE_MODELS))
+    state = ExperimentState(config=config, measurements=list(ms), model=model)
+    n_candidates = grid.point_count - n_meas
+    indicators = np.array(data.draw(st.lists(st.booleans(), min_size=n_candidates,
+                                             max_size=n_candidates)))
+
+    candidates, expected = brute_force_scores(state, indicators)
+    current = solve_grid(assemble_system(ms, model, grid), candidates).variances
+    variance_min = adaptive.FAST_PATH_VARIANCE_MIN
+    if data.draw(st.booleans()):
+        # raise the cut so about half the candidates are rescored by re-assembly
+        variance_min = float(np.median(current))
+    rescored = int(np.sum(current < variance_min))
+
+    by_block = []
+    with mock.patch.object(adaptive, "FAST_PATH_VARIANCE_MIN", variance_min):
+        # blocks of 16 and 32 candidate rows, so the candidates span several
+        # blocks, then the production size
+        n_targets = max(1, int(indicators.sum()))
+        for block in (16 * n_targets, 32 * n_targets, 2**16):
+            with mock.patch.object(adaptive, "_SCORE_BLOCK_ELEMENTS", block), \
+                    mock.patch.object(adaptive, "_score_by_reassembly",
+                                      wraps=adaptive._score_by_reassembly) as spy:
+                got_candidates, scores = candidate_scores(state, indicators=indicators)
+            assert spy.call_count == rescored
+            by_block.append(scores)
+
+    assert got_candidates == candidates
+    np.testing.assert_allclose(by_block[-1], expected, atol=1e-10)
+    for scores in by_block[:-1]:
+        assert np.array_equal(scores, by_block[-1])
+
+
+def test_scoring_memory_stays_below_one_candidate_matrix():
+    """Scoring 3,348 candidates against all of them as targets never holds a
+    P x P float64 matrix."""
+    grid = GridSpec(0.5, 6.0, 0.1, 1.0, 60.0, 1.0)
+    design = evenly_spaced_design(grid, 3, 4)
+    oracle = SyntheticLogisticOracle(noise_std=0.0)
+    ms = [Measurement(c, oracle.evaluate(c)) for c in design]
+    config = ExperimentConfig(grid=grid, threshold=4.0, initial_design=tuple(design))
+    state = ExperimentState(config=config, measurements=ms, model=SPH)
+    n_candidates = grid.point_count - len(ms)
+    assert n_candidates == 3348
+    tracemalloc.start()
+    try:
+        candidate_scores(state, indicators=np.ones(n_candidates, dtype=bool))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_candidates ** 2  # 85.5 MB
 
 
 def test_rc_score_matches_batch(unit_grid_5x5):

@@ -13,7 +13,7 @@ from krigplan import (
     distance,
     evenly_spaced_design,
 )
-from krigplan.grid import ensure_unique_locations, scaled_coords
+from krigplan.grid import MAX_GRID_POINTS, ensure_unique_locations, scaled_coords
 
 
 def test_grid_counts(study_grid):
@@ -91,6 +91,18 @@ def test_grid_spec_validation():
         GridSpec(1.0, 5.0, 1.0, 1.0, 5.0, 1.0, k_scale=-0.1)
     with pytest.raises(ConfigurationError):
         GridSpec(1.0, 5.0, 1.5, 1.0, 5.0, 1.0)  # span not a stride multiple
+
+
+def test_grid_spec_point_limit():
+    assert GridSpec(0.5, 6.0, 0.1, 1.0, 100.0, 1.0).point_count == 5600  # benchmark grid
+    assert GridSpec(1.0, 100.0, 1.0, 1.0, 1000.0, 1.0).point_count == MAX_GRID_POINTS
+    for args in ((0.5, 3.0, 1e-300, 1.0, 30.0, 1.0),   # about 2.5e300 m-levels
+                 (0.5, 1e300, 0.5, 1.0, 30.0, 1.0),
+                 (1.0, 2.0, 1.0, 1.0, 1e300, 1.0),
+                 (-1e308, 1e308, 1.0, 1.0, 30.0, 1.0),  # span overflows to inf
+                 (1.0, 11.0, 1.0, 1.0, 9091.0, 1.0)):  # 100,001 points
+        with pytest.raises(ConfigurationError, match="limit"):
+            GridSpec(*args)
 
 
 def test_measurement_validation(study_grid):

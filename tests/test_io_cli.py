@@ -371,6 +371,14 @@ def test_cli_exit_code_2_on_bad_config(tmp_path, capsys):
         assert main(["init", "--config", str(path)]) == 2, malformed
 
 
+def test_cli_init_rejects_oversized_grid(tmp_path, capsys):
+    for field, value in (("m_stride", 1e-300), ("m_max", 1e300)):
+        path = write_config(tmp_path, {"grid": {**CONFIG["grid"], field: value}},
+                            name="huge.json")
+        assert main(["init", "--config", str(path)]) == 2, field
+        assert "limit of 100000" in capsys.readouterr().err
+
+
 def test_config_file_and_experiment_file_share_one_schema(tmp_path, capsys):
     from krigplan.cli import _load_config
     from krigplan.experiment_io import config_from_dict

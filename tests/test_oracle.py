@@ -66,6 +66,27 @@ def test_logistic_tails():
     assert oracle.mean(6.0, 1.0) == pytest.approx(10.0, abs=1e-6)
 
 
+def test_logistic_survives_huge_exponent():
+    oracle = SyntheticLogisticOracle(steepness=1e16, noise_std=0.0)
+    assert oracle.mean(0.5, 30.0) == 1.0   # exponent 2.5e17, clamped
+    assert oracle.mean(3.0, 1.0) == 10.0   # exponent -2.9e17
+    noisy = SyntheticLogisticOracle(steepness=1e16)
+    for c in (Combination(0.5, 30.0), Combination(3.0, 1.0)):
+        assert math.isfinite(noisy.evaluate(c))
+
+
+def test_logistic_unchanged_below_the_exponent_clamp():
+    def unclamped(o, m, k):
+        return o.floor + o.amplitude / (1.0 + math.exp(o.steepness * (k - o.boundary_ratio * m)))
+
+    default = SyntheticLogisticOracle(noise_std=0.0)
+    steep = SyntheticLogisticOracle(steepness=1.0, noise_std=0.0)
+    for o, m, k in ((default, 0.5, 60.0), (default, 6.0, 1.0), (default, 2.5, 25.0),
+                    (steep, 0.5, 705.0),    # exponent exactly 700
+                    (steep, 0.5, 600.0), (steep, 6.0, 1.0)):
+        assert o.mean(m, k) == unclamped(o, m, k)
+
+
 def test_logistic_monotone():
     oracle = SyntheticLogisticOracle(noise_std=0.0)
     ks = [1.0 + i for i in range(60)]
