@@ -9,7 +9,7 @@ and the nugget only widens predictions away from data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -32,17 +32,25 @@ FLAG_LOW_INFORMATION = "low_information"
 FIT_TOL = 1e-8
 
 
-def _shape(family: str, h: np.ndarray, a: float) -> np.ndarray:
-    """Unit shape in [0, 1]: the family curve with nugget 0 and partial sill 1."""
+def _shape(family: str, h: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
+    """Unit shape in [0, 1]: the family curve with nugget 0 and partial sill 1.
+
+    h and a broadcast (a column of ranges gives one row per range); the curve
+    is built in place in `out`, or in a fresh array, from h / a.
+    """
+    t = np.divide(h, a, out=out)
     if family == BOUNDED_LINEAR:
-        return np.minimum(h / a, 1.0)
+        return np.minimum(t, 1.0, out=t)
     if family == SPHERICAL:
-        t = np.minimum(h / a, 1.0)
-        return 1.5 * t - 0.5 * t**3
+        np.minimum(t, 1.0, out=t)
+        # t[()] is a numpy scalar when t is 0-d: scalar ** rounds unlike the
+        # array loop, and a scalar h has always taken the scalar path.
+        cube = 0.5 * t[()] ** 3
+        return np.subtract(np.multiply(t, 1.5, out=t), cube, out=t)
     if family == EXPONENTIAL:
-        return 1.0 - np.exp(-h / a)
+        return np.subtract(1.0, np.exp(np.negative(t, out=t), out=t), out=t)
     if family == GAUSSIAN:
-        return 1.0 - np.exp(-((h / a) ** 2))
+        return np.subtract(1.0, np.exp(np.negative(np.square(t, out=t), out=t), out=t), out=t)
     raise ConfigurationError(f"unknown variogram family {family!r}")
 
 
@@ -86,12 +94,15 @@ def eval_model(model: VariogramModel, h):
     """Semi-variance at scaled distance h (scalar or array).
 
     Exactly 0 at h = 0; at any h > 0 the value is in [nugget, nugget + sill].
+    The result is built in one fresh buffer; h itself is never written.
     """
     arr = np.asarray(h, dtype=float)
     if np.any(arr < 0):
         raise ConfigurationError("distances must be nonnegative")
-    out = model.nugget + model.sill * _shape(model.family, arr, model.range)
-    out = np.where(arr > 0, out, 0.0)
+    out = _shape(model.family, arr, model.range, out=np.empty_like(arr))
+    out *= model.sill
+    out += model.nugget
+    out[~(arr > 0)] = 0.0
     if np.isscalar(h) or arr.ndim == 0:
         return float(out)
     return out
@@ -162,15 +173,18 @@ def empirical_variogram(
     iu, ju = np.triu_indices(n, k=1)
     sq = (y[iu] - y[ju]) ** 2
 
+    # A stable sort keeps each bin's pairs in their original order for its sums.
     idx = np.round(d / bin_width).astype(int)
+    order = np.argsort(idx, kind="stable")
+    d, sq = d[order], sq[order]
+    edges = np.flatnonzero(np.diff(idx[order])) + 1
     bins = []
-    for b in np.unique(idx):
-        mask = idx == b
-        h_c = float(d[mask].mean())
+    for start, stop in zip(np.r_[0, edges], np.r_[edges, len(d)]):
+        h_c = float(d[start:stop].mean())
         if h_c > max_lag:
             continue
-        count = int(mask.sum())
-        gamma = float(sq[mask].sum() / (2.0 * count))
+        count = int(stop - start)
+        gamma = float(sq[start:stop].sum() / (2.0 * count))
         bins.append(VariogramBin(h_c, gamma, count))
 
     return EmpiricalVariogram(
@@ -180,38 +194,31 @@ def empirical_variogram(
     )
 
 
-def _profiled_linear(family, a, h, gam, wts):
-    """Weighted least squares for (nugget, sill) at fixed range.
+def _profiled_linear(phi, gam, wts):
+    """Weighted least squares for (nugget, sill) at each row's fixed range.
 
-    The model is linear in (C0, b) once a is fixed, so the inner problem has
-    a closed form; the nonnegativity constraints reduce to checking the two
-    boundary cases when the unconstrained optimum is infeasible.
+    phi is (R, bins), one row of unit shapes per trial range.  The model is
+    linear in (C0, b) then, so each row has a closed form.  Where it is
+    infeasible, the nugget-free fit wins unless the flat (pure-nugget) fit
+    has a strictly smaller objective.  Returns (C0, b, objective) arrays.
     """
-    phi = _shape(family, h, a)
     s1 = wts.sum()
-    sp = (wts * phi).sum()
-    spp = (wts * phi * phi).sum()
     sy = (wts * gam).sum()
-    spy = (wts * phi * gam).sum()
-
-    def objective(c0, b):
-        r = c0 + b * phi - gam
-        return float((wts * r * r).sum())
-
-    det = s1 * spp - sp * sp
-    if det > 1e-12 * max(s1 * spp, 1e-300):
-        c0 = (spp * sy - sp * spy) / det
-        b = (s1 * spy - sp * sy) / det
-        if c0 >= 0 and b >= 0:
-            return c0, b, objective(c0, b)
-    # Clamped candidates: nugget-free fit and flat (pure-nugget) fit.
-    cands = []
-    if spp > 0:
-        b_only = max(spy / spp, 0.0)
-        cands.append((0.0, b_only, objective(0.0, b_only)))
-    c0_only = max(sy / s1, 0.0)
-    cands.append((c0_only, 0.0, objective(c0_only, 0.0)))
-    return min(cands, key=lambda t: t[2])
+    wphi = wts * phi
+    sp = wphi.sum(axis=-1)
+    spp = (wphi * phi).sum(axis=-1)
+    spy = (wphi * gam).sum(axis=-1)
+    zeros = np.zeros_like(sp)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = s1 * spp - sp * sp
+        # Rows of c0s and bs: unconstrained, nugget-free and flat candidates.
+        c0s = np.array([(spp * sy - sp * spy) / det, zeros, zeros + max(sy / s1, 0.0)])
+        bs = np.array([(s1 * spy - sp * sy) / det, np.maximum(spy / spp, 0.0), zeros])
+        r = c0s[..., None] + bs[..., None] * phi - gam
+        objs = (wts * r * r).sum(axis=-1)
+        free = (det > 1e-12 * np.maximum(s1 * spp, 1e-300)) & (c0s[0] >= 0) & (bs[0] >= 0)
+    pick = np.where(free, 0, np.where((spp > 0) & (objs[1] <= objs[2]), 1, 2))
+    return np.choose(pick, c0s), np.choose(pick, bs), np.choose(pick, objs)
 
 
 def _fallback_model(empirical: EmpiricalVariogram) -> VariogramModel:
@@ -231,90 +238,99 @@ def _fallback_model(empirical: EmpiricalVariogram) -> VariogramModel:
 def _with_mse(model: VariogramModel, empirical: EmpiricalVariogram) -> VariogramModel:
     if empirical.n_bins == 0:
         return model
+    resid = eval_model(model, empirical.h_centers()) - empirical.gammas()
+    return replace(model, fit_mse=float(np.mean(resid**2)))
+
+
+def _fit_families(empirical: EmpiricalVariogram, families) -> list[VariogramModel]:
+    """fit_model for each of `families`, the range searches in lockstep: all
+    coarse grids are profiled as one array, then each golden-section step
+    profiles the next probe of every family whose bracket is still open."""
+    for family in families:
+        if family not in FAMILIES:
+            raise ConfigurationError(f"unknown variogram family {family!r}")
+    if empirical.n_bins < 3:
+        return [_fallback_model(empirical)] * len(families)
+
     h = empirical.h_centers()
-    resid = eval_model(model, h) - empirical.gammas()
-    return VariogramModel(
-        family=model.family,
-        nugget=model.nugget,
-        range=model.range,
-        sill=model.sill,
-        fit_mse=float(np.mean(resid**2)),
-        flag=model.flag,
-    )
+    gam = empirical.gammas()
+    wts = empirical.counts() / empirical.counts().sum()
+
+    if np.all(gam == 0.0):
+        return [_with_mse(VariogramModel(family=family, nugget=0.0, range=empirical.max_distance,
+                                         sill=0.0, fit_mse=0.0, flag=FLAG_DEGENERATE), empirical)
+                for family in families]
+
+    def profile(fams, ranges):
+        """(C0, b, objective) of fams[i] at every range in row i of ranges."""
+        phi = np.concatenate([_shape(f, h, a[:, None]) for f, a in zip(fams, ranges)])
+        return [v.reshape(ranges.shape) for v in _profiled_linear(phi, gam, wts)]
+
+    a_grid = np.geomspace(float(h.min()), 2.0 * float(h.max()), 40)
+    best = np.argmin(profile(families, np.broadcast_to(a_grid, (len(families), len(a_grid))))[2], axis=1)
+
+    # Golden-section on the bracket around each family's best coarse point.
+    searches = [_golden_section(a_grid[max(k - 1, 0)], a_grid[min(k + 1, len(a_grid) - 1)])
+                for k in best.tolist()]
+    probes, mids = {i: next(search) for i, search in enumerate(searches)}, [0.0] * len(families)
+    while probes:
+        objs = profile([families[i] for i in probes], np.array([*probes.values()])[:, None])[2]
+        for i, obj in zip(list(probes), objs[:, 0].tolist()):
+            try:
+                probes[i] = searches[i].send(obj)
+            except StopIteration as done:
+                del probes[i]
+                mids[i] = done.value
+
+    # The best coarse point, column 0, wins ties against the bracket midpoint.
+    final = np.column_stack([a_grid[best], mids])
+    c0, b, obj = profile(families, final)
+    pick = (obj[:, 1] < obj[:, 0]).astype(int)
+    return [_with_mse(VariogramModel(family=family, nugget=float(max(c0[i, j], 0.0)),
+                                     range=float(final[i, j]), sill=float(max(b[i, j], 0.0))), empirical)
+            for i, (family, j) in enumerate(zip(families, pick))]
+
+
+def _golden_section(lo, hi):
+    """Golden-section search of [lo, hi] down to FIT_TOL, as a coroutine: it
+    yields each probe range, is sent that range's objective, and returns
+    the midpoint of the final bracket."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1 = yield x1
+    f2 = yield x2
+    while hi - lo > FIT_TOL * max(1.0, hi):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = yield x1
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = yield x2
+    return (lo + hi) / 2.0
 
 
 def fit_model(empirical: EmpiricalVariogram, family: str) -> VariogramModel:
     """Fit one family to the empirical variogram.
 
     Minimizes the pair-count-weighted MSE over (C0, a, b) with C0 >= 0,
-    b >= 0, and a within [smallest bin distance, 2 x largest bin distance].
-    The search is a coarse grid over a with exact profiling of (C0, b) at
-    each trial range, refined by golden-section down to FIT_TOL; that keeps
-    the fit robust on the ragged empirical variograms sparse designs give.
+    b >= 0, and a within [smallest bin distance, 2 x largest bin distance]:
+    a coarse 40-point grid over a with exact profiling of (C0, b) at each
+    trial range, refined by golden-section down to FIT_TOL, which keeps the
+    fit robust on the ragged empirical variograms sparse designs give.
     fit_mse on the result is the unweighted MSE used for model selection.
     """
-    if family not in FAMILIES:
-        raise ConfigurationError(f"unknown variogram family {family!r}")
-    if empirical.n_bins < 3:
-        return _fallback_model(empirical)
-
-    h = empirical.h_centers()
-    gam = empirical.gammas()
-    wts = empirical.counts()
-    wts = wts / wts.sum()
-
-    if np.all(gam == 0.0):
-        model = VariogramModel(
-            family=family,
-            nugget=0.0,
-            range=empirical.max_distance,
-            sill=0.0,
-            fit_mse=0.0,
-            flag=FLAG_DEGENERATE,
-        )
-        return _with_mse(model, empirical)
-
-    a_lo, a_hi = float(h.min()), 2.0 * float(h.max())
-
-    def profiled_obj(a):
-        return _profiled_linear(family, a, h, gam, wts)[2]
-
-    a_grid = np.geomspace(a_lo, a_hi, 40)
-    objs = [profiled_obj(a) for a in a_grid]
-    best = int(np.argmin(objs))
-
-    # Golden-section on the bracket around the best coarse point.
-    lo = a_grid[max(best - 1, 0)]
-    hi = a_grid[min(best + 1, len(a_grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = profiled_obj(x1), profiled_obj(x2)
-    while hi - lo > FIT_TOL * max(1.0, hi):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = profiled_obj(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = profiled_obj(x2)
-
-    candidates = [a_grid[best], (lo + hi) / 2.0]
-    a_best = min(candidates, key=profiled_obj)
-    c0, b, _ = _profiled_linear(family, a_best, h, gam, wts)
-    model = VariogramModel(family=family, nugget=float(max(c0, 0.0)), range=float(a_best),
-                           sill=float(max(b, 0.0)))
-    return _with_mse(model, empirical)
+    return _fit_families(empirical, (family,))[0]
 
 
 def select_model(empirical: EmpiricalVariogram) -> VariogramModel:
     """Fit all four families and keep the lowest unweighted-MSE model.
 
-    Exact MSE ties break by family order (FAMILIES).  With fewer than 3 bins
-    every family degrades to the same fallback, which is returned directly.
+    The four searches of fit_model run in lockstep, one array evaluation per
+    step.  Exact MSE ties break by family order (FAMILIES); with fewer than
+    3 bins every family degrades to the same fallback.
     """
-    if empirical.n_bins < 3:
-        return _fallback_model(empirical)
-    fits = [fit_model(empirical, family) for family in FAMILIES]
+    fits = _fit_families(empirical, FAMILIES)
     return min(fits, key=lambda m: (m.fit_mse, FAMILIES.index(m.family)))

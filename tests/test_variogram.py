@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from krigplan import (
     Combination,
@@ -17,13 +20,15 @@ from krigplan import (
 )
 from krigplan.variogram import (
     FAMILIES,
+    FIT_TOL,
     FLAG_DEGENERATE,
     FLAG_LOW_INFORMATION,
     EmpiricalVariogram,
     VariogramBin,
+    _fit_families,
 )
 
-from conftest import random_measurements
+from conftest import random_measurements, scaled_points
 
 
 def line_grid(m_max=6.0):
@@ -77,6 +82,30 @@ def test_eval_monotone_and_bounded():
         assert np.all(np.diff(g) >= -1e-12)
         assert np.all(g >= 0.0)
         assert np.all(g <= 0.15 + 0.8 + 1e-12)
+
+
+def test_eval_matches_plain_expression_and_keeps_input():
+    rng = np.random.default_rng(4)
+    h = rng.uniform(0.0, 6.0, size=(7, 9))
+    h[0, :3] = 0.0
+    original = h.copy()
+    for family in FAMILIES:
+        model = VariogramModel(family, 0.2, 2.5, 0.9)
+        for x in (h, h.T, h[:, 0], [0.0, 1.5, 4.0, np.inf, np.nan]):
+            x = np.asarray(x)
+            expected = np.where(x > 0, 0.2 + 0.9 * reference_shape(family, x, 2.5), 0.0)
+            assert eval_model(model, x).tobytes() == expected.tobytes()
+        # At 1.6 the spherical value differs in the last bit between numpy's
+        # scalar and array power; a scalar distance keeps the scalar result.
+        for x in (0.0, 1.6, 1.7, 9.0):
+            got = eval_model(model, x)
+            assert type(got) is float
+            assert got == float(np.where(x > 0, 0.2 + 0.9 * reference_shape(family, x, 2.5), 0.0))
+        with pytest.raises(ConfigurationError):
+            eval_model(model, np.array([0.5, -1e-12]))
+        with pytest.raises(ConfigurationError):
+            eval_model(model, -1.0)
+    assert h.tobytes() == original.tobytes()
 
 
 def test_model_validation():
@@ -165,6 +194,24 @@ def test_empirical_permutation_invariant(study_grid):
         assert b1.h_center == pytest.approx(b2.h_center, rel=1e-12)
         assert b1.gamma_hat == pytest.approx(b2.gamma_hat, rel=1e-12)
         assert b1.pair_count == b2.pair_count
+
+
+def test_empirical_matches_per_bin_masks(study_grid):
+    rng = np.random.default_rng(8)
+    ms = random_measurements(rng, study_grid, 40)
+    emp = empirical_variogram(ms, study_grid, max_lag=4.0)
+    d = pdist(scaled_points([m.location for m in ms], study_grid))
+    y = np.array([m.response for m in ms])
+    iu, ju = np.triu_indices(len(ms), k=1)
+    sq = (y[iu] - y[ju]) ** 2
+    idx = np.round(d / study_grid.nearest_neighbor_spacing()).astype(int)
+    expected = []
+    for b in np.unique(idx):
+        mask = idx == b
+        if d[mask].mean() <= 4.0:
+            expected.append(VariogramBin(float(d[mask].mean()),
+                                         float(sq[mask].sum() / (2.0 * mask.sum())), int(mask.sum())))
+    assert emp.bins == tuple(expected)
 
 
 def test_empirical_needs_two_measurements(study_grid):
@@ -290,3 +337,145 @@ def test_select_mse_is_minimum_over_families():
     sel = select_model(emp)
     for family in FAMILIES:
         assert sel.fit_mse <= fit_model(emp, family).fit_mse + 1e-15
+
+
+# --- lockstep fit against a scalar reference ---------------------------------
+
+def reference_shape(family, h, a):
+    """The four unit curves as plain expressions."""
+    if family == "bounded_linear":
+        return np.minimum(h / a, 1.0)
+    if family == "spherical":
+        t = np.minimum(h / a, 1.0)
+        return 1.5 * t - 0.5 * t**3
+    if family == "exponential":
+        return 1.0 - np.exp(-h / a)
+    return 1.0 - np.exp(-((h / a) ** 2))
+
+
+def reference_profile(family, a, h, gam, wts):
+    """(C0, b, objective, branch) at one range: the closed-form optimum when
+    it is feasible, else the better of the nugget-free and flat fits."""
+    phi = reference_shape(family, h, a)
+    s1, sp, spp = wts.sum(), (wts * phi).sum(), (wts * phi * phi).sum()
+    sy, spy = (wts * gam).sum(), (wts * phi * gam).sum()
+
+    def objective(c0, b):
+        r = c0 + b * phi - gam
+        return float((wts * r * r).sum())
+
+    det = s1 * spp - sp * sp
+    if det > 1e-12 * max(s1 * spp, 1e-300):
+        c0 = (spp * sy - sp * spy) / det
+        b = (s1 * spy - sp * sy) / det
+        if c0 >= 0 and b >= 0:
+            return c0, b, objective(c0, b), "free"
+    cands = []
+    if spp > 0:
+        b_only = max(spy / spp, 0.0)
+        cands.append((0.0, b_only, objective(0.0, b_only), "nugget_free"))
+    c0_only = max(sy / s1, 0.0)
+    cands.append((c0_only, 0.0, objective(c0_only, 0.0), "flat"))
+    return min(cands, key=lambda t: t[2])
+
+
+def reference_fit(emp, family):
+    """One family's fit, one range at a time: the 40-point coarse grid, then
+    golden-section on the bracket around its best point.  Returns the model
+    and the profile branch of the chosen range."""
+    h, gam = emp.h_centers(), emp.gammas()
+    wts = emp.counts() / emp.counts().sum()
+
+    def with_mse(nugget, a, sill, flag=None):
+        fitted = np.where(h > 0, nugget + sill * reference_shape(family, h, a), 0.0)
+        return VariogramModel(family, nugget, a, sill, float(np.mean((fitted - gam) ** 2)), flag)
+
+    if np.all(gam == 0.0):
+        return with_mse(0.0, emp.max_distance, 0.0, FLAG_DEGENERATE), None
+
+    def obj(a):
+        return reference_profile(family, a, h, gam, wts)[2]
+
+    a_grid = np.geomspace(float(h.min()), 2.0 * float(h.max()), 40)
+    best = int(np.argmin([obj(a) for a in a_grid]))
+    lo, hi = a_grid[max(best - 1, 0)], a_grid[min(best + 1, len(a_grid) - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = obj(x1), obj(x2)
+    while hi - lo > FIT_TOL * max(1.0, hi):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = obj(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = obj(x2)
+    a_best = min([a_grid[best], (lo + hi) / 2.0], key=obj)
+    c0, b, _, branch = reference_profile(family, a_best, h, gam, wts)
+    return with_mse(float(max(c0, 0.0)), float(a_best), float(max(b, 0.0))), branch
+
+
+def assert_fits_match_reference(emp):
+    reference = [reference_fit(emp, family)[0] for family in FAMILIES]
+    joint = _fit_families(emp, FAMILIES)
+    assert joint == reference
+    assert [repr(m) for m in joint] == [repr(m) for m in reference]
+    for family, fit in zip(FAMILIES, joint):
+        assert fit_model(emp, family) == fit
+    assert select_model(emp) == min(reference, key=lambda m: (m.fit_mse, FAMILIES.index(m.family)))
+
+
+# Bin shapes the strategy draws: a family curve with a nugget; a constant; all
+# zeros; a curve shifted down so its unconstrained nugget is negative; a
+# falling curve, whose unconstrained sill is negative.
+BIN_SHAPES = ("curve", "constant", "zero", "shifted_down", "falling")
+
+
+@st.composite
+def empirical_variograms(draw):
+    n = draw(st.integers(3, 45))
+    h = draw(st.floats(0.0, 1.0)) + np.cumsum(
+        draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    counts = draw(st.lists(st.integers(1, 400), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(BIN_SHAPES))
+    if kind == "zero":
+        gam = np.zeros(n)
+    elif kind == "constant":
+        gam = np.full(n, draw(st.floats(0.01, 5.0)))
+    else:
+        sill = draw(st.floats(0.01, 5.0))
+        nugget = sill * draw(st.floats(0.0, 1.0))
+        curve = sill * reference_shape(draw(st.sampled_from(FAMILIES)), h,
+                                       h[-1] * draw(st.floats(0.1, 1.5)))
+        gam = {"curve": nugget + curve, "shifted_down": curve - 0.3 * sill,
+               "falling": nugget + sill - curve}[kind]
+        noise = draw(st.floats(0.0, 0.5)) * np.array(
+            draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        gam = np.maximum(gam * (1.0 + noise), 0.0)
+    bins = tuple(VariogramBin(float(x), float(g), c) for x, g, c in zip(h, gam, counts))
+    return EmpiricalVariogram(bins=bins, response_variance=1.0, max_distance=float(h[-1]))
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
+
+
+@PROPERTY
+@given(emp=empirical_variograms())
+def test_lockstep_fit_equals_scalar_reference(emp):
+    """Every field of every family's fit, the one-family fit_model and the
+    selection equal a one-range-at-a-time golden-section search exactly."""
+    assert_fits_match_reference(emp)
+
+
+@pytest.mark.parametrize("gammas, branch", [
+    ([0.3, 0.5, 0.7, 0.9, 1.1, 1.3], "free"),
+    ([0.0, 0.0, 0.2, 0.6, 1.0, 1.4], "nugget_free"),
+    ([1.0, 0.8, 0.6, 0.5, 0.45, 0.4], "flat"),
+])
+def test_lockstep_fit_covers_every_profile_branch(gammas, branch):
+    """The chosen exponential fit comes from the named profile branch."""
+    bins = tuple(VariogramBin(h, g, 10) for h, g in zip([0.5, 1.0, 1.5, 2.0, 2.5, 3.0], gammas))
+    emp = EmpiricalVariogram(bins=bins, response_variance=1.0, max_distance=3.0)
+    assert reference_fit(emp, "exponential")[1] == branch
+    assert_fits_match_reference(emp)
