@@ -31,9 +31,9 @@ from .grid import (
     Measurement,
     build_grid,
     ensure_unique_locations,
-    scaled_coords,
+    lattice_coords,
 )
-from .kriging import GridSolution, assemble_system, solve_grid, z_quantile
+from .kriging import GridSolution, assemble_system, confidence_bounds, solve_grid, z_quantile
 from .variogram import VariogramModel, empirical_variogram, eval_model, select_model
 
 STOP_NATURAL = "natural"
@@ -148,20 +148,18 @@ def _fit(state: ExperimentState) -> VariogramModel:
 
 class _Grid:
     """The config's grid, built once per public call: points in row-major
-    order, their scaled coordinates, and each point's flat index."""
+    order and their scaled coordinates."""
 
     def __init__(self, spec: GridSpec):
+        self.spec = spec
         self.points = build_grid(spec)
-        self.coords = scaled_coords(self.points, spec)
-        self.index = {p: i for i, p in enumerate(self.points)}
+        self.coords = lattice_coords(spec)
 
     def unmeasured(self, measurements) -> np.ndarray:
         """Flat indices of the points no measurement sits on, ascending."""
         measured = np.zeros(len(self.points), dtype=bool)
-        for m in measurements:
-            i = self.index.get(m.location)
-            if i is not None:
-                measured[i] = True
+        flat = (self.spec.flat_index(m.location) for m in measurements)
+        measured[[i for i in flat if i is not None]] = True
         return np.flatnonzero(~measured)
 
 
@@ -188,10 +186,9 @@ def _evaluate(state: ExperimentState, grid: _Grid, model: VariogramModel) -> _Ev
     unmeasured_idx = grid.unmeasured(state.measurements)
     system = assemble_system(state.measurements, model, config.grid)
     sol = solve_grid(system, grid.points)
-    z = z_quantile(config.alpha)
-    half = z * np.sqrt(sol.variances[unmeasured_idx])
-    mu = sol.means[unmeasured_idx]
-    indicators = _straddles(mu - half, mu + half, config.threshold)
+    lower, upper = confidence_bounds(sol.means[unmeasured_idx], sol.variances[unmeasured_idx],
+                                     z_quantile(config.alpha))
+    indicators = _straddles(lower, upper, config.threshold)
     return _Evaluation(model, grid, sol, unmeasured_idx, indicators)
 
 
@@ -298,9 +295,9 @@ def rc_score(candidate: Combination, state: ExperimentState, indicators=None) ->
     row-major order) is supplied.
     """
     ev = _current_evaluation(state)
-    i = ev.grid.index.get(candidate, -1)
-    pos = int(np.searchsorted(ev.unmeasured_idx, i))
-    if pos == len(ev.unmeasured_idx) or ev.unmeasured_idx[pos] != i:
+    i = ev.grid.spec.flat_index(candidate)
+    pos = int(np.searchsorted(ev.unmeasured_idx, -1 if i is None else i))
+    if i is None or pos == len(ev.unmeasured_idx) or ev.unmeasured_idx[pos] != i:
         raise ConfigurationError(
             f"candidate ({candidate.m}, {candidate.k}) is measured or off-grid"
         )

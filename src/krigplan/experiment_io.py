@@ -21,8 +21,9 @@ from .adaptive import (
     PendingSuggestion,
 )
 from .errors import SchemaError
-from .grid import Combination, GridSpec, Measurement, evenly_spaced_design
-from .region import RegionReport
+from .grid import GridSpec, Measurement, evenly_spaced_design
+from .kriging import LatticePrediction
+from .region import LABELS, LatticeRegion
 from .variogram import VariogramModel
 
 STATE_VERSION = 1
@@ -218,31 +219,51 @@ def load_state(path) -> tuple[ExperimentState, dict]:
 
 # --- derived exports --------------------------------------------------------
 
-def predictions_csv_text(predictions) -> str:
+def _cell_prefixes(spec: GridSpec) -> list[str]:
+    """The "m,k," that starts each grid point's row, in row-major order; each
+    axis value is formatted once."""
+    m_text = [format_float(m) + "," for m in spec.m_values().tolist()]
+    k_text = [format_float(k) + "," for k in spec.k_values().tolist()]
+    return [m + k for m in m_text for k in k_text]
+
+
+def predictions_csv_text(prediction: LatticePrediction) -> str:
+    columns = (v.reshape(-1).tolist() for v in
+               (prediction.mean, prediction.variance, prediction.ci_lower, prediction.ci_upper))
     lines = ["m,k,mean,variance,ci_lower,ci_upper"]
-    for p in predictions:
-        lines.append(",".join(format_float(v) for v in
-                              (p.location.m, p.location.k, p.mean, p.variance, p.ci_lower, p.ci_upper)))
+    # "%.6g" % x is format_float(x) for a float x.
+    lines += [prefix + "%.6g,%.6g,%.6g,%.6g" % values
+              for prefix, values in zip(_cell_prefixes(prediction.spec), zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
-def labels_csv_text(labels: dict[Combination, str]) -> str:
+def labels_csv_text(spec: GridSpec, codes) -> str:
+    """labels.csv from the label codes (indices into LABELS) of every grid point."""
     lines = ["m,k,label"]
-    for loc in sorted(labels, key=lambda c: (c.m, c.k)):
-        lines.append(f"{format_float(loc.m)},{format_float(loc.k)},{labels[loc]}")
+    lines += [prefix + LABELS[code] for prefix, code in zip(_cell_prefixes(spec), codes.reshape(-1).tolist())]
     return "\n".join(lines) + "\n"
 
 
-def region_json_text(report: RegionReport) -> str:
-    payload = {
-        "cell_count": report.cell_count,
-        "m_min": None if report.m_min is None else _round6(report.m_min),
-        "m_max": None if report.m_max is None else _round6(report.m_max),
-        "k_min": None if report.k_min is None else _round6(report.k_min),
-        "k_max": None if report.k_max is None else _round6(report.k_max),
-        "cells": [[_round6(c.m), _round6(c.k)] for c in report.cells],
+def region_json_text(region: LatticeRegion) -> str:
+    """The region's count, bounding box and cells at 6 significant digits,
+    written in exactly the layout of json.dumps(..., indent=2, sort_keys=True)."""
+    def number(value):
+        return json.dumps(None if value is None else _round6(value))
+
+    m_text = [number(m) for m in region.m_axis.tolist()]
+    k_text = [number(k) for k in region.k_axis.tolist()]
+    cells = [f"    [\n      {m_text[i]},\n      {k_text[j]}\n    ]"
+             for i, j in zip(region.rows.tolist(), region.cols.tolist())]
+    m_min, m_max, k_min, k_max = region.bbox()
+    fields = {
+        "cell_count": json.dumps(region.cell_count),
+        "cells": "[\n" + ",\n".join(cells) + "\n  ]" if cells else "[]",
+        "k_max": number(k_max),
+        "k_min": number(k_min),
+        "m_max": number(m_max),
+        "m_min": number(m_min),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "\n}\n"
 
 
 def contour_csv_text(polylines) -> str:

@@ -109,6 +109,25 @@ class GridSpec:
         """Smallest scaled distance between two adjacent grid points."""
         return min(self.m_stride, self.k_stride * self.k_scale)
 
+    def m_values(self) -> np.ndarray:
+        """The m axis: m_value(i) for every i, ascending."""
+        return np.array([self.m_value(i) for i in range(self.m_count)], dtype=float)
+
+    def k_values(self) -> np.ndarray:
+        """The k axis: k_value(j) for every j, ascending."""
+        return np.array([self.k_value(j) for j in range(self.k_count)], dtype=float)
+
+    def _nearest_node(self, m: float, k: float) -> tuple[int, int] | None:
+        """(i, j) of the lattice node nearest to (m, k), or None outside the domain."""
+        i = (m - self.m_min) / self.m_stride
+        j = (k - self.k_min) / self.k_stride
+        if not (math.isfinite(i) and math.isfinite(j)):
+            return None
+        i, j = round(i), round(j)
+        if not (0 <= i < self.m_count and 0 <= j < self.k_count):
+            return None
+        return i, j
+
     def snap(self, m: float, k: float) -> Combination:
         """Map raw coordinates onto the lattice node they designate.
 
@@ -117,23 +136,32 @@ class GridSpec:
         exact node coordinates, so equality checks against other snapped
         combinations are reliable.
         """
-        i = (m - self.m_min) / self.m_stride
-        j = (k - self.k_min) / self.k_stride
-        if not (math.isfinite(i) and math.isfinite(j)):
+        node = self._nearest_node(m, k)
+        if node is None:
             raise ConfigurationError(f"point ({m}, {k}) lies outside the grid domain")
-        i, j = round(i), round(j)
-        if not (0 <= i < self.m_count and 0 <= j < self.k_count):
-            raise ConfigurationError(f"point ({m}, {k}) lies outside the grid domain")
-        sm, sk = self.m_value(i), self.k_value(j)
+        sm, sk = self.m_value(node[0]), self.k_value(node[1])
         if abs(m - sm) > SNAP_TOL or abs(k - sk) > SNAP_TOL:
             raise ConfigurationError(f"point ({m}, {k}) is not on the measurement grid")
         return Combination(sm, sk)
 
+    def flat_index(self, c: Combination) -> int | None:
+        """Row-major index of the grid point equal to c (its position in
+        build_grid), or None when c is not exactly a grid point."""
+        node = self._nearest_node(c.m, c.k)
+        if node is None:
+            return None
+        i, j = node
+        if self.m_value(i) != c.m or self.k_value(j) != c.k:
+            return None
+        return i * self.k_count + j
+
+    def point(self, index: int) -> Combination:
+        """The grid point at row-major position index, the inverse of flat_index."""
+        i, j = divmod(index, self.k_count)
+        return Combination(self.m_value(i), self.k_value(j))
+
     def contains(self, c: Combination) -> bool:
-        try:
-            return self.snap(c.m, c.k) == c
-        except ConfigurationError:
-            return False
+        return self.flat_index(c) is not None
 
 
 @dataclass(frozen=True)
@@ -169,6 +197,15 @@ def scaled_coords(locations, spec: GridSpec) -> np.ndarray:
     """(n, 2) array of (m, k * k_scale) coordinates for vectorized code."""
     out = np.array([(c.m, c.k * spec.k_scale) for c in locations], dtype=float)
     return out.reshape(len(locations), 2)
+
+
+def lattice_coords(spec: GridSpec) -> np.ndarray:
+    """(P, 2) scaled coordinates of every grid point in row-major order,
+    equal to scaled_coords(build_grid(spec), spec) without the Combinations."""
+    return np.column_stack([
+        np.repeat(spec.m_values(), spec.k_count),
+        np.tile(spec.k_values() * spec.k_scale, spec.m_count),
+    ])
 
 
 def ensure_unique_locations(measurements) -> None:

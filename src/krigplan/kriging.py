@@ -26,7 +26,7 @@ from .errors import (
     InsufficientDataError,
     NumericalFailureError,
 )
-from .grid import Combination, GridSpec, ensure_unique_locations, scaled_coords
+from .grid import Combination, GridSpec, ensure_unique_locations, lattice_coords, scaled_coords
 from .variogram import VariogramModel, eval_model
 
 # Two-sided normal quantiles for the supported confidence levels
@@ -138,11 +138,10 @@ class KrigingSystem:
                 ) from exc
         return self._lu
 
-    def rhs(self, targets) -> np.ndarray:
-        """(n+1, P) right-hand sides for a batch of target locations."""
-        tp = scaled_coords(targets, self.spec)
-        gam = eval_model(self.model, cdist(self.points, tp))
-        out = np.ones((self.n + 1, len(targets)), dtype=float)
+    def rhs(self, coords: np.ndarray) -> np.ndarray:
+        """(n+1, P) right-hand sides for a (P, 2) array of scaled target coordinates."""
+        gam = eval_model(self.model, cdist(self.points, coords))
+        out = np.ones((self.n + 1, len(coords)), dtype=float)
         out[: self.n, :] = gam
         return out
 
@@ -154,12 +153,13 @@ def assemble_system(measurements, model: VariogramModel, spec: GridSpec) -> Krig
     return KrigingSystem(measurements, model, spec)
 
 
-def _checked_variances(variances: np.ndarray, targets) -> np.ndarray:
+def _checked_variances(variances: np.ndarray, point_at) -> np.ndarray:
     """Clamp roundoff below zero to 0; raise, naming the first offending
-    target, for any variance below VARIANCE_FLOOR."""
+    target (point_at maps a target's position to its Combination), for any
+    variance below VARIANCE_FLOOR."""
     bad = np.flatnonzero(variances < VARIANCE_FLOOR)
     if bad.size:
-        target = targets[bad[0]]
+        target = point_at(int(bad[0]))
         raise NumericalFailureError(
             f"kriging variance {float(variances[bad[0]])} at ({target.m}, {target.k}) is negative "
             "beyond roundoff; the fitted model is not usable on this layout"
@@ -170,9 +170,9 @@ def _checked_variances(variances: np.ndarray, targets) -> np.ndarray:
 def solve(system: KrigingSystem, target: Combination):
     """Weights and prediction variance for one target."""
     system.check_conditioning()
-    rhs = system.rhs([target])[:, 0]
+    rhs = system.rhs(scaled_coords([target], system.spec))[:, 0]
     sol = system.solve_rhs(rhs)
-    sigma2 = float(_checked_variances(np.array([rhs @ sol]), [target])[0])
+    sigma2 = float(_checked_variances(np.array([rhs @ sol]), lambda _: target)[0])
     return SolvedWeights(weights=sol[: system.n].copy(), lagrange=float(-sol[-1])), sigma2
 
 
@@ -191,6 +191,26 @@ class GridSolution:
     solution: np.ndarray   # (n+1, P), system solved against rhs
 
 
+def _solve_coords(system: KrigingSystem, coords: np.ndarray, measured_pos, measured_rows, point_at):
+    """(means, variances, rhs, solution) at the (P, 2) target coordinates,
+    the solve behind solve_grid and predict_lattice.  Target measured_pos[i]
+    sits on measurement measured_rows[i]; point_at names a target by its
+    position in error messages."""
+    if system.model.is_degenerate or not len(coords):
+        rhs = sol = np.zeros((system.n + 1, len(coords)))
+        means = np.full(len(coords), system.values.mean())
+        variances = np.zeros(len(coords))
+    else:
+        system.check_conditioning()
+        rhs = system.rhs(coords)
+        sol = system.solve_rhs(rhs)
+        means = system.values @ sol[: system.n, :]
+        variances = _checked_variances(np.einsum("ip,ip->p", rhs, sol), point_at)
+    means[measured_pos] = system.values[measured_rows]
+    variances[measured_pos] = 0.0
+    return means, variances, rhs, sol
+
+
 def solve_grid(system: KrigingSystem, targets) -> GridSolution:
     """Means and variances at every target; measured targets reproduce their
     observations exactly with zero variance.
@@ -200,28 +220,45 @@ def solve_grid(system: KrigingSystem, targets) -> GridSolution:
     failing on its singular system; its rhs and solution are zero.
     """
     targets = list(targets)
-    if system.model.is_degenerate or not targets:
-        rhs = sol = np.zeros((system.n + 1, len(targets)))
-        means = np.full(len(targets), system.values.mean())
-        variances = np.zeros(len(targets))
-    else:
-        system.check_conditioning()
-        rhs = system.rhs(targets)
-        sol = system.solve_rhs(rhs)
-        means = system.values @ sol[: system.n, :]
-        variances = _checked_variances(np.einsum("ip,ip->p", rhs, sol), targets)
-
-    observed = {loc: val for loc, val in zip(system.locations, system.values)}
-    for idx, t in enumerate(targets):
-        if t in observed:
-            means[idx] = observed[t]
-            variances[idx] = 0.0
+    row_of = {loc: row for row, loc in enumerate(system.locations)}
+    pos = [p for p, t in enumerate(targets) if t in row_of]
+    means, variances, rhs, sol = _solve_coords(system, scaled_coords(targets, system.spec), pos,
+                                               [row_of[targets[p]] for p in pos], targets.__getitem__)
     return GridSolution(tuple(targets), means, variances, rhs, sol)
 
 
-def _interval(mean: float, variance: float, z: float):
-    half = z * math.sqrt(variance)
-    return mean - half, mean + half
+def confidence_bounds(means, variances, z: float):
+    """(lower, upper) of the symmetric interval mean -/+ z * sqrt(variance)."""
+    half = z * np.sqrt(variances)
+    return means - half, means + half
+
+
+@dataclass(frozen=True, eq=False)
+class LatticePrediction:
+    """Kriged mean, variance and (1 - alpha) interval at every grid point,
+    each an (m_count, k_count) array indexed like the lattice."""
+
+    spec: GridSpec
+    mean: np.ndarray
+    variance: np.ndarray
+    ci_lower: np.ndarray
+    ci_upper: np.ndarray
+
+
+def predict_lattice(measurements, model: VariogramModel, spec: GridSpec,
+                    alpha: float = 0.1) -> LatticePrediction:
+    """predict_grid over the whole grid, as arrays: the system is solved
+    once on the lattice coordinates, and measured grid points take their
+    observations by flat index."""
+    z = z_quantile(alpha)
+    system = assemble_system(measurements, model, spec)
+    flat = [spec.flat_index(loc) for loc in system.locations]
+    rows = [row for row, pos in enumerate(flat) if pos is not None]
+    means, variances, _, _ = _solve_coords(
+        system, lattice_coords(spec), [flat[row] for row in rows], rows, spec.point)
+    lower, upper = confidence_bounds(means, variances, z)
+    shape = (spec.m_count, spec.k_count)
+    return LatticePrediction(spec, *(v.reshape(shape) for v in (means, variances, lower, upper)))
 
 
 def predict(measurements, model: VariogramModel, spec: GridSpec, target: Combination,
@@ -235,10 +272,7 @@ def predict_grid(measurements, model: VariogramModel, spec: GridSpec, targets,
     """Batch prediction; the system is factorized once and reused."""
     z = z_quantile(alpha)
     targets = list(targets)
-    system = assemble_system(measurements, model, spec)
-    solution = solve_grid(system, targets)
-    out = []
-    for t, mean, var in zip(targets, solution.means, solution.variances):
-        lo, hi = _interval(float(mean), float(var), z)
-        out.append(Prediction(t, float(mean), float(var), lo, hi))
-    return out
+    solution = solve_grid(assemble_system(measurements, model, spec), targets)
+    lower, upper = confidence_bounds(solution.means, solution.variances, z)
+    columns = (v.tolist() for v in (solution.means, solution.variances, lower, upper))
+    return [Prediction(t, *values) for t, values in zip(targets, zip(*columns))]

@@ -5,12 +5,21 @@ kriged mean and the confidence interval: a cell only counts as reliable
 when its prediction is below threshold AND the interval upper bound is
 too.  The deliverable region is the largest 4-connected component of
 reliable and measured-passing cells, reported with its bounding box.
+
+The work is done on the (m, k) lattice as arrays: classify_cells gives each
+cell a code indexing LABELS, largest_region labels the components of an
+(m_count, k_count) code array, and contour_lines traces the level set of a
+2-D mean array.  classify_grid, largest_reliable_region and
+threshold_contour are the Combination views of the same functions; the
+last two take the lattice to be the distinct m and k values of the cells
+they are given.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import ConfigurationError
 from .grid import Combination
@@ -23,32 +32,47 @@ MEASURED_FAIL = "measured_fail"
 
 LABELS = (RELIABLE_CANDIDATE, UNCERTAIN, CONFIDENTLY_ABOVE, MEASURED_PASS, MEASURED_FAIL)
 
-# Labels eligible for the reliable region.
-_REGION_LABELS = frozenset({RELIABLE_CANDIDATE, MEASURED_PASS})
+# Each label's code in the arrays classify_cells returns: its index in LABELS.
+_CODE = {label: code for code, label in enumerate(LABELS)}
+
+# Codes eligible for the reliable region.
+_REGION_CODES = (_CODE[RELIABLE_CANDIDATE], _CODE[MEASURED_PASS])
+
+
+def classify_cells(mean, lower, upper, threshold: float, measured_pos, measured_response) -> np.ndarray:
+    """The label code (an index into LABELS) of every cell.
+
+    mean, lower and upper are the prediction and its interval bounds, arrays
+    of one shape; measured_pos are flat indices into them of the measured
+    cells, whose observed responses are measured_response.  Measured cells
+    are judged by their response alone (boundary inclusive: response ==
+    threshold passes).  Other cells are reliable only when mean and upper
+    bound are both at or below threshold, confidently above when the lower
+    bound exceeds it, and uncertain otherwise.
+    """
+    codes = np.full(np.shape(mean), _CODE[UNCERTAIN], dtype=np.int8)
+    codes[lower > threshold] = _CODE[CONFIDENTLY_ABOVE]
+    codes[(mean <= threshold) & (upper <= threshold)] = _CODE[RELIABLE_CANDIDATE]
+    codes.reshape(-1)[measured_pos] = np.where(
+        np.asarray(measured_response, dtype=float) <= threshold, _CODE[MEASURED_PASS], _CODE[MEASURED_FAIL])
+    return codes
 
 
 def classify_grid(predictions, measurements, threshold: float, grid=None) -> dict[Combination, str]:
-    """Label every predicted cell against the threshold.
+    """Label every predicted cell against the threshold (see classify_cells).
 
-    Measured cells are judged by their observed response alone (boundary
-    inclusive: response == threshold passes).  Unmeasured cells are reliable
-    only when mean and CI upper bound are both at or below threshold,
-    confidently above when the CI lower bound exceeds it, and uncertain
-    otherwise.  When ``grid`` is given, a prediction must exist for each of
-    its points.
+    When ``grid`` is given, a prediction must exist for each of its points,
+    and every measured location needs one in any case.
     """
-    labels: dict[Combination, str] = {}
+    preds = list(predictions)
     measured = {m.location: m.response for m in measurements}
-    for pred in predictions:
-        loc = pred.location
-        if loc in measured:
-            labels[loc] = MEASURED_PASS if measured[loc] <= threshold else MEASURED_FAIL
-        elif pred.mean <= threshold and pred.ci_upper <= threshold:
-            labels[loc] = RELIABLE_CANDIDATE
-        elif pred.ci_lower > threshold:
-            labels[loc] = CONFIDENTLY_ABOVE
-        else:
-            labels[loc] = UNCERTAIN
+    locs = [p.location for p in preds]
+    pos = [i for i, loc in enumerate(locs) if loc in measured]
+    mean = np.array([p.mean for p in preds], dtype=float)
+    lower = np.array([p.ci_lower for p in preds], dtype=float)
+    upper = np.array([p.ci_upper for p in preds], dtype=float)
+    codes = classify_cells(mean, lower, upper, threshold, pos, [measured[locs[i]] for i in pos])
+    labels = {loc: LABELS[code] for loc, code in zip(locs, codes.tolist())}
     for loc in measured:
         if loc not in labels:
             raise ConfigurationError(f"no prediction covers measured location ({loc.m}, {loc.k})")
@@ -75,22 +99,67 @@ class RegionReport:
         return cls((), 0, None, None, None, None)
 
 
-def _index_maps(labels):
-    ms = sorted({c.m for c in labels})
-    ks = sorted({c.k for c in labels})
-    mi = {v: i for i, v in enumerate(ms)}
-    ki = {v: j for j, v in enumerate(ks)}
-    return ms, ks, mi, ki
+@dataclass(frozen=True, eq=False)
+class LatticeRegion:
+    """Largest reliable region on an (m, k) lattice: the m and k indices of
+    its cells in row-major order, and the ascending axis values they index."""
+
+    m_axis: np.ndarray
+    k_axis: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @property
+    def cell_count(self) -> int:
+        return len(self.rows)
+
+    def bbox(self) -> tuple:
+        """(m_min, m_max, k_min, k_max), each None when the region is empty."""
+        if not self.cell_count:
+            return (None,) * 4
+        return (float(self.m_axis[self.rows[0]]), float(self.m_axis[self.rows[-1]]),
+                float(self.k_axis[self.cols.min()]), float(self.k_axis[self.cols.max()]))
+
+    def report(self) -> RegionReport:
+        """The same region with Combination cells."""
+        ms, ks = self.m_axis.tolist(), self.k_axis.tolist()
+        cells = tuple(Combination(ms[i], ks[j]) for i, j in zip(self.rows.tolist(), self.cols.tolist()))
+        return RegionReport(cells, self.cell_count, *self.bbox())
+
+
+def largest_region(codes: np.ndarray, m_axis, k_axis) -> LatticeRegion:
+    """Largest 4-connected component of region-eligible cells (reliable or
+    measured pass) of an (m_count, k_count) code array.
+
+    Adjacency is one step along either axis.  Size ties break toward the
+    component whose first cell in row-major order comes first, which is the
+    component ndimage.label numbers lowest.
+    """
+    components, count = ndimage.label(np.isin(codes, _REGION_CODES))
+    flat = components.reshape(-1)
+    if count:
+        sizes = np.bincount(flat)
+        sizes[0] = 0  # background
+        cells = np.flatnonzero(flat == np.argmax(sizes))
+    else:
+        cells = np.empty(0, dtype=np.intp)
+    rows, cols = np.divmod(cells, codes.shape[1])
+    return LatticeRegion(np.asarray(m_axis, dtype=float), np.asarray(k_axis, dtype=float), rows, cols)
+
+
+def _lattice_of(locations):
+    """(m axis, k axis, m index, k index) of cells given as Combinations."""
+    m_axis, mi = np.unique(np.array([c.m for c in locations], dtype=float), return_inverse=True)
+    k_axis, ki = np.unique(np.array([c.k for c in locations], dtype=float), return_inverse=True)
+    return m_axis, k_axis, mi, ki
 
 
 def largest_reliable_region(labels: dict[Combination, str], measurements=None,
                             threshold: float | None = None) -> RegionReport:
-    """Largest 4-connected component of reliable/measured-pass cells.
-
-    Adjacency is one step along either axis of the (complete) labeled grid.
-    Size ties break toward the component whose smallest (m, k) cell is
-    lexicographically least.  measurements/threshold are accepted for
-    interface symmetry with classify_grid and cross-checked when given.
+    """largest_region on a label dict, whose lattice is the distinct m and
+    k values of its cells; cells it does not label are not eligible.
+    measurements/threshold are accepted for interface symmetry with
+    classify_grid and cross-checked when given.
     """
     if measurements is not None and threshold is not None:
         for meas in measurements:
@@ -102,67 +171,40 @@ def largest_reliable_region(labels: dict[Combination, str], measurements=None,
                     f"its measured response {meas.response}"
                 )
 
-    eligible = {c for c, lab in labels.items() if lab in _REGION_LABELS}
-    if not eligible:
-        return RegionReport.empty()
-
-    _, _, mi, ki = _index_maps(labels)
-    by_index = {(mi[c.m], ki[c.k]): c for c in eligible}
-
-    components: list[list[Combination]] = []
-    todo = set(by_index)
-    while todo:
-        start = todo.pop()
-        stack = [start]
-        comp = []
-        while stack:
-            i, j = stack.pop()
-            comp.append(by_index[(i, j)])
-            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if nb in todo:
-                    todo.remove(nb)
-                    stack.append(nb)
-        components.append(comp)
-
-    def anchor(comp):
-        return min((c.m, c.k) for c in comp)
-
-    best = min(components, key=lambda comp: (-len(comp), anchor(comp)))
-    cells = tuple(sorted(best, key=lambda c: (c.m, c.k)))
-    return RegionReport(
-        cells=cells,
-        cell_count=len(cells),
-        m_min=min(c.m for c in cells),
-        m_max=max(c.m for c in cells),
-        k_min=min(c.k for c in cells),
-        k_max=max(c.k for c in cells),
-    )
+    m_axis, k_axis, mi, ki = _lattice_of(list(labels))
+    codes = np.full((len(m_axis), len(k_axis)), -1, dtype=np.int8)
+    codes[mi, ki] = [_CODE.get(label, -1) for label in labels.values()]
+    return largest_region(codes, m_axis, k_axis).report()
 
 
 def threshold_contour(predictions, threshold: float) -> list[list[tuple[float, float]]]:
-    """Mean-surface level set at the threshold, as polylines in (m, k).
-
-    Classic marching squares over the prediction grid with linear
-    interpolation along cell edges; saddle cells are disambiguated by the
-    cell-center mean.  A corner exactly at the threshold counts as the
-    at-or-below side.  Returns [] when the surface never crosses.
-    """
+    """contour_lines of the predicted means, which must cover a complete
+    rectangular grid: its axes are the distinct m and k values."""
     preds = list(predictions)
-    if not preds:
-        return []
-    ms = sorted({p.location.m for p in preds})
-    ks = sorted({p.location.k for p in preds})
-    mi = {v: i for i, v in enumerate(ms)}
-    ki = {v: j for j, v in enumerate(ks)}
-    values = np.full((len(ms), len(ks)), np.nan)
-    for p in preds:
-        values[mi[p.location.m], ki[p.location.k]] = p.mean
+    m_axis, k_axis, mi, ki = _lattice_of([p.location for p in preds])
+    values = np.full((len(m_axis), len(k_axis)), np.nan)
+    values[mi, ki] = [p.mean for p in preds]
     if np.isnan(values).any():
         raise ConfigurationError("predictions do not cover a complete rectangular grid")
-    if len(ms) < 2 and len(ks) < 2:
-        return []
+    return contour_lines(m_axis, k_axis, values, threshold)
 
+
+def contour_lines(m_axis, k_axis, values: np.ndarray, threshold: float) -> list[list[tuple[float, float]]]:
+    """Mean-surface level set at the threshold, as polylines in (m, k).
+
+    values is the (len(m_axis), len(k_axis)) mean array over ascending axes.
+    Classic marching squares with linear interpolation along cell edges;
+    saddle cells are disambiguated by the cell-center mean.  A corner exactly
+    at the threshold counts as the at-or-below side.  Only the cells whose
+    corners fall on both sides are visited, in row-major order.  Returns []
+    when the surface never crosses.
+    """
+    ms = np.asarray(m_axis, dtype=float).tolist()
+    ks = np.asarray(k_axis, dtype=float).tolist()
     above = values > threshold
+    # A cell is crossed unless all four corners lie on the side of its first.
+    first = above[:-1, :-1]
+    mixed = (above[1:, :-1] != first) | (above[1:, 1:] != first) | (above[:-1, 1:] != first)
 
     # Interpolated crossing points, one per grid edge, keyed so that both
     # cells sharing an edge reference the identical vertex.
@@ -183,39 +225,36 @@ def threshold_contour(predictions, threshold: float) -> list[list[tuple[float, f
         return key
 
     segments: list[tuple[tuple, tuple]] = []
-    for i in range(len(ms) - 1):
-        for j in range(len(ks) - 1):
-            a = above[i, j]        # corner (i, j)
-            b = above[i + 1, j]    # corner (i+1, j)
-            c = above[i + 1, j + 1]
-            d = above[i, j + 1]
-            crossed = []
-            if a != b:
-                crossed.append(("m", i, j))
-            if b != c:
-                crossed.append(("k", i + 1, j))
-            if d != c:
-                crossed.append(("m", i, j + 1))
-            if a != d:
-                crossed.append(("k", i, j))
-            if len(crossed) == 0:
-                continue
-            if len(crossed) == 2:
-                segments.append((edge_vertex(*crossed[0]), edge_vertex(*crossed[1])))
+    for i, j in zip(*(v.tolist() for v in np.nonzero(mixed))):
+        a = above[i, j]        # corner (i, j)
+        b = above[i + 1, j]    # corner (i+1, j)
+        c = above[i + 1, j + 1]
+        d = above[i, j + 1]
+        crossed = []
+        if a != b:
+            crossed.append(("m", i, j))
+        if b != c:
+            crossed.append(("k", i + 1, j))
+        if d != c:
+            crossed.append(("m", i, j + 1))
+        if a != d:
+            crossed.append(("k", i, j))
+        if len(crossed) == 2:
+            segments.append((edge_vertex(*crossed[0]), edge_vertex(*crossed[1])))
+        else:
+            # Saddle: pair the crossings around whichever diagonal the
+            # cell-center mean groups with.
+            center_above = (values[i, j] + values[i + 1, j] + values[i + 1, j + 1] + values[i, j + 1]) / 4.0 > threshold
+            e_ab = edge_vertex("m", i, j)
+            e_bc = edge_vertex("k", i + 1, j)
+            e_dc = edge_vertex("m", i, j + 1)
+            e_ad = edge_vertex("k", i, j)
+            if center_above == a:
+                segments.append((e_ab, e_bc))
+                segments.append((e_ad, e_dc))
             else:
-                # Saddle: pair the crossings around whichever diagonal the
-                # cell-center mean groups with.
-                center_above = (values[i, j] + values[i + 1, j] + values[i + 1, j + 1] + values[i, j + 1]) / 4.0 > threshold
-                e_ab = edge_vertex("m", i, j)
-                e_bc = edge_vertex("k", i + 1, j)
-                e_dc = edge_vertex("m", i, j + 1)
-                e_ad = edge_vertex("k", i, j)
-                if center_above == a:
-                    segments.append((e_ab, e_bc))
-                    segments.append((e_ad, e_dc))
-                else:
-                    segments.append((e_ab, e_ad))
-                    segments.append((e_bc, e_dc))
+                segments.append((e_ab, e_ad))
+                segments.append((e_bc, e_dc))
 
     if not segments:
         return []

@@ -194,16 +194,15 @@ def empirical_variogram(
     )
 
 
-def _profiled_linear(phi, gam, wts):
+def _profiled_linear(phi, gam, wts, s1, sy):
     """Weighted least squares for (nugget, sill) at each row's fixed range.
 
-    phi is (R, bins), one row of unit shapes per trial range.  The model is
-    linear in (C0, b) then, so each row has a closed form.  Where it is
-    infeasible, the nugget-free fit wins unless the flat (pure-nugget) fit
+    phi is (R, bins), one row of unit shapes per trial range; s1 and sy are
+    wts.sum() and (wts * gam).sum(), which do not depend on the range.  The
+    model is linear in (C0, b) then, so each row has a closed form.  Where it
+    is infeasible, the nugget-free fit wins unless the flat (pure-nugget) fit
     has a strictly smaller objective.  Returns (C0, b, objective) arrays.
     """
-    s1 = wts.sum()
-    sy = (wts * gam).sum()
     wphi = wts * phi
     sp = wphi.sum(axis=-1)
     spp = (wphi * phi).sum(axis=-1)
@@ -261,10 +260,12 @@ def _fit_families(empirical: EmpiricalVariogram, families) -> list[VariogramMode
                                          sill=0.0, fit_mse=0.0, flag=FLAG_DEGENERATE), empirical)
                 for family in families]
 
+    s1, sy = wts.sum(), (wts * gam).sum()
+
     def profile(fams, ranges):
         """(C0, b, objective) of fams[i] at every range in row i of ranges."""
         phi = np.concatenate([_shape(f, h, a[:, None]) for f, a in zip(fams, ranges)])
-        return [v.reshape(ranges.shape) for v in _profiled_linear(phi, gam, wts)]
+        return [v.reshape(ranges.shape) for v in _profiled_linear(phi, gam, wts, s1, sy)]
 
     a_grid = np.geomspace(float(h.min()), 2.0 * float(h.max()), 40)
     best = np.argmin(profile(families, np.broadcast_to(a_grid, (len(families), len(a_grid))))[2], axis=1)

@@ -13,7 +13,7 @@ from krigplan import (
     distance,
     evenly_spaced_design,
 )
-from krigplan.grid import MAX_GRID_POINTS, ensure_unique_locations, scaled_coords
+from krigplan.grid import MAX_GRID_POINTS, ensure_unique_locations, lattice_coords, scaled_coords
 
 
 def test_grid_counts(study_grid):
@@ -146,3 +146,27 @@ def test_scaled_coords_matches_distance(study_grid):
         for j in (3, 18, 39):
             expect = distance(grid[i], grid[j], study_grid)
             assert np.hypot(*(pts[i] - pts[j])) == pytest.approx(expect)
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec(0.5, 6.0, 0.5, 1.0, 60.0, 1.0, k_scale=0.1),
+    GridSpec(0.5, 6.0, 0.1, 1.0, 100.0, 1.0, k_scale=0.1),
+    GridSpec(-1.0, 1.4, 0.3, 0.0, 2.1, 0.7, k_scale=0.37),
+    GridSpec(2.0, 2.0, 1.0, -5.0, 5.0, 2.5, k_scale=3.0),   # one m level
+    GridSpec(0.1, 0.7, 0.1, 7.0, 7.0, 1.0),                 # one k level
+])
+def test_lattice_arithmetic_matches_build_grid(spec):
+    """Axes, scaled coordinates and flat indices from the lattice arithmetic
+    equal those of the Combination list, bit for bit."""
+    grid = build_grid(spec)
+    assert np.array_equal(lattice_coords(spec), scaled_coords(grid, spec))
+    assert spec.m_values().tolist() == sorted({c.m for c in grid})
+    assert spec.k_values().tolist() == sorted({c.k for c in grid})
+    assert [spec.point(p) for p in range(len(grid))] == grid
+    assert [spec.flat_index(c) for c in grid] == list(range(len(grid)))
+    step = Combination(grid[-1].m, grid[-1].k + spec.k_stride)
+    off = [Combination(grid[0].m + spec.m_stride / 3, grid[0].k), step,
+           Combination(grid[0].m - spec.m_stride, grid[0].k), Combination(grid[0].m + 1e-12, grid[0].k),
+           Combination(1e300, 1e300)]
+    for c in off:
+        assert spec.flat_index(c) is None and not spec.contains(c)

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from krigplan import (
@@ -14,6 +15,7 @@ from krigplan.cli import main
 from krigplan.experiment_io import (
     atomic_write_text,
     audit_log_text,
+    contour_csv_text,
     format_float,
     labels_csv_text,
     load_state,
@@ -137,18 +139,21 @@ def test_load_missing_file(tmp_path):
 
 def test_export_formats():
     state = finished_state()
-    from krigplan import build_grid, classify_grid, predict_grid, threshold_contour
+    from krigplan import classify_cells, largest_region, predict_lattice
 
-    grid_points = build_grid(state.config.grid)
-    preds = predict_grid(state.measurements, state.model, state.config.grid, grid_points)
-    labels = classify_grid(preds, state.measurements, state.config.threshold, grid=grid_points)
+    spec = state.config.grid
+    prediction = predict_lattice(state.measurements, state.model, spec)
+    codes = classify_cells(prediction.mean, prediction.ci_lower, prediction.ci_upper,
+                           state.config.threshold,
+                           [spec.flat_index(m.location) for m in state.measurements],
+                           [m.response for m in state.measurements])
 
-    csv = predictions_csv_text(preds)
+    csv = predictions_csv_text(prediction)
     lines = csv.strip().split("\n")
     assert lines[0] == "m,k,mean,variance,ci_lower,ci_upper"
-    assert len(lines) == 1 + len(grid_points)
+    assert len(lines) == 1 + spec.point_count
 
-    ltext = labels_csv_text(labels)
+    ltext = labels_csv_text(spec, codes)
     body = ltext.strip().split("\n")[1:]
     keys = [tuple(float(v) for v in row.split(",")[:2]) for row in body]
     assert keys == sorted(keys)
@@ -166,8 +171,7 @@ def test_export_formats():
                             "model_family", "nugget", "range", "sill", "n_uncertain"}
         assert list(row) == sorted(row)  # stable key order for byte comparisons
 
-    from krigplan import largest_reliable_region
-    region = largest_reliable_region(labels)
+    region = largest_region(codes, spec.m_values(), spec.k_values())
     rtext = region_json_text(region)
     assert rtext == region_json_text(region)  # deterministic
     parsed = json.loads(rtext)
@@ -179,6 +183,102 @@ def test_exports_are_byte_stable_across_runs():
     s2 = finished_state()
     assert audit_log_text(s1.history) == audit_log_text(s2.history)
     assert measurements_csv_text(s1.measurements) == measurements_csv_text(s2.measurements)
+
+
+# Today's artifact text is written from lattice arrays; these are the
+# Combination-based formatters it replaced, kept as the reference.
+
+def reference_predictions_csv_text(predictions):
+    lines = ["m,k,mean,variance,ci_lower,ci_upper"]
+    for p in predictions:
+        lines.append(",".join(format_float(v) for v in
+                              (p.location.m, p.location.k, p.mean, p.variance, p.ci_lower, p.ci_upper)))
+    return "\n".join(lines) + "\n"
+
+
+def reference_labels_csv_text(labels):
+    lines = ["m,k,label"]
+    for loc in sorted(labels, key=lambda c: (c.m, c.k)):
+        lines.append(f"{format_float(loc.m)},{format_float(loc.k)},{labels[loc]}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_region_json_text(report):
+    def round6(value):
+        return None if value is None else float(format_float(value))
+
+    payload = {
+        "cell_count": report.cell_count,
+        "m_min": round6(report.m_min),
+        "m_max": round6(report.m_max),
+        "k_min": round6(report.k_min),
+        "k_max": round6(report.k_max),
+        "cells": [[round6(c.m), round6(c.k)] for c in report.cells],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -1.5, 1e-300, 5e-324, 1.7976931348623157e308, 123456.5,
+                  1234567.0, 0.1 + 0.2, 1e16, -2.5e-7, float("inf"), float("-inf"), float("nan")]
+
+
+def test_percent_format_is_format_float():
+    rng = np.random.default_rng(5)
+    values = SPECIAL_FLOATS + rng.standard_normal(2000).tolist() + \
+        (rng.standard_normal(2000) * 10.0 ** rng.integers(-30, 30, 2000)).tolist()
+    for v in values:
+        assert "%.6g" % v == format_float(v)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_region_json_text_is_json_dumps_layout(seed):
+    from krigplan import LatticeRegion
+
+    rng = np.random.default_rng(seed)
+    n_m, n_k = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    m_axis = np.sort(rng.uniform(-5.0, 50.0, n_m))
+    k_axis = np.sort(rng.uniform(0.0, 1e7, n_k))
+    cells = np.flatnonzero(rng.random(n_m * n_k) < (0.5 if seed else 0.0))  # seed 0: empty
+    region = LatticeRegion(m_axis, k_axis, *np.divmod(cells, n_k))
+    assert region_json_text(region) == reference_region_json_text(region.report())
+
+
+def test_report_alpha_artifacts_equal_combination_functions(tmp_path, capsys):
+    """`report --alpha 0.05` on the criterion 8 config writes the text the
+    Combination functions give at alpha 0.05."""
+    from krigplan import (build_grid, classify_grid, largest_reliable_region,
+                          predict_grid, threshold_contour)
+
+    config = {
+        "name": "gate",
+        "grid": {"m_min": 0.5, "m_max": 6.0, "m_stride": 0.5,
+                 "k_min": 1.0, "k_max": 60.0, "k_stride": 1.0, "k_scale": 0.1},
+        "threshold": 4.0,
+        "alpha": 0.1,
+        "max_iterations": 12,
+        "seed": 9,
+        "initial_design": {"lattice": [3, 4]},
+        "oracle": {"kind": "synthetic_logistic"},
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = capsys.readouterr().out.strip()
+    assert main(["run", exp_path]) == 0
+    assert main(["report", exp_path, "--alpha", "0.05"]) == 0
+
+    state, _ = load_state(exp_path)
+    grid_points = build_grid(state.config.grid)
+    preds = predict_grid(state.measurements, state.model, state.config.grid, grid_points, alpha=0.05)
+    labels = classify_grid(preds, state.measurements, 4.0, grid=grid_points)
+    region = largest_reliable_region(labels, state.measurements, 4.0)
+    expected = {
+        "predictions.csv": reference_predictions_csv_text(preds),
+        "labels.csv": reference_labels_csv_text(labels),
+        "region.json": reference_region_json_text(region),
+        "contour.csv": contour_csv_text(threshold_contour(preds, 4.0)),
+    }
+    assert {name: (tmp_path / name).read_text() for name in expected} == expected
 
 
 # --- CLI ------------------------------------------------------------------------

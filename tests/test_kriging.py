@@ -1,7 +1,11 @@
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krigplan import (
     Combination,
@@ -17,10 +21,11 @@ from krigplan import (
     evenly_spaced_design,
     predict,
     predict_grid,
+    predict_lattice,
     solve,
     solve_grid,
 )
-from krigplan.kriging import Z_QUANTILES, z_quantile
+from krigplan.kriging import Z_QUANTILES, KrigingSystem, z_quantile
 from krigplan.variogram import FAMILIES, eval_model
 
 from conftest import (
@@ -252,3 +257,50 @@ def test_degenerate_model_predicts_constant(study_grid):
 def test_predict_requires_measurements(study_grid):
     with pytest.raises(InsufficientDataError):
         predict([], SPH, study_grid, Combination(1.0, 3.0))
+
+
+# --- the lattice prediction --------------------------------------------------
+
+LATTICE_MODELS = [SPH, VariogramModel("gaussian", 0.1, 3.0, 0.6),
+                  VariogramModel("exponential", 0.0, 2.0, 1.0),
+                  VariogramModel("spherical", 0.0, 1.0, 0.0)]  # degenerate
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(data=st.data())
+def test_predict_lattice_equals_predict_grid(data):
+    """Every mean, variance and bound of predict_lattice equals predict_grid's
+    on build_grid exactly, measured cells included."""
+    n_m, n_k = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 9))
+    m_stride = data.draw(st.sampled_from([1.0, 0.5, 0.1]))
+    k_stride = data.draw(st.sampled_from([1.0, 3.0, 0.2]))
+    spec = GridSpec(0.5, 0.5 + (n_m - 1) * m_stride, m_stride, 1.0, 1.0 + (n_k - 1) * k_stride, k_stride,
+                    k_scale=data.draw(st.sampled_from([0.1, 1.0, 0.37])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    ms = random_measurements(rng, spec, data.draw(st.integers(1, min(6, spec.point_count))))
+    model = data.draw(st.sampled_from(LATTICE_MODELS))
+    alpha = data.draw(st.sampled_from(sorted(Z_QUANTILES)))
+
+    lattice = predict_lattice(ms, model, spec, alpha=alpha)
+    preds = predict_grid(ms, model, spec, build_grid(spec), alpha=alpha)
+    for field in ("mean", "variance", "ci_lower", "ci_upper"):
+        values = getattr(lattice, field)
+        assert values.shape == (spec.m_count, spec.k_count)
+        assert values.reshape(-1).tolist() == [getattr(p, field) for p in preds]
+
+
+def test_negative_variance_names_its_cell_on_both_paths(study_grid):
+    """A variance below roundoff raises, naming the first offending grid cell,
+    from the lattice prediction and from predict_grid alike."""
+    ms = [Measurement(Combination(1.0, 3.0), 2.0), Measurement(Combination(3.0, 20.0), 5.0)]
+    original = KrigingSystem.solve_rhs
+    negated = mock.patch.object(KrigingSystem, "solve_rhs", lambda self, rhs: -original(self, rhs))
+    messages = []
+    with negated:
+        for call in (lambda: predict_lattice(ms, SPH, study_grid),
+                     lambda: predict_grid(ms, SPH, study_grid, build_grid(study_grid))):
+            with pytest.raises(NumericalFailureError) as exc:
+                call()
+            messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "at (0.5, 1.0) is negative beyond roundoff" in messages[0]
