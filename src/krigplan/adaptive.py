@@ -29,12 +29,15 @@ from .grid import (
     Combination,
     GridSpec,
     Measurement,
-    build_grid,
     ensure_unique_locations,
     lattice_coords,
 )
-from .kriging import GridSolution, assemble_system, confidence_bounds, solve_grid, z_quantile
+from .kriging import assemble_system, confidence_bounds, solve_grid, solve_lattice, z_quantile
 from .variogram import VariogramModel, empirical_variogram, eval_model, select_model
+
+# Not called here, but the benchmark's tracer (perfbench/spans.py) wraps
+# this name on this module, so it must stay importable from it.
+from .grid import build_grid  # noqa: F401
 
 STOP_NATURAL = "natural"
 STOP_BUDGET = "budget"
@@ -146,30 +149,17 @@ def _fit(state: ExperimentState) -> VariogramModel:
     return select_model(empirical_variogram(state.measurements, state.config.grid))
 
 
-class _Grid:
-    """The config's grid, built once per public call: points in row-major
-    order and their scaled coordinates."""
-
-    def __init__(self, spec: GridSpec):
-        self.spec = spec
-        self.points = build_grid(spec)
-        self.coords = lattice_coords(spec)
-
-    def unmeasured(self, measurements) -> np.ndarray:
-        """Flat indices of the points no measurement sits on, ascending."""
-        measured = np.zeros(len(self.points), dtype=bool)
-        flat = (self.spec.flat_index(m.location) for m in measurements)
-        measured[[i for i in flat if i is not None]] = True
-        return np.flatnonzero(~measured)
-
-
 @dataclass
 class _Evaluation:
-    """One fit's view of the grid: predictions plus straddle indicators."""
+    """One fit's view of the grid: the lattice solve (columns indexed by flat
+    grid index) plus the straddle indicators of the unmeasured points."""
 
     model: VariogramModel
-    grid: _Grid
-    sol: GridSolution
+    spec: GridSpec
+    coords: np.ndarray     # (P, 2) lattice coordinates
+    variances: np.ndarray  # (P,)
+    rhs: np.ndarray        # (n+1, P)
+    solution: np.ndarray   # (n+1, P)
     unmeasured_idx: np.ndarray
     indicators: np.ndarray  # bool, aligned with unmeasured_idx
 
@@ -178,25 +168,25 @@ class _Evaluation:
         return int(self.indicators.sum())
 
     def candidate(self, pos: int) -> Combination:
-        return self.grid.points[self.unmeasured_idx[pos]]
+        return self.spec.point(int(self.unmeasured_idx[pos]))
 
 
-def _evaluate(state: ExperimentState, grid: _Grid, model: VariogramModel) -> _Evaluation:
-    config = state.config
-    unmeasured_idx = grid.unmeasured(state.measurements)
-    system = assemble_system(state.measurements, model, config.grid)
-    sol = solve_grid(system, grid.points)
-    lower, upper = confidence_bounds(sol.means[unmeasured_idx], sol.variances[unmeasured_idx],
-                                     z_quantile(config.alpha))
-    indicators = _straddles(lower, upper, config.threshold)
-    return _Evaluation(model, grid, sol, unmeasured_idx, indicators)
+def _evaluate(state: ExperimentState, model: VariogramModel) -> _Evaluation:
+    spec = state.config.grid
+    means, variances, rhs, solution, measured = solve_lattice(
+        assemble_system(state.measurements, model, spec))
+    unmeasured_idx = np.setdiff1d(np.arange(spec.point_count), measured)
+    lower, upper = confidence_bounds(means[unmeasured_idx], variances[unmeasured_idx],
+                                     z_quantile(state.config.alpha))
+    indicators = _straddles(lower, upper, state.config.threshold)
+    return _Evaluation(model, spec, lattice_coords(spec), variances, rhs, solution,
+                       unmeasured_idx, indicators)
 
 
 def _current_evaluation(state: ExperimentState) -> _Evaluation:
     """The evaluation under the state's model (fitted if it has none yet),
     for the read-only views."""
-    model = state.model if state.model is not None else _fit(state)
-    return _evaluate(state, _Grid(state.config.grid), model)
+    return _evaluate(state, state.model if state.model is not None else _fit(state))
 
 
 def _stop_reason(state: ExperimentState, ev: _Evaluation) -> str | None:
@@ -231,11 +221,11 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     idx = ev.unmeasured_idx
     if ev.model.is_degenerate or len(idx) == 0:
         return np.zeros(len(idx))
-    variances = ev.sol.variances[idx]
+    variances = ev.variances[idx]
     cols = np.flatnonzero(indicators)
-    XT = ev.sol.solution[:, idx].T
-    D = ev.sol.rhs[:, idx[cols]]
-    pts = ev.grid.coords[idx]
+    XT = ev.solution[:, idx].T
+    D = ev.rhs[:, idx[cols]]
+    pts = ev.coords[idx]
     target_pts = pts[cols]
     target_var = variances[cols]
     ones = np.ones(len(cols))
@@ -295,14 +285,25 @@ def rc_score(candidate: Combination, state: ExperimentState, indicators=None) ->
     row-major order) is supplied.
     """
     ev = _current_evaluation(state)
-    i = ev.grid.spec.flat_index(candidate)
+    i = ev.spec.flat_index(candidate)
     pos = int(np.searchsorted(ev.unmeasured_idx, -1 if i is None else i))
     if i is None or pos == len(ev.unmeasured_idx) or ev.unmeasured_idx[pos] != i:
         raise ConfigurationError(
             f"candidate ({candidate.m}, {candidate.k}) is measured or off-grid"
         )
-    ind = ev.indicators if indicators is None else np.asarray(indicators, dtype=bool)
-    return _score_by_reassembly(state, ev, ind, pos)
+    return _score_by_reassembly(state, ev, _indicators(ev, indicators), pos)
+
+
+def _indicators(ev: _Evaluation, indicators) -> np.ndarray:
+    """ev's straddle set, or the caller's explicit one once its length is checked."""
+    if indicators is None:
+        return ev.indicators
+    ind = np.asarray(indicators, dtype=bool)
+    if ind.shape != ev.indicators.shape:
+        raise ConfigurationError(
+            f"indicator array of shape {ind.shape} does not match {len(ev.indicators)} unmeasured points"
+        )
+    return ind
 
 
 def candidate_scores(state: ExperimentState, indicators=None):
@@ -312,13 +313,8 @@ def candidate_scores(state: ExperimentState, indicators=None):
     explicit arrays (e.g. all ones) to probe the pure variance objective.
     """
     ev = _current_evaluation(state)
-    candidates = [ev.grid.points[i] for i in ev.unmeasured_idx]
-    ind = ev.indicators if indicators is None else np.asarray(indicators, dtype=bool)
-    if len(ind) != len(candidates):
-        raise ConfigurationError(
-            f"indicator array length {len(ind)} does not match {len(candidates)} unmeasured points"
-        )
-    return candidates, _fast_scores(state, ev, ind)
+    ind = _indicators(ev, indicators)
+    return [ev.spec.point(i) for i in ev.unmeasured_idx.tolist()], _fast_scores(state, ev, ind)
 
 
 def _argmin_tied(scores: np.ndarray) -> int:
@@ -382,9 +378,8 @@ def run_experiment(config: ExperimentConfig, oracle, state: ExperimentState | No
     elif state.config != config:
         raise ConfigurationError("state was created under a different config")
 
-    grid = _Grid(config.grid)
     while True:
-        suggestion, _ = _suggest(state, grid)
+        suggestion, _ = suggest_next(state)
         if suggestion is None:
             break
         try:
@@ -399,8 +394,14 @@ def run_experiment(config: ExperimentConfig, oracle, state: ExperimentState | No
     return state
 
 
-def _suggest(state: ExperimentState, grid: _Grid) -> tuple[PendingSuggestion | None, str | None]:
-    """suggest_next on a grid the caller already built."""
+def suggest_next(state: ExperimentState) -> tuple[PendingSuggestion | None, str | None]:
+    """One fit + selection without measuring: the interactive-mode step.
+
+    Returns (suggestion, stop_reason); exactly one of the two is set.  While
+    the initial design is incomplete the suggestion is its first unmeasured
+    point, after that it is the score argmin.  The suggestion is also stored
+    on state.pending so the completing append can record the audit entry.
+    """
     measured = state.measured_locations()
     for point in state.config.initial_design:
         if point not in measured:
@@ -408,7 +409,7 @@ def _suggest(state: ExperimentState, grid: _Grid) -> tuple[PendingSuggestion | N
             return state.pending, None
 
     model = state.model = _fit(state)
-    ev = _evaluate(state, grid, model)
+    ev = _evaluate(state, model)
     state.stop_reason = _stop_reason(state, ev)
     if state.stop_reason is not None:
         state.pending = None
@@ -422,17 +423,6 @@ def _suggest(state: ExperimentState, grid: _Grid) -> tuple[PendingSuggestion | N
         n_uncertain=ev.n_uncertain,
     )
     return state.pending, None
-
-
-def suggest_next(state: ExperimentState) -> tuple[PendingSuggestion | None, str | None]:
-    """One fit + selection without measuring: the interactive-mode step.
-
-    Returns (suggestion, stop_reason); exactly one of the two is set.  While
-    the initial design is incomplete the suggestion is its first unmeasured
-    point, after that it is the score argmin.  The suggestion is also stored
-    on state.pending so the completing append can record the audit entry.
-    """
-    return _suggest(state, _Grid(state.config.grid))
 
 
 def record_appended_measurement(state: ExperimentState, measurement: Measurement) -> None:

@@ -31,12 +31,9 @@ from .adaptive import (
 )
 from .errors import (
     ConfigurationError,
-    DuplicateLocationError,
-    InsufficientDataError,
     KrigplanError,
     NumericalFailureError,
     OracleMissError,
-    SchemaError,
 )
 from .grid import Measurement
 from .kriging import predict_lattice
@@ -103,9 +100,9 @@ def _write_artifacts(state: ExperimentState, out_dir: str, alpha: float | None =
         state.model = model
     spec = config.grid
     prediction = predict_lattice(state.measurements, model, spec, alpha=alpha)
+    rows, flat = spec.flat_indices(m.location for m in state.measurements)
     codes = classify_cells(prediction.mean, prediction.ci_lower, prediction.ci_upper, config.threshold,
-                           [spec.flat_index(m.location) for m in state.measurements],
-                           [m.response for m in state.measurements])
+                           flat, [state.measurements[row].response for row in rows])
     m_axis, k_axis = spec.m_values(), spec.k_values()
     region = largest_region(codes, m_axis, k_axis)
     contour = contour_lines(m_axis, k_axis, prediction.mean, config.threshold)
@@ -221,8 +218,10 @@ def cmd_append(args) -> int:
 
 def cmd_report(args) -> int:
     state, oracle_spec = eio.load_state(args.experiment)
+    fitted = state.model is None
     summary = _write_artifacts(state, _out_dir(args.experiment), alpha=args.alpha)
-    eio.save_state(state, oracle_spec, args.experiment)
+    if fitted:  # persist the model _write_artifacts fitted
+        eio.save_state(state, oracle_spec, args.experiment)
     _print_summary(state, summary)
     return 0
 
@@ -277,9 +276,6 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigurationError, SchemaError, InsufficientDataError, DuplicateLocationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KrigplanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

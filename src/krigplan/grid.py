@@ -117,17 +117,6 @@ class GridSpec:
         """The k axis: k_value(j) for every j, ascending."""
         return np.array([self.k_value(j) for j in range(self.k_count)], dtype=float)
 
-    def _nearest_node(self, m: float, k: float) -> tuple[int, int] | None:
-        """(i, j) of the lattice node nearest to (m, k), or None outside the domain."""
-        i = (m - self.m_min) / self.m_stride
-        j = (k - self.k_min) / self.k_stride
-        if not (math.isfinite(i) and math.isfinite(j)):
-            return None
-        i, j = round(i), round(j)
-        if not (0 <= i < self.m_count and 0 <= j < self.k_count):
-            return None
-        return i, j
-
     def snap(self, m: float, k: float) -> Combination:
         """Map raw coordinates onto the lattice node they designate.
 
@@ -136,24 +125,34 @@ class GridSpec:
         exact node coordinates, so equality checks against other snapped
         combinations are reliable.
         """
-        node = self._nearest_node(m, k)
-        if node is None:
+        i = (m - self.m_min) / self.m_stride
+        j = (k - self.k_min) / self.k_stride
+        if not (math.isfinite(i) and math.isfinite(j)
+                and 0 <= round(i) < self.m_count and 0 <= round(j) < self.k_count):
             raise ConfigurationError(f"point ({m}, {k}) lies outside the grid domain")
-        sm, sk = self.m_value(node[0]), self.k_value(node[1])
+        sm, sk = self.m_value(round(i)), self.k_value(round(j))
         if abs(m - sm) > SNAP_TOL or abs(k - sk) > SNAP_TOL:
             raise ConfigurationError(f"point ({m}, {k}) is not on the measurement grid")
         return Combination(sm, sk)
 
+    def flat_indices(self, locations) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, flat) for the locations that are exactly grid points: their
+        positions in locations and their row-major indices (see point)."""
+        mk = np.array([(c.m, c.k) for c in locations], dtype=float).reshape(-1, 2)
+        lo, stride = np.array([self.m_min, self.k_min]), np.array([self.m_stride, self.k_stride])
+        with np.errstate(over="ignore"):
+            node = np.rint((mk - lo) / stride)
+        inside = np.all((node >= 0) & (node < (self.m_count, self.k_count)), axis=1)
+        rows = np.flatnonzero(inside)
+        rows = rows[np.all(lo + node[rows] * stride == mk[rows], axis=1)]
+        i, j = node[rows].astype(np.int64).T
+        return rows, i * self.k_count + j
+
     def flat_index(self, c: Combination) -> int | None:
-        """Row-major index of the grid point equal to c (its position in
-        build_grid), or None when c is not exactly a grid point."""
-        node = self._nearest_node(c.m, c.k)
-        if node is None:
-            return None
-        i, j = node
-        if self.m_value(i) != c.m or self.k_value(j) != c.k:
-            return None
-        return i * self.k_count + j
+        """Row-major index of the grid point equal to c, or None when c is
+        not exactly a grid point."""
+        _, flat = self.flat_indices([c])
+        return int(flat[0]) if len(flat) else None
 
     def point(self, index: int) -> Combination:
         """The grid point at row-major position index, the inverse of flat_index."""

@@ -178,11 +178,8 @@ def solve(system: KrigingSystem, target: Combination):
 
 @dataclass(frozen=True)
 class GridSolution:
-    """Batch solve over many targets against one system.
-
-    Kept around by the adaptive planner, which reuses the solved columns for
-    its refinement-score updates.
-    """
+    """Batch solve over many targets against one system: solve_lattice's
+    arrays for a list of Combination targets instead of the whole lattice."""
 
     targets: tuple[Combination, ...]
     means: np.ndarray
@@ -193,7 +190,7 @@ class GridSolution:
 
 def _solve_coords(system: KrigingSystem, coords: np.ndarray, measured_pos, measured_rows, point_at):
     """(means, variances, rhs, solution) at the (P, 2) target coordinates,
-    the solve behind solve_grid and predict_lattice.  Target measured_pos[i]
+    the solve behind solve_grid and solve_lattice.  Target measured_pos[i]
     sits on measurement measured_rows[i]; point_at names a target by its
     position in error messages."""
     if system.model.is_degenerate or not len(coords):
@@ -227,6 +224,16 @@ def solve_grid(system: KrigingSystem, targets) -> GridSolution:
     return GridSolution(tuple(targets), means, variances, rhs, sol)
 
 
+def solve_lattice(system: KrigingSystem):
+    """(means, variances, rhs, solution, measured): the system solved on
+    every grid point of system.spec in row-major order (lattice_coords), and
+    the flat indices of the measurements that are grid points.  Measured
+    points take their observations with zero variance, as in solve_grid."""
+    spec = system.spec
+    rows, flat = spec.flat_indices(system.locations)
+    return (*_solve_coords(system, lattice_coords(spec), flat, rows, spec.point), flat)
+
+
 def confidence_bounds(means, variances, z: float):
     """(lower, upper) of the symmetric interval mean -/+ z * sqrt(variance)."""
     half = z * np.sqrt(variances)
@@ -247,15 +254,9 @@ class LatticePrediction:
 
 def predict_lattice(measurements, model: VariogramModel, spec: GridSpec,
                     alpha: float = 0.1) -> LatticePrediction:
-    """predict_grid over the whole grid, as arrays: the system is solved
-    once on the lattice coordinates, and measured grid points take their
-    observations by flat index."""
+    """predict_grid over the whole grid, as arrays, from one solve_lattice."""
     z = z_quantile(alpha)
-    system = assemble_system(measurements, model, spec)
-    flat = [spec.flat_index(loc) for loc in system.locations]
-    rows = [row for row, pos in enumerate(flat) if pos is not None]
-    means, variances, _, _ = _solve_coords(
-        system, lattice_coords(spec), [flat[row] for row in rows], rows, spec.point)
+    means, variances, _, _, _ = solve_lattice(assemble_system(measurements, model, spec))
     lower, upper = confidence_bounds(means, variances, z)
     shape = (spec.m_count, spec.k_count)
     return LatticePrediction(spec, *(v.reshape(shape) for v in (means, variances, lower, upper)))

@@ -239,6 +239,23 @@ def test_rc_score_rejects_measured_candidate(unit_grid_5x5):
         rc_score(ms[0].location, state)
 
 
+@pytest.mark.parametrize("n_flags", [0, 1, 20, 22, 40])
+def test_explicit_indicators_must_match_the_unmeasured_points(unit_grid_5x5, n_flags):
+    """Both scorers reject a flag array that does not line up with the 21
+    unmeasured points, instead of indexing past it or misaligning it."""
+    ms = random_measurements(np.random.default_rng(12), unit_grid_5x5, 4)
+    config = ExperimentConfig(grid=unit_grid_5x5, threshold=4.0,
+                              initial_design=tuple(m.location for m in ms))
+    state = ExperimentState(config=config, measurements=list(ms), model=SPH)
+    candidates, _ = candidate_scores(state)
+    assert len(candidates) == 21
+    flags = [True] * n_flags
+    with pytest.raises(ConfigurationError):
+        rc_score(candidates[0], state, indicators=flags)
+    with pytest.raises(ConfigurationError):
+        candidate_scores(state, indicators=flags)
+
+
 def test_scores_never_exceed_current_uncertainty(unit_grid_5x5):
     """Measuring can only shrink the variance mass it is scored on."""
     rng = np.random.default_rng(12)
@@ -359,30 +376,48 @@ def test_run_rejects_foreign_state():
 
 
 def test_interrupted_run_resumes_identically():
+    """A run interrupted after any on_update call (each initial-design
+    append, each adaptive iteration, the stop) resumes from that call's
+    persisted snapshot to exactly the uninterrupted run."""
     config = small_config(max_iterations=5)
 
     full = run_experiment(config, replay_oracle(config))
 
-    class Interrupt(Exception):
-        pass
-
     snapshots = []
 
-    def interrupter(st):
+    def persist(st):
         snapshots.append(json.dumps(state_to_dict(st, {"kind": "synthetic_logistic"})))
-        if st.iteration == 2:
-            raise Interrupt
 
-    with pytest.raises(Interrupt):
-        run_experiment(config, replay_oracle(config), on_update=interrupter)
+    run_experiment(config, replay_oracle(config), on_update=persist)
+    assert len(snapshots) == len(full.measurements) + 1
 
-    restored, _ = state_from_dict(json.loads(snapshots[-1]))
-    resumed = run_experiment(config, replay_oracle(config), state=restored)
+    for snapshot in snapshots:
+        restored, _ = state_from_dict(json.loads(snapshot))
+        resumed = run_experiment(config, replay_oracle(config), state=restored)
 
-    assert resumed.history == full.history
-    assert [(m.location, m.response) for m in resumed.measurements] == \
-           [(m.location, m.response) for m in full.measurements]
-    assert resumed.stop_reason == full.stop_reason
+        assert resumed.history == full.history
+        assert [(m.location, m.response) for m in resumed.measurements] == \
+               [(m.location, m.response) for m in full.measurements]
+        assert resumed.stop_reason == full.stop_reason
+
+
+def test_planner_lists_no_grid_of_combinations():
+    """A campaign plans on lattice indices: it never builds the grid as
+    Combinations, and solves Combination targets only to re-assemble the
+    candidates that fall back from the fast scores."""
+    config = small_config(max_iterations=3)
+    oracle = replay_oracle(config)
+    # a cut of 3.0 sends the lowest-variance tenth or so of the candidates
+    # to re-assembly on this grid
+    with mock.patch.object(adaptive, "build_grid", side_effect=AssertionError("grid built")), \
+            mock.patch.object(adaptive, "FAST_PATH_VARIANCE_MIN", 3.0), \
+            mock.patch.object(adaptive, "solve_grid", wraps=adaptive.solve_grid) as solves, \
+            mock.patch.object(adaptive, "_score_by_reassembly",
+                              wraps=adaptive._score_by_reassembly) as rescored:
+        state = run_experiment(config, oracle)
+    assert state.iteration == 3
+    assert rescored.call_count > 0
+    assert solves.call_count == rescored.call_count
 
 
 def test_oracle_miss_aborts_with_partial_state():

@@ -167,6 +167,11 @@ def test_lattice_arithmetic_matches_build_grid(spec):
     step = Combination(grid[-1].m, grid[-1].k + spec.k_stride)
     off = [Combination(grid[0].m + spec.m_stride / 3, grid[0].k), step,
            Combination(grid[0].m - spec.m_stride, grid[0].k), Combination(grid[0].m + 1e-12, grid[0].k),
-           Combination(1e300, 1e300)]
+           Combination(1e300, 1e300), Combination(-1e308, 1e308)]
     for c in off:
         assert spec.flat_index(c) is None and not spec.contains(c)
+    mixed = off + grid[::-1] + off
+    lookup = {c: p for p, c in enumerate(grid)}
+    rows, flat = spec.flat_indices(mixed)
+    assert rows.tolist() == [r for r, c in enumerate(mixed) if c in lookup]
+    assert flat.tolist() == [lookup[mixed[r]] for r in rows.tolist()]

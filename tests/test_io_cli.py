@@ -331,6 +331,37 @@ def test_cli_init_run_report(tmp_path, capsys):
     assert "reliable region" in capsys.readouterr().out
 
 
+def test_cli_report_leaves_a_fitted_experiment_file_alone(tmp_path, capsys):
+    config_path = write_config(tmp_path, {"max_iterations": 2})
+    main(["init", "--config", str(config_path)])
+    exp_path = capsys.readouterr().out.strip()
+    assert main(["run", exp_path]) == 0
+    assert main(["report", exp_path]) == 0
+    # an old timestamp, so that any rewrite would show
+    os.utime(exp_path, ns=(10**18, 10**18))
+    before = open(exp_path, "rb").read()
+
+    assert main(["report", exp_path]) == 0
+    assert open(exp_path, "rb").read() == before
+    assert os.stat(exp_path).st_mtime_ns == 10**18
+
+
+def test_cli_report_persists_the_model_it_fits(tmp_path, capsys):
+    config_path = write_config(tmp_path, {"max_iterations": 2})
+    main(["init", "--config", str(config_path)])
+    exp_path = capsys.readouterr().out.strip()
+    assert main(["run", exp_path]) == 0
+    fitted = open(exp_path, "rb").read()
+    data = json.loads(fitted)
+    assert data["model"] is not None
+    data["model"] = None
+    open(exp_path, "w").write(json.dumps(data))
+
+    assert main(["report", exp_path]) == 0
+    assert load_state(exp_path)[0].model is not None
+    assert open(exp_path, "rb").read() == fitted
+
+
 def test_cli_init_refuses_overwrite(tmp_path, capsys):
     config_path = write_config(tmp_path)
     assert main(["init", "--config", str(config_path)]) == 0
