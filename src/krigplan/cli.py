@@ -185,7 +185,7 @@ def cmd_run(args) -> int:
             )
         return 3
 
-    eio.save_state(state, oracle_spec, args.experiment)
+    # run_experiment saved the final state through persist at the stop.
     summary = _write_artifacts(state, _out_dir(args.experiment))
     _print_summary(state, summary)
     return 0

@@ -331,6 +331,24 @@ def test_cli_init_run_report(tmp_path, capsys):
     assert "reliable region" in capsys.readouterr().out
 
 
+def test_cli_run_writes_the_experiment_file_once_per_append_and_once_at_the_stop(
+        tmp_path, capsys, monkeypatch):
+    config_path = write_config(tmp_path)
+    main(["init", "--config", str(config_path)])
+    exp_path = capsys.readouterr().out.strip()
+    writes = []
+
+    def counting_save(state, oracle_spec, path):
+        writes.append(path)
+        save_state(state, oracle_spec, path)
+
+    monkeypatch.setattr("krigplan.experiment_io.save_state", counting_save)
+    assert main(["run", exp_path]) == 0
+    state, _ = load_state(exp_path)
+    assert state.stop_reason is not None
+    assert writes == [exp_path] * (len(state.measurements) + 1)
+
+
 def test_cli_report_leaves_a_fitted_experiment_file_alone(tmp_path, capsys):
     config_path = write_config(tmp_path, {"max_iterations": 2})
     main(["init", "--config", str(config_path)])

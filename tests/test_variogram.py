@@ -12,12 +12,15 @@ from krigplan import (
     GridSpec,
     InsufficientDataError,
     Measurement,
+    SyntheticLogisticOracle,
     VariogramModel,
     empirical_variogram,
     eval_model,
+    evenly_spaced_design,
     fit_model,
     select_model,
 )
+from krigplan import variogram
 from krigplan.variogram import (
     FAMILIES,
     FIT_TOL,
@@ -26,6 +29,7 @@ from krigplan.variogram import (
     EmpiricalVariogram,
     VariogramBin,
     _fit_families,
+    _golden_search,
 )
 
 from conftest import random_measurements, scaled_points
@@ -196,22 +200,39 @@ def test_empirical_permutation_invariant(study_grid):
         assert b1.pair_count == b2.pair_count
 
 
-def test_empirical_matches_per_bin_masks(study_grid):
-    rng = np.random.default_rng(8)
+def assert_matches_per_bin_masks(study_grid, seed, max_lag, bin_width):
+    """Every bin, computed from its own mask, is kept when its mean distance
+    is within max_lag; max_distance covers every pair."""
+    rng = np.random.default_rng(seed)
     ms = random_measurements(rng, study_grid, 40)
-    emp = empirical_variogram(ms, study_grid, max_lag=4.0)
+    emp = empirical_variogram(ms, study_grid, max_lag=max_lag, bin_width=bin_width)
     d = pdist(scaled_points([m.location for m in ms], study_grid))
     y = np.array([m.response for m in ms])
     iu, ju = np.triu_indices(len(ms), k=1)
     sq = (y[iu] - y[ju]) ** 2
-    idx = np.round(d / study_grid.nearest_neighbor_spacing()).astype(int)
+    idx = np.round(d / (bin_width or study_grid.nearest_neighbor_spacing())).astype(int)
     expected = []
     for b in np.unique(idx):
         mask = idx == b
-        if d[mask].mean() <= 4.0:
+        if d[mask].mean() <= (0.5 * study_grid.scaled_diameter() if max_lag is None else max_lag):
             expected.append(VariogramBin(float(d[mask].mean()),
                                          float(sq[mask].sum() / (2.0 * mask.sum())), int(mask.sum())))
     assert emp.bins == tuple(expected)
+    assert emp.max_distance == d.max()
+
+
+def test_empirical_matches_per_bin_masks(study_grid):
+    assert_matches_per_bin_masks(study_grid, 8, 4.0, None)
+
+
+@pytest.mark.parametrize("seed, max_lag, bin_width", [
+    (9, None, None), (10, 0.0, None), (11, 1.03, 0.5), (12, 0.2, 0.3), (13, 1e12, None), (14, 0.0, 1e-3),
+])
+def test_empirical_far_pairs_dropped_before_the_bin_loop(study_grid, seed, max_lag, bin_width):
+    """Pairs more than half a bin beyond max_lag never reach the bin loop;
+    the bins and max_distance are still those of the per-bin masks, also
+    when max_lag is 0 or keeps every pair."""
+    assert_matches_per_bin_masks(study_grid, seed, max_lag, bin_width)
 
 
 def test_empirical_needs_two_measurements(study_grid):
@@ -379,6 +400,26 @@ def reference_profile(family, a, h, gam, wts):
     return min(cands, key=lambda t: t[2])
 
 
+def textbook_golden(lo, hi, f):
+    """Golden-section search of [lo, hi] down to FIT_TOL, one probe at a
+    time.  Returns the final bracket's midpoint and the number of steps."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    steps = 0
+    while hi - lo > FIT_TOL * max(1.0, hi):
+        steps += 1
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    return (lo + hi) / 2.0, steps
+
+
 def reference_fit(emp, family):
     """One family's fit, one range at a time: the 40-point coarse grid, then
     golden-section on the bracket around its best point.  Returns the model
@@ -398,20 +439,8 @@ def reference_fit(emp, family):
 
     a_grid = np.geomspace(float(h.min()), 2.0 * float(h.max()), 40)
     best = int(np.argmin([obj(a) for a in a_grid]))
-    lo, hi = a_grid[max(best - 1, 0)], a_grid[min(best + 1, len(a_grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    f1, f2 = obj(x1), obj(x2)
-    while hi - lo > FIT_TOL * max(1.0, hi):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = obj(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = obj(x2)
-    a_best = min([a_grid[best], (lo + hi) / 2.0], key=obj)
+    mid, _ = textbook_golden(a_grid[max(best - 1, 0)], a_grid[min(best + 1, len(a_grid) - 1)], obj)
+    a_best = min([a_grid[best], mid], key=obj)
     c0, b, _, branch = reference_profile(family, a_best, h, gam, wts)
     return with_mse(float(max(c0, 0.0)), float(a_best), float(max(b, 0.0))), branch
 
@@ -479,3 +508,74 @@ def test_lockstep_fit_covers_every_profile_branch(gammas, branch):
     emp = EmpiricalVariogram(bins=bins, response_variance=1.0, max_distance=3.0)
     assert reference_fit(emp, "exponential")[1] == branch
     assert_fits_match_reference(emp)
+
+
+# --- the lookahead range search against the textbook loop ---------------------
+
+@st.composite
+def search_problems(draw):
+    """Brackets, each with an objective of the range: piecewise constant
+    (plateaus), scattered by the float's hash (no unimodal shape at all) or
+    a rounded parabola; the values come from a small set, so ties are
+    common.  Narrow brackets close after a few steps, in the middle of a
+    round."""
+    problems = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.floats(1e-3, 100.0))
+        hi = lo + lo * 10.0 ** draw(st.floats(-9.0, 1.0))
+        values = draw(st.lists(st.integers(0, 3).map(float), min_size=1, max_size=8))
+        kind = draw(st.sampled_from(("plateau", "hash", "parabola")))
+        if kind == "plateau":
+            def f(x, lo=lo, hi=hi, values=values):
+                return values[min(max(int((x - lo) / (hi - lo) * len(values)), 0), len(values) - 1)]
+        elif kind == "hash":
+            def f(x, values=values):
+                return values[hash(x) % len(values)]
+        else:
+            centre = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+            def f(x, centre=centre, scale=(hi - lo) / 8.0):
+                return float(round(((x - centre) / scale) ** 2))
+        problems.append(((lo, hi), f))
+    return problems
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(problems=search_problems(), depth=st.integers(1, 5))
+def test_golden_search_equals_textbook_loop(problems, depth):
+    """Each bracket's midpoint is the textbook loop's, bit for bit, at every
+    lookahead depth, and one objective call covers `depth` steps of every
+    open search: ceil(steps / depth) calls for the slowest one."""
+    calls = []
+
+    def objective(probes):
+        calls.append(probes)
+        return [problems[i][1](x) for i, xs in probes.items() for x in xs]
+
+    mids = _golden_search([bracket for bracket, _ in problems], objective, depth)
+    used = [[] for _ in problems]
+    expected = [textbook_golden(*bracket, lambda x, f=f, used=used[i]: used.append(x) or f(x))
+                for i, (bracket, f) in enumerate(problems)]
+    assert [m.hex() for m in mids] == [float(m).hex() for m, _ in expected]
+    assert len(calls) == max(-(-steps // depth) for _, steps in expected)
+    assert all(len(xs) <= 2**depth for probes in calls for xs in probes.values())
+    # Every probe whose value the loop reads was profiled, bit for bit (the
+    # loop's last probe, taken after its bracket closed, is never read).
+    for i, ((_, steps), xs) in enumerate(zip(expected, used)):
+        profiled = {x.hex() for probes in calls for x in probes.get(i, ())}
+        assert {float(x).hex() for x in xs[:-1] if steps} <= profiled
+
+
+def test_select_model_profile_calls_are_bounded(monkeypatch):
+    """A guard on the lookahead: selection on criterion 6's initial design
+    (seed 7) profiles at most 16 times; one golden-section step per call
+    took 37.  Counts, not timings, so it is deterministic."""
+    spec = GridSpec(0.5, 6.0, 0.5, 1.0, 60.0, 1.0, k_scale=0.1)
+    oracle = SyntheticLogisticOracle(noise_std=math.sqrt(0.025), seed=7)
+    emp = empirical_variogram([Measurement(p, oracle.evaluate(p)) for p in evenly_spaced_design(spec, 3, 4)],
+                              spec)
+    calls = []
+    profiled_linear = variogram._profiled_linear
+    monkeypatch.setattr(variogram, "_profiled_linear", lambda *args: calls.append(1) or profiled_linear(*args))
+    model = select_model(emp)
+    assert model.flag is None and emp.n_bins >= 3
+    assert len(calls) <= 16
