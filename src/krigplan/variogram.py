@@ -183,6 +183,11 @@ def empirical_variogram(
     sq = (y[iu] - y[ju]) ** 2
 
     max_distance = float(d.max())
+    # Bin indices must be exact integers, well inside the int64 range.
+    if not max_distance / bin_width < 2.0 ** 53:
+        raise ConfigurationError(
+            f"bin_width {bin_width} is too small for the largest pair distance {max_distance}"
+        )
 
     # A stable sort keeps each bin's pairs in their original order for its sums.
     idx = np.round(d / bin_width).astype(int)

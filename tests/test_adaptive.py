@@ -1,3 +1,4 @@
+import contextlib
 import json
 import tracemalloc
 from unittest import mock
@@ -44,6 +45,11 @@ from conftest import random_measurements
 from test_acceptance import NOISE_STD, study_config
 
 SPH = VariogramModel("spherical", 0.025, 2.0, 0.5)
+
+
+def forced_pool():
+    """Score every iteration's blocks on a two-worker pool, however few."""
+    return mock.patch.multiple(adaptive, _WORKERS=2, _POOL_BLOCKS_PER_WORKER=0)
 
 
 def small_config(**overrides):
@@ -156,8 +162,9 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples
 @given(data=st.data())
 def test_fast_scores_match_brute_force_on_partial_indicators(data):
     """Flagged-column scoring agrees with full re-assembly for any indicator
-    set, gives bit-identical scores whatever the block size, and agrees when
-    some candidates take the re-assembly path."""
+    set, gives bit-identical scores whatever the block size and whether the
+    blocks run on the pool, and agrees when some candidates take the
+    re-assembly path."""
     nm, nk = data.draw(st.integers(3, 8)), data.draw(st.integers(3, 10))
     grid = GridSpec(1.0, float(nm), 1.0, 1.0, float(nk), 1.0, k_scale=1.0)
     n_meas = data.draw(st.integers(3, 8))
@@ -185,12 +192,13 @@ def test_fast_scores_match_brute_force_on_partial_indicators(data):
         # blocks, then the production size
         n_targets = max(1, int(indicators.sum()))
         for block in (16 * n_targets, 32 * n_targets, 2**16):
-            with mock.patch.object(adaptive, "_SCORE_BLOCK_ELEMENTS", block), \
-                    mock.patch.object(adaptive, "_score_by_reassembly",
-                                      wraps=adaptive._score_by_reassembly) as spy:
-                got_candidates, scores = candidate_scores(state, indicators=indicators)
-            assert spy.call_count == rescored
-            by_block.append(scores)
+            for pool in (contextlib.nullcontext(), forced_pool()):
+                with mock.patch.object(adaptive, "_SCORE_BLOCK_ELEMENTS", block), pool, \
+                        mock.patch.object(adaptive, "_score_by_reassembly",
+                                          wraps=adaptive._score_by_reassembly) as spy:
+                    got_candidates, scores = candidate_scores(state, indicators=indicators)
+                assert spy.call_count == rescored
+                by_block.append(scores)
 
     assert got_candidates == candidates
     np.testing.assert_allclose(by_block[-1], expected, atol=1e-10)
@@ -200,7 +208,7 @@ def test_fast_scores_match_brute_force_on_partial_indicators(data):
 
 def test_scoring_memory_stays_below_one_candidate_matrix():
     """Scoring 3,348 candidates against all of them as targets never holds a
-    P x P float64 matrix."""
+    P x P float64 matrix, in the calling thread or on the pool."""
     grid = GridSpec(0.5, 6.0, 0.1, 1.0, 60.0, 1.0)
     design = evenly_spaced_design(grid, 3, 4)
     oracle = SyntheticLogisticOracle(noise_std=0.0)
@@ -209,13 +217,15 @@ def test_scoring_memory_stays_below_one_candidate_matrix():
     state = ExperimentState(config=config, measurements=ms, model=SPH)
     n_candidates = grid.point_count - len(ms)
     assert n_candidates == 3348
-    tracemalloc.start()
-    try:
-        candidate_scores(state, indicators=np.ones(n_candidates, dtype=bool))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n_candidates ** 2  # 85.5 MB
+    for pool in (contextlib.nullcontext(), forced_pool()):
+        tracemalloc.start()
+        try:
+            with pool:
+                candidate_scores(state, indicators=np.ones(n_candidates, dtype=bool))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_candidates ** 2  # 85.5 MB
 
 
 def test_rc_score_matches_batch(unit_grid_5x5):

@@ -1,16 +1,26 @@
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krigplan import (
     Combination,
+    ExperimentConfig,
+    ExperimentState,
     GridSpec,
+    IterationRecord,
     Measurement,
+    PendingSuggestion,
     SchemaError,
+    VariogramModel,
     run_experiment,
 )
+from krigplan.adaptive import STOP_BUDGET, STOP_NATURAL
 from krigplan.cli import main
 from krigplan.experiment_io import (
     atomic_write_text,
@@ -26,6 +36,8 @@ from krigplan.experiment_io import (
     state_from_dict,
     state_to_dict,
 )
+
+from krigplan.variogram import FAMILIES, FLAG_DEGENERATE, FLAG_LOW_INFORMATION
 
 from test_adaptive import replay_oracle, small_config
 
@@ -76,6 +88,87 @@ def test_round_trip_preserves_full_float_precision(tmp_path):
     loaded, _ = load_state(path)
     for a, b in zip(state.measurements, loaded.measurements):
         assert a.response == b.response  # bitwise, not approximate
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def variogram_models(draw):
+    """Any family; degenerate fits have no nugget and no sill."""
+    flag = draw(st.sampled_from([None, FLAG_DEGENERATE, FLAG_LOW_INFORMATION]))
+    nugget, sill = (0.0, 0.0) if flag == FLAG_DEGENERATE else (draw(NONNEGATIVE), draw(NONNEGATIVE))
+    return VariogramModel(
+        family=draw(st.sampled_from(FAMILIES)),
+        nugget=nugget,
+        range=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        sill=sill,
+        fit_mse=draw(NONNEGATIVE),
+        flag=flag,
+    )
+
+
+@st.composite
+def experiment_states(draw):
+    """Whole states on grids of up to 5 x 6 points: measurements, history,
+    model, a pending suggestion of either phase and either stop reason."""
+    axes = []
+    for _ in "mk":
+        low = draw(st.sampled_from([-1.5, 0.0, 0.5, 1.0]))
+        stride = draw(st.sampled_from([0.1, 0.5, 1.0, 2.5]))
+        axes += [low, low + draw(st.integers(1, 5)) * stride, stride]
+    grid = GridSpec(*axes, k_scale=draw(st.sampled_from([0.1, 1.0, 3.0])))
+    points = [grid.point(i) for i in range(grid.point_count)]
+    positions = st.integers(0, grid.point_count - 1)
+    order = draw(st.permutations(range(grid.point_count)))
+    design = order[:draw(st.integers(1, len(order)))]
+    measured = order[:draw(st.integers(0, len(order)))]
+    config = ExperimentConfig(
+        grid=grid,
+        threshold=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        initial_design=tuple(points[i] for i in design),
+        alpha=draw(st.sampled_from([0.5, 0.25, 0.1, 0.05, 0.01])),
+        max_iterations=draw(st.integers(0, 2**63 - 1)),
+        seed=draw(st.integers(-2**63, 2**63 - 1)),
+    )
+    history = [
+        IterationRecord(iteration=i + 1, location=points[draw(positions)],
+                        rc_score=draw(FINITE), model=draw(variogram_models()),
+                        n_uncertain=draw(st.integers(0, grid.point_count)))
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    pending = draw(st.one_of(
+        st.none(),
+        st.builds(PendingSuggestion, location=st.sampled_from(points),
+                  phase=st.just("initial")),
+        st.builds(PendingSuggestion, location=st.sampled_from(points),
+                  phase=st.just("adaptive"), rc_score=FINITE, model=variogram_models(),
+                  n_uncertain=st.integers(0, grid.point_count)),
+    ))
+    return ExperimentState(
+        config=config,
+        measurements=[Measurement(points[i], draw(NONNEGATIVE)) for i in measured],
+        model=draw(st.none() | variogram_models()),
+        iteration=len(history),
+        history=history,
+        stop_reason=draw(st.sampled_from([None, STOP_NATURAL, STOP_BUDGET])),
+        pending=pending,
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(state=experiment_states())
+def test_state_round_trips_through_dict_and_file(state):
+    oracle_spec = {"kind": "synthetic_logistic", "noise_std": 0.0}
+    assert state_from_dict(state_to_dict(state, oracle_spec)) == (state, oracle_spec)
+    with tempfile.TemporaryDirectory() as directory:
+        first, second = Path(directory, "first.json"), Path(directory, "second.json")
+        save_state(state, oracle_spec, first)
+        loaded, loaded_spec = load_state(first)
+        save_state(loaded, loaded_spec, second)
+        assert loaded == state
+        assert second.read_bytes() == first.read_bytes()
 
 
 def test_load_rejects_wrong_version(tmp_path):

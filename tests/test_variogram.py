@@ -179,6 +179,22 @@ def test_empirical_max_lag_cutoff():
     assert [round(b.h_center) for b in emp.bins] == [1]
 
 
+@pytest.mark.filterwarnings("error")
+def test_empirical_rejects_bin_width_that_overflows_the_bin_index(study_grid):
+    """A bin index past 2**53 is no longer an exact integer and past the
+    int64 range the cast is garbage; such a width is refused before the cast,
+    so it raises ConfigurationError and no RuntimeWarning."""
+    ms = random_measurements(np.random.default_rng(20), study_grid, 40)
+    max_distance = float(pdist(scaled_points([m.location for m in ms], study_grid)).max())
+    for bin_width in (1e-300, max_distance / 2.0 ** 53):
+        with pytest.raises(ConfigurationError, match="bin_width"):
+            empirical_variogram(ms, study_grid, bin_width=bin_width)
+    # the largest pair distance 2**52 widths away still bins exactly
+    emp = empirical_variogram(ms, study_grid, bin_width=max_distance / 2.0 ** 52,
+                              max_lag=max_distance)
+    assert sum(b.pair_count for b in emp.bins) == 40 * 39 // 2
+
+
 def test_empirical_h_centers_increasing(study_grid):
     rng = np.random.default_rng(5)
     ms = random_measurements(rng, study_grid, 30)
