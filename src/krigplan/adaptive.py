@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, DuplicateLocationError, OracleMissError
 from .grid import (
@@ -33,7 +32,7 @@ from .grid import (
     GridSpec,
     Measurement,
     ensure_unique_locations,
-    lattice_coords,
+    offset_distances,
 )
 from .kriging import assemble_system, confidence_bounds, solve_grid, solve_lattice, z_quantile
 from .variogram import VariogramModel, empirical_variogram, eval_model, select_model
@@ -174,7 +173,6 @@ class _Evaluation:
 
     model: VariogramModel
     spec: GridSpec
-    coords: np.ndarray     # (P, 2) lattice coordinates
     variances: np.ndarray  # (P,)
     rhs: np.ndarray        # (n+1, P)
     solution: np.ndarray   # (n+1, P)
@@ -197,8 +195,7 @@ def _evaluate(state: ExperimentState, model: VariogramModel) -> _Evaluation:
     lower, upper = confidence_bounds(means[unmeasured_idx], variances[unmeasured_idx],
                                      z_quantile(state.config.alpha))
     indicators = _straddles(lower, upper, state.config.threshold)
-    return _Evaluation(model, spec, lattice_coords(spec), variances, rhs, solution,
-                       unmeasured_idx, indicators)
+    return _Evaluation(model, spec, variances, rhs, solution, unmeasured_idx, indicators)
 
 
 def _current_evaluation(state: ExperimentState) -> _Evaluation:
@@ -237,6 +234,11 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     there are enough of them.  Candidates with vanishing current
     variance fall back to full re-assembly (rc_score).  A degenerate model
     leaves no variance to reduce, so every score is zero.
+
+    Candidates and targets are lattice nodes, so g depends only on their
+    index offset: gamma is evaluated once per call over offset_distances,
+    and each block gathers g from that table at center - pos(x) + pos(t),
+    pos being a node's flat index in the table.
     """
     idx = ev.unmeasured_idx
     if ev.model.is_degenerate or len(idx) == 0:
@@ -245,8 +247,13 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     cols = np.flatnonzero(indicators)
     XT = ev.solution[:, idx].T
     D = ev.rhs[:, idx[cols]]
-    pts = ev.coords[idx]
-    target_pts = pts[cols]
+    spec = ev.spec
+    gamma = eval_model(ev.model, offset_distances(spec)).ravel()
+    width = 2 * spec.k_count - 1
+    row, col = np.divmod(idx, spec.k_count)
+    pos = row * width + col
+    offsets = (spec.m_count - 1) * width + (spec.k_count - 1) - pos
+    target_pos = pos[cols]
     target_var = variances[cols]
     ones = np.ones(len(cols))
 
@@ -262,7 +269,7 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
             self_rows = np.flatnonzero(indicators[block])
             self_cols = np.searchsorted(cols, start + self_rows)
 
-            g = eval_model(ev.model, cdist(pts[block], target_pts))
+            g = np.take(gamma, offsets[block, None] + target_pos)
             updated = _row_runs_product(XT[block], D, np.empty_like(g))
             updated -= g
             updated **= 2

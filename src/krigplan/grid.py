@@ -207,6 +207,21 @@ def lattice_coords(spec: GridSpec) -> np.ndarray:
     ])
 
 
+def offset_distances(spec: GridSpec) -> np.ndarray:
+    """Scaled distance between two grid points by their index offset.
+
+    Entry [m_count - 1 + di, k_count - 1 + dj] is the distance between points
+    di rows and dj columns apart, for every offset the grid holds: a
+    (2 * m_count - 1, 2 * k_count - 1) array, symmetric under reversal of
+    both axes.  It agrees with the distance of the two points' lattice_coords
+    to within a few ulps of the largest coordinate: the coordinates round,
+    the offsets do not.
+    """
+    dm = np.arange(1 - spec.m_count, spec.m_count) * spec.m_stride
+    dk = np.arange(1 - spec.k_count, spec.k_count) * spec.k_stride * spec.k_scale
+    return np.sqrt(dm[:, None] ** 2 + dk[None, :] ** 2)
+
+
 def ensure_unique_locations(measurements) -> None:
     seen = set()
     for meas in measurements:

@@ -164,9 +164,14 @@ def test_fast_scores_match_brute_force_on_partial_indicators(data):
     """Flagged-column scoring agrees with full re-assembly for any indicator
     set, gives bit-identical scores whatever the block size and whether the
     blocks run on the pool, and agrees when some candidates take the
-    re-assembly path."""
+    re-assembly path.  Strides of 0.5 and 0.1 and a k_scale of 0.1 make the
+    offset-table distances differ from the coordinate distances that the
+    re-assembly uses in the last bits."""
     nm, nk = data.draw(st.integers(3, 8)), data.draw(st.integers(3, 10))
-    grid = GridSpec(1.0, float(nm), 1.0, 1.0, float(nk), 1.0, k_scale=1.0)
+    m_stride, k_stride = (data.draw(st.sampled_from([1.0, 0.5, 0.1])) for _ in range(2))
+    grid = GridSpec(1.0, 1.0 + (nm - 1) * m_stride, m_stride,
+                    1.0, 1.0 + (nk - 1) * k_stride, k_stride,
+                    k_scale=data.draw(st.sampled_from([1.0, 0.1])))
     n_meas = data.draw(st.integers(3, 8))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     ms = random_measurements(rng, grid, n_meas)

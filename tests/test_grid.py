@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from krigplan import (
     Combination,
@@ -13,7 +14,14 @@ from krigplan import (
     distance,
     evenly_spaced_design,
 )
-from krigplan.grid import MAX_GRID_POINTS, ensure_unique_locations, lattice_coords, scaled_coords
+from krigplan.grid import (
+    MAX_GRID_POINTS,
+    ensure_unique_locations,
+    lattice_coords,
+    offset_distances,
+    scaled_coords,
+)
+from krigplan.variogram import FAMILIES, VariogramModel, eval_model
 
 
 def test_grid_counts(study_grid):
@@ -175,3 +183,56 @@ def test_lattice_arithmetic_matches_build_grid(spec):
     rows, flat = spec.flat_indices(mixed)
     assert rows.tolist() == [r for r, c in enumerate(mixed) if c in lookup]
     assert flat.tolist() == [lookup[mixed[r]] for r in rows.tolist()]
+
+
+OFFSET_GRIDS = [
+    GridSpec(0.5, 6.0, 0.5, 1.0, 60.0, 1.0, k_scale=0.1),    # the study grid
+    GridSpec(0.5, 6.0, 0.1, 1.0, 100.0, 1.0, k_scale=0.1),   # 5,600 cells
+    GridSpec(2.0, 2.0, 1.0, 0.5, 30.0, 0.5, k_scale=0.3),    # 1 x k
+    GridSpec(0.1, 9.9, 0.1, 4.0, 4.0, 1.0),                  # m x 1
+]
+
+# Coordinates carry a rounding error of up to half an ulp each, the index
+# offsets none, so the two distances of a pair differ by a few ulps of the
+# largest coordinate; relative to a short distance that is up to about 64
+# ulps, so the bound is absolute.
+OFFSET_ULPS = 4
+
+
+def offset_pairs(spec):
+    """(table gather, cdist) distances from up to 400 sampled nodes to every node."""
+    coords = lattice_coords(spec)
+    rows = np.random.default_rng(0).choice(len(coords), size=min(len(coords), 400), replace=False)
+    i, j = np.divmod(np.arange(len(coords)), spec.k_count)
+    gathered = offset_distances(spec)[spec.m_count - 1 + i - i[rows, None],
+                                      spec.k_count - 1 + j - j[rows, None]]
+    return gathered, cdist(coords[rows], coords), np.finfo(float).eps * np.abs(coords).max()
+
+
+@pytest.mark.parametrize("spec", OFFSET_GRIDS)
+def test_offset_distances_match_coordinate_distances(spec):
+    table = offset_distances(spec)
+    assert table.shape == (2 * spec.m_count - 1, 2 * spec.k_count - 1)
+    assert table[spec.m_count - 1, spec.k_count - 1] == 0.0
+    assert np.array_equal(table, table[::-1, ::-1])
+    gathered, direct, ulp = offset_pairs(spec)
+    assert np.array_equal(gathered == 0.0, direct == 0.0)
+    np.testing.assert_allclose(gathered, direct, rtol=0, atol=OFFSET_ULPS * ulp)
+
+
+@pytest.mark.parametrize("spec", OFFSET_GRIDS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_offset_semivariances_match_coordinate_semivariances(spec, family):
+    """Every family's gamma over the table: 0 exactly at zero offset, and off
+    by no more than its steepest slope (1.5 sill / range) times the distance
+    error, plus a few ulps of nugget + sill for its own rounding."""
+    model = VariogramModel(family, 0.05, 1.5, 0.8)
+    table = eval_model(model, offset_distances(spec))
+    assert table[spec.m_count - 1, spec.k_count - 1] == 0.0
+    assert np.array_equal(table, table[::-1, ::-1])
+    gathered, direct, ulp = offset_pairs(spec)
+    g, d = eval_model(model, gathered), eval_model(model, direct)
+    assert np.array_equal(g == 0.0, direct == 0.0)
+    atol = 1.5 * model.sill / model.range * OFFSET_ULPS * ulp \
+        + OFFSET_ULPS * np.finfo(float).eps * (model.nugget + model.sill)
+    np.testing.assert_allclose(g, d, rtol=0, atol=atol)

@@ -450,10 +450,10 @@ def test_cli_report_leaves_a_fitted_experiment_file_alone(tmp_path, capsys):
     assert main(["report", exp_path]) == 0
     # an old timestamp, so that any rewrite would show
     os.utime(exp_path, ns=(10**18, 10**18))
-    before = open(exp_path, "rb").read()
+    before = Path(exp_path).read_bytes()
 
     assert main(["report", exp_path]) == 0
-    assert open(exp_path, "rb").read() == before
+    assert Path(exp_path).read_bytes() == before
     assert os.stat(exp_path).st_mtime_ns == 10**18
 
 
@@ -462,15 +462,15 @@ def test_cli_report_persists_the_model_it_fits(tmp_path, capsys):
     main(["init", "--config", str(config_path)])
     exp_path = capsys.readouterr().out.strip()
     assert main(["run", exp_path]) == 0
-    fitted = open(exp_path, "rb").read()
+    fitted = Path(exp_path).read_bytes()
     data = json.loads(fitted)
     assert data["model"] is not None
     data["model"] = None
-    open(exp_path, "w").write(json.dumps(data))
+    Path(exp_path).write_text(json.dumps(data))
 
     assert main(["report", exp_path]) == 0
     assert load_state(exp_path)[0].model is not None
-    assert open(exp_path, "rb").read() == fitted
+    assert Path(exp_path).read_bytes() == fitted
 
 
 def test_cli_init_refuses_overwrite(tmp_path, capsys):
@@ -628,13 +628,13 @@ def test_config_file_and_experiment_file_share_one_schema(tmp_path, capsys):
     config_path = write_config(tmp_path)
     assert main(["init", "--config", str(config_path)]) == 0
     exp_path = capsys.readouterr().out.strip()
-    saved = json.loads(open(exp_path).read())
+    saved = json.loads(Path(exp_path).read_text())
     config, _, _ = _load_config(str(config_path))
     assert config_from_dict(saved["config"]) == config
     assert load_state(exp_path)[0].config == config
 
     saved["config"]["max_iterations"] = 1.5
-    open(exp_path, "w").write(json.dumps(saved))
+    Path(exp_path).write_text(json.dumps(saved))
     assert main(["run", exp_path]) == 2
     assert "expected an integer, got 1.5" in capsys.readouterr().err
 
@@ -645,14 +645,14 @@ def test_cli_exit_code_4_on_numerical_failure(tmp_path, capsys):
     exp_path = capsys.readouterr().out.strip()
 
     # hand the report a hopeless model: adjacent points, near-flat variogram
-    data = json.loads(open(exp_path).read())
+    data = json.loads(Path(exp_path).read_text())
     data["measurements"] = [
         {"m": 1.0, "k": 3.0, "response": 2.0},
         {"m": 1.0, "k": 4.0, "response": 2.1},
     ]
     data["model"] = {"family": "gaussian", "nugget": 0.0, "range": 1e6,
                      "sill": 1.0, "fit_mse": 0.0, "flag": None}
-    open(exp_path, "w").write(json.dumps(data))
+    Path(exp_path).write_text(json.dumps(data))
 
     assert main(["report", exp_path]) == 4
     assert "ill-conditioned" in capsys.readouterr().err

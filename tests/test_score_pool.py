@@ -5,6 +5,7 @@ CPU once there are enough of them.  The pool must change no bit of any
 score, pick or artifact, must not start for small grids, and must surface a
 worker's exception as the serial path would.
 """
+import contextlib
 import hashlib
 import itertools
 import json
@@ -93,25 +94,39 @@ def test_worker_exception_surfaces_unchanged():
     ones = np.ones(708, dtype=bool)
     error = NumericalFailureError("block failed")
     calls = itertools.count()
-    original = adaptive.eval_model
+    raised_in = []
+    original = adaptive._row_runs_product
 
-    def failing_on_one_block(model, h):
+    def failing_on_one_block(a, b, out):
         if next(calls) == 4:
+            raised_in.append(threading.current_thread())
             raise error
-        return original(model, h)
+        return original(a, b, out)
 
-    with forced_pool(), mock.patch.object(adaptive, "eval_model", failing_on_one_block):
+    with forced_pool(), mock.patch.object(adaptive, "_row_runs_product", failing_on_one_block):
         with pytest.raises(NumericalFailureError) as excinfo:
             candidate_scores(state, indicators=ones)
         finished = next(calls)
         time.sleep(0.05)
         assert next(calls) == finished + 1  # no worker still scoring
     assert excinfo.value is error
+    assert raised_in and raised_in[0] is not threading.main_thread()
     assert state_to_dict(state, {}) == before
 
     with forced_pool():
         pooled = candidate_scores(state, indicators=ones)[1]
     assert np.array_equal(pooled, candidate_scores(state, indicators=ones)[1])
+
+
+def test_scoring_evaluates_the_variogram_once_per_call():
+    """One semivariance table per call, however many blocks and threads."""
+    state = study_state()
+    ones = np.ones(708, dtype=bool)
+    for block, pool in itertools.product((16 * 708, 2**16), (contextlib.nullcontext(), forced_pool())):
+        with mock.patch.object(adaptive, "_SCORE_BLOCK_ELEMENTS", block), pool, \
+                mock.patch.object(adaptive, "eval_model", wraps=adaptive.eval_model) as spy:
+            candidate_scores(state, indicators=ones)
+        assert spy.call_count == 1
 
 
 def _score_in_child(state, queue):
