@@ -19,12 +19,10 @@ the same grid evaluation.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
 from .errors import ConfigurationError, DuplicateLocationError, OracleMissError
 from .grid import (
@@ -65,20 +63,18 @@ _SCORE_BLOCK_ELEMENTS = 2 ** 16
 # keep the scores bit-identical whatever the block size.
 _BLAS_ROWS = 16
 
-# Threads that score candidate blocks: the CPUs this process may run on.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-# An iteration with fewer than this many scoring blocks per worker is scored
-# in the calling thread.  On a 2-core x86-64 host with single-threaded
-# OpenBLAS, pooling every iteration gained nothing on the 720-cell study
-# grid (1-7 blocks per iteration; run_s +4% in the median of five
-# alternating benchmark pairs, peak RSS +3 MB), while the 5,600-cell grid
-# (20-350 blocks) ran about 30% faster.
-_POOL_BLOCKS_PER_WORKER = 4
-
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid that started it, pool)
-_pool_lock = threading.Lock()
+# _pick screens an iteration with at least this many scoring blocks (see
+# _screen_scores) and walks every block below it.  The screen's cost follows
+# the grid size, the walk's the block count, so the crossover moves with the
+# grid.  Milliseconds per call, walk / screen, for grid cells: blocks, on a
+# 2-core x86-64 host with single-threaded OpenBLAS:
+#     720: 3 blocks 2.3 / 2.4, 4: 4.2 / 3.5, 9: 6.0 / 3.9
+#   1,380: 5 blocks 5.4 / 6.5, 8: 7.6 / 6.6, 15: 11.2 / 7.0
+#   2,700: 12 blocks 11.2 / 13.2, 17: 12.9 / 12.0, 28: 18.8 / 13.6
+#   5,600: 15 blocks 13.7 / 21.0, 30: 21.0 / 21.0, 59: 42.0 / 21.9
+# 16 sits between the crossovers, about 4 to 30 blocks, and above the
+# 720-cell study grid's most (708^2 / 2^16, about 7.6), which the walk keeps.
+_SCREEN_MIN_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -108,6 +104,12 @@ class ExperimentConfig:
             seen.add(c)
 
 
+def _check_score(score: float) -> None:
+    """A remaining-uncertainty score is a sum of variances: finite, nonnegative."""
+    if not (math.isfinite(score) and score >= 0):
+        raise ConfigurationError(f"rc_score must be finite and nonnegative, got {score}")
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """Audit record for one adopted measurement."""
@@ -117,6 +119,9 @@ class IterationRecord:
     rc_score: float
     model: VariogramModel
     n_uncertain: int
+
+    def __post_init__(self):
+        _check_score(self.rc_score)
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,10 @@ class PendingSuggestion:
     rc_score: float | None = None
     model: VariogramModel | None = None
     n_uncertain: int | None = None
+
+    def __post_init__(self):
+        if self.rc_score is not None:
+            _check_score(self.rc_score)
 
 
 @dataclass
@@ -214,7 +223,8 @@ def _stop_reason(state: ExperimentState, ev: _Evaluation) -> str | None:
     return None
 
 
-def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray) -> np.ndarray:
+def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray,
+                 screen: bool = False) -> np.ndarray:
     """Scores for every unmeasured candidate via the bordered-system identity.
 
     Appending candidate x to the measurement set extends the solved system by
@@ -229,9 +239,7 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     flagged targets carry weight, so q, g and the updated variances are built
     for those U columns alone, and the P candidates are walked in row blocks
     of about _SCORE_BLOCK_ELEMENTS entries each: the working memory is
-    bounded by the block, not by P^2.  Each block writes only its own slice
-    of the scores, so the blocks run on the scoring pool (_run_blocks) when
-    there are enough of them.  Candidates with vanishing current
+    bounded by the block, not by P^2.  Candidates with vanishing current
     variance fall back to full re-assembly (rc_score).  A degenerate model
     leaves no variance to reduce, so every score is zero.
 
@@ -239,6 +247,11 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     index offset: gamma is evaluated once per call over offset_distances,
     and each block gathers g from that table at center - pos(x) + pos(t),
     pos being a node's flat index in the table.
+
+    With screen, an iteration of at least _SCREEN_MIN_BLOCKS blocks scores
+    only the _BLAS_ROWS-row runs that _screen_scores cannot rule out of the
+    tied argmin and leaves +inf for every other fast-path candidate: the
+    result then serves _argmin_tied alone, with the same pick and score bits.
     """
     idx = ev.unmeasured_idx
     if ev.model.is_degenerate or len(idx) == 0:
@@ -248,7 +261,8 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     XT = ev.solution[:, idx].T
     D = ev.rhs[:, idx[cols]]
     spec = ev.spec
-    gamma = eval_model(ev.model, offset_distances(spec)).ravel()
+    table = eval_model(ev.model, offset_distances(spec))
+    gamma = table.ravel()
     width = 2 * spec.k_count - 1
     row, col = np.divmod(idx, spec.k_count)
     pos = row * width + col
@@ -259,12 +273,12 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
 
     safe = variances >= FAST_PATH_VARIANCE_MIN
     denom = np.where(safe, variances, 1.0)
-    scores = np.empty(len(idx))
     rows = _BLAS_ROWS * max(1, _SCORE_BLOCK_ELEMENTS // max(1, len(cols)) // _BLAS_ROWS)
+    starts = range(0, len(idx), rows)
 
-    def _score_blocks(starts):
-        for start in starts:
-            block = slice(start, start + rows)
+    def score_blocks(block_starts, length):
+        for start in block_starts:
+            block = slice(start, start + length)
             # (row, column) of each candidate in this block that is also a target
             self_rows = np.flatnonzero(indicators[block])
             self_cols = np.searchsorted(cols, start + self_rows)
@@ -279,39 +293,130 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
             updated[self_rows, self_cols] = 0.0  # the candidate itself is not a target
             _row_runs_product(updated, ones, scores[block])
 
-    _run_blocks(_score_blocks, range(0, len(idx), rows))
+    if screen and len(starts) >= _SCREEN_MIN_BLOCKS and safe.any():
+        scores = np.full(len(idx), np.inf)
+        estimate, bound = _screen_scores(spec, idx, cols, XT, D, variances, denom, table)
+        # Runs are scored whole, at the fixed offsets of the full walk, so
+        # each BLAS call and each score is bit for bit the full walk's.
+        best = int(np.argmin(np.where(safe, estimate, np.inf)))
+        first = best - best % _BLAS_ROWS
+        score_blocks([first], _BLAS_ROWS)
+        run = slice(first, first + _BLAS_ROWS)
+        e_best = float(scores[run][safe[run]].min())
+        # estimate - bound is at most a candidate's score, so no candidate
+        # left out can be within the tie tolerance of the minimum; a NaN
+        # bound or e_best keeps every candidate.
+        kept = safe & ~(estimate - bound > e_best + TIE_TOL * max(1.0, e_best))
+        runs = np.unique(np.flatnonzero(kept) // _BLAS_ROWS) * _BLAS_ROWS
+        score_blocks(runs[runs != first].tolist(), _BLAS_ROWS)
+    else:
+        scores = np.empty(len(idx))
+        score_blocks(starts, rows)
     for pos in np.nonzero(~safe)[0]:
         scores[pos] = _score_by_reassembly(state, ev, indicators, int(pos))
     return scores
 
 
-def _run_blocks(kernel, starts: range) -> None:
-    """kernel(starts), split across the scoring pool when there are enough blocks.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
-    Worker i gets every _WORKERS-th start from the i-th.  A block's arithmetic
-    does not depend on the thread that runs it, so neither do the scores.
-    Returns once every share has finished; a share's exception is re-raised
-    then, so no worker is still writing after a failure.
+
+def _gamma_k(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64:
+    the relative error bound of a k-term dot product or k roundings."""
+    u = _UNIT_ROUNDOFF
+    return k * u / (1 - k * u)
+
+
+def _screen_scores(spec: GridSpec, idx, cols, XT, D, variances, denom, table):
+    """(estimate, bound) of every candidate's block-kernel score, such that
+    estimate - bound is at most the score the kernel computes.
+
+    In exact arithmetic and without its clamp, the kernel's score of
+    candidate x is F(x) = V(x) - S(x) / v(x), with V the summed variance
+    of the targets other than x and S = sum over those targets of
+    (q - g)^2.  Summed over all targets t instead,
+    S = X Gram X' - 2 sum_t q g + sum_t g^2 - q(x, x)^2, the last term only
+    when x is a target (g(x, x) = 0), with X the candidate's solution row
+    and Gram = D D'.  The two middle sums
+    are lattice correlations of the n+1 rows of D, and of the target
+    indicator, with the offset table and its square; the table is symmetric
+    under reversal of both axes, so they are convolutions (Dietrich &
+    Newsam 1997, circulant embedding).  One batched real FFT of
+    next_fast_len(2m-1) x next_fast_len(2k-1), at least the table's size,
+    gives all n+2 of them with no offset wrapping onto another.  The clamp
+    max(0, .) only raises a term, so the kernel's exact score is at least
+    F; bound covers the rounding between each computed value and the exact
+    one (see the parts below), doubled for second-order terms and the
+    rounding of the bound itself.
     """
-    workers = _WORKERS
-    if workers < 2 or len(starts) < _POOL_BLOCKS_PER_WORKER * workers:
-        kernel(starts)
-        return
-    pool = _scoring_pool()
-    futures = [pool.submit(kernel, starts[i::workers]) for i in range(workers)]
-    wait(futures)
-    for future in futures:
-        future.result()
+    m, k = spec.m_count, spec.k_count
+    n1, n_targets = D.shape
+    is_target = np.zeros(len(idx), dtype=bool)
+    is_target[cols] = True
 
+    shape = (fft.next_fast_len(2 * m - 1, real=True), fft.next_fast_len(2 * k - 1, real=True))
+    planes = np.zeros((n1 + 1, m * k))
+    planes[:n1, idx[cols]] = D
+    planes[n1, idx[cols]] = 1.0
+    table_sq = table * table
+    # rfft2 and irfft2 one axis at a time, so that the k-axis transforms
+    # skip the rows that are padding on the way in and unused on the way out.
+    spectra = fft.fft(fft.rfft(planes.reshape(n1 + 1, m, k), n=shape[1]), n=shape[0], axis=1)
+    kernels = fft.rfft2(np.stack([table, table_sq]), s=shape)
+    spectra[:n1] *= kernels[0]
+    spectra[n1] *= kernels[1]
+    conv = fft.irfft(fft.ifft(spectra, axis=1)[:, m - 1:2 * m - 1], n=shape[1])
+    conv = conv[:, :, k - 1:2 * k - 1].reshape(n1 + 1, m * k)[:, idx]
+    C, H = conv[:n1], conv[n1]
 
-def _scoring_pool() -> ThreadPoolExecutor:
-    """The process's scoring pool, started on first use.  A forked child
-    starts its own: the parent's threads do not exist there."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            _pool = (os.getpid(), ThreadPoolExecutor(_WORKERS, thread_name_prefix="krigplan-score"))
-        return _pool[1]
+    absX, absD = np.abs(XT), np.abs(D)
+    Q = np.einsum("pi,pi->p", XT @ (D @ D.T), XT)
+    A = np.einsum("pi,pi->p", absX @ (absD @ absD.T), absX)  # sum_t |X||D_t| squared
+    R = np.einsum("pi,ip->p", XT, C)
+    q_self = np.zeros(len(idx))
+    q_self[cols] = np.einsum("ti,it->t", XT[cols], D)
+    target_var_sum = float(variances[cols].sum())
+    V = target_var_sum - np.where(is_target, variances, 0.0)
+    S = Q - 2 * R + H - q_self * q_self
+    estimate = V - S / denom
+
+    # FFT convolution, Higham (2002) section 24.1 (Thm 24.2): a computed
+    # length-N transform is within eps_f of the exact one in the 2-norm,
+    # eps_f = log2(N) eta / (1 - log2(N) eta), eta = u + gamma_4 (sqrt2 + u)
+    # for twiddle factors correct to u.  Transforming a and b, their product
+    # and its inverse then leave every entry of a * b within
+    # 3 eps_f (|a|_1 |b|_2 + |a|_2 |b|_1).  The theorem is for radix 2.
+    # next_fast_len(real=True) lengths factor into 2, 3 and 5, which
+    # scipy.fft's pocketfft runs as radix-2, 3, 4 and 5 passes; this assumes
+    # a radix-r pass errs no more than the log2(r) radix-2 passes it stands
+    # for, so log2(N) passes in all, with N = N1 N2 for the two axes.
+    u = _UNIT_ROUNDOFF
+    log_n = math.log2(shape[0] * shape[1])
+    eta = u + _gamma_k(4) * (math.sqrt(2.0) + u)
+    eps_f = log_n * eta / (1 - log_n * eta)
+    norms = [(np.abs(t).sum(), math.sqrt(float((t * t).sum()))) for t in (table, table_sq)]
+    err_C = 3 * eps_f * (absD.sum(1) * norms[0][1] + np.sqrt((D * D).sum(1)) * norms[0][0])
+    err_H = (3 * eps_f * (n_targets * norms[1][1] + math.sqrt(n_targets) * norms[1][0])
+             + 2 * u * np.abs(H))
+    # Gram and dot products: inner dimensions U, then n+1 twice.
+    err_Q = _gamma_k(n_targets + 2 * n1) * A
+    err_R = absX @ err_C + _gamma_k(n1) * np.einsum("pi,ip->p", absX, np.abs(C) + err_C[:, None])
+    # The self term q(x, x)^2.
+    err_q = np.zeros(len(idx))
+    err_q[cols] = _gamma_k(n1) * np.einsum("ti,it->t", absX[cols], absD)
+    err_self = (2 * np.abs(q_self) + err_q) * err_q + u * q_self * q_self
+    err_S = (err_Q + 2 * err_R + err_H + err_self
+             + _gamma_k(3) * (np.abs(Q) + 2 * np.abs(R) + np.abs(H) + q_self * q_self))
+    err_F = (_gamma_k(n_targets + 1) * target_var_sum + err_S / denom
+             + _gamma_k(2) * (np.abs(V) + np.abs(S) / denom))
+    # The kernel's own rounding: q by BLAS within gamma_{n+1} sum |X||D_t|
+    # (whose squares sum to A), the update's four roundings (subtract,
+    # square, divide, subtract from v_t) and the summing over the targets.
+    S_up = np.maximum(S, 0.0) + err_S
+    err_kernel = ((2 * _gamma_k(n1) * np.sqrt(S_up * A) + _gamma_k(n1) ** 2 * A
+                   + _gamma_k(4) * S_up) / denom
+                  + _gamma_k(n_targets + 1) * (np.abs(V) + S_up / denom))
+    return estimate, 2 * (err_F + err_kernel)
 
 
 def _row_runs_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -385,7 +490,7 @@ def _argmin_tied(scores: np.ndarray) -> int:
 
 def _pick(state: ExperimentState, ev: _Evaluation) -> tuple[int, float]:
     """(position among the unmeasured points, score) of the next measurement."""
-    scores = _fast_scores(state, ev, ev.indicators)
+    scores = _fast_scores(state, ev, ev.indicators, screen=True)
     pos = _argmin_tied(scores)
     return pos, float(scores[pos])
 

@@ -15,6 +15,8 @@ import tempfile
 from dataclasses import asdict
 
 from .adaptive import (
+    STOP_BUDGET,
+    STOP_NATURAL,
     ExperimentConfig,
     ExperimentState,
     IterationRecord,
@@ -62,7 +64,10 @@ PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 def as_int(value) -> int:
     """The rule for every integer field: a value equal to an integer in the
-    signed 64-bit range.  Non-integral values are rejected, not truncated."""
+    signed 64-bit range.  Non-integral values are rejected, not truncated,
+    and so are booleans, which Python would read as 0 and 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
     integer = int(value)
     if integer != value:
         raise ValueError(f"expected an integer, got {value!r}")
@@ -180,13 +185,16 @@ def state_from_dict(data: dict) -> tuple[ExperimentState, dict]:
             for rec in data["history"]
         ]
         pend = data.get("pending_suggestion")
+        stop_reason = data.get("stop_reason")
+        if stop_reason not in (None, STOP_NATURAL, STOP_BUDGET):
+            raise ValueError(f"unknown stop_reason {stop_reason!r}")
         state = ExperimentState(
             config=config,
             measurements=measurements,
             model=None if data["model"] is None else VariogramModel(**data["model"]),
             iteration=as_int(data["iteration"]),
             history=history,
-            stop_reason=data.get("stop_reason"),
+            stop_reason=stop_reason,
             pending=None if pend is None else _pending_from_dict(pend, grid),
         )
         oracle_spec = data["oracle"]

@@ -90,6 +90,10 @@ class VariogramModel:
             raise ConfigurationError(
                 f"invalid variogram parameters: nugget={self.nugget}, range={self.range}, sill={self.sill}"
             )
+        if not (math.isfinite(self.fit_mse) and self.fit_mse >= 0):
+            raise ConfigurationError(f"fit_mse must be finite and nonnegative, got {self.fit_mse}")
+        if self.flag not in (None, FLAG_DEGENERATE, FLAG_LOW_INFORMATION):
+            raise ConfigurationError(f"unknown variogram flag {self.flag!r}")
 
     @property
     def is_degenerate(self) -> bool:

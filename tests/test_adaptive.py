@@ -1,4 +1,3 @@
-import contextlib
 import json
 import tracemalloc
 from unittest import mock
@@ -18,6 +17,7 @@ from krigplan import (
     ExperimentState,
     GridSpec,
     Measurement,
+    NumericalFailureError,
     OracleMissError,
     Prediction,
     ResponseRecord,
@@ -45,11 +45,6 @@ from conftest import random_measurements
 from test_acceptance import NOISE_STD, study_config
 
 SPH = VariogramModel("spherical", 0.025, 2.0, 0.5)
-
-
-def forced_pool():
-    """Score every iteration's blocks on a two-worker pool, however few."""
-    return mock.patch.multiple(adaptive, _WORKERS=2, _POOL_BLOCKS_PER_WORKER=0)
 
 
 def small_config(**overrides):
@@ -162,11 +157,10 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples
 @given(data=st.data())
 def test_fast_scores_match_brute_force_on_partial_indicators(data):
     """Flagged-column scoring agrees with full re-assembly for any indicator
-    set, gives bit-identical scores whatever the block size and whether the
-    blocks run on the pool, and agrees when some candidates take the
-    re-assembly path.  Strides of 0.5 and 0.1 and a k_scale of 0.1 make the
-    offset-table distances differ from the coordinate distances that the
-    re-assembly uses in the last bits."""
+    set, gives bit-identical scores whatever the block size, and agrees when
+    some candidates take the re-assembly path.  Strides of 0.5 and 0.1 and a
+    k_scale of 0.1 make the offset-table distances differ from the coordinate
+    distances that the re-assembly uses in the last bits."""
     nm, nk = data.draw(st.integers(3, 8)), data.draw(st.integers(3, 10))
     m_stride, k_stride = (data.draw(st.sampled_from([1.0, 0.5, 0.1])) for _ in range(2))
     grid = GridSpec(1.0, 1.0 + (nm - 1) * m_stride, m_stride,
@@ -197,13 +191,12 @@ def test_fast_scores_match_brute_force_on_partial_indicators(data):
         # blocks, then the production size
         n_targets = max(1, int(indicators.sum()))
         for block in (16 * n_targets, 32 * n_targets, 2**16):
-            for pool in (contextlib.nullcontext(), forced_pool()):
-                with mock.patch.object(adaptive, "_SCORE_BLOCK_ELEMENTS", block), pool, \
-                        mock.patch.object(adaptive, "_score_by_reassembly",
-                                          wraps=adaptive._score_by_reassembly) as spy:
-                    got_candidates, scores = candidate_scores(state, indicators=indicators)
-                assert spy.call_count == rescored
-                by_block.append(scores)
+            with mock.patch.object(adaptive, "_SCORE_BLOCK_ELEMENTS", block), \
+                    mock.patch.object(adaptive, "_score_by_reassembly",
+                                      wraps=adaptive._score_by_reassembly) as spy:
+                got_candidates, scores = candidate_scores(state, indicators=indicators)
+            assert spy.call_count == rescored
+            by_block.append(scores)
 
     assert got_candidates == candidates
     np.testing.assert_allclose(by_block[-1], expected, atol=1e-10)
@@ -211,26 +204,119 @@ def test_fast_scores_match_brute_force_on_partial_indicators(data):
         assert np.array_equal(scores, by_block[-1])
 
 
+class _Returns:
+    """Wraps a function and keeps what each call returned."""
+
+    def __init__(self, fn):
+        self.fn, self.values = fn, []
+
+    def __call__(self, *args):
+        self.values.append(self.fn(*args))
+        return self.values[-1]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_screened_pick_matches_the_full_argmin(data):
+    """The screen forced on: _pick returns the position and the score bits of
+    the tied argmin of every block scored, raises where scoring every block
+    raises, and its lower bound (estimate - bound) never exceeds a fast-path
+    candidate's score.  Half the layouts are point-symmetric with every
+    candidate flagged, so mirror candidates tie to the last bits; a screen
+    with no slack at all must pick the same."""
+    nm, nk = data.draw(st.integers(3, 10)), data.draw(st.integers(3, 16))
+    grid = GridSpec(1.0, float(nm), 1.0, 1.0, float(nk), 1.0,
+                    k_scale=data.draw(st.sampled_from([1.0, 0.5])))
+    points = build_grid(grid)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    n_meas = min(data.draw(st.integers(2, 6)), (len(points) - 1) // 2)
+    chosen = set(rng.choice(len(points), size=n_meas, replace=False).tolist())
+    symmetric = data.draw(st.booleans())
+    if symmetric:
+        chosen |= {len(points) - 1 - i for i in chosen}
+    ms = [Measurement(points[i], float(rng.uniform(0.5, 9.0))) for i in sorted(chosen)]
+    config = ExperimentConfig(grid=grid, threshold=4.0,
+                              initial_design=tuple(m.location for m in ms))
+    model = data.draw(st.sampled_from(SCORE_MODELS))
+    state = ExperimentState(config=config, measurements=ms, model=model)
+    try:
+        ev = adaptive._evaluate(state, model)
+    except NumericalFailureError:
+        return  # the model is unusable on this layout before any scoring
+    n_candidates = len(ev.unmeasured_idx)
+    if not symmetric:
+        ev.indicators = np.array(data.draw(st.lists(st.booleans(), min_size=n_candidates,
+                                                    max_size=n_candidates)))
+    else:
+        ev.indicators = np.ones(n_candidates, dtype=bool)
+    variance_min = adaptive.FAST_PATH_VARIANCE_MIN
+    reassemble = adaptive._score_by_reassembly
+    if data.draw(st.booleans()):
+        variance_min = float(np.quantile(ev.variances[ev.unmeasured_idx],
+                                         data.draw(st.sampled_from([0.1, 0.5]))))
+        if data.draw(st.booleans()):
+            # re-assembly fails, as a bounded-linear fit can on larger designs
+            reassemble = mock.Mock(side_effect=NumericalFailureError("not usable"))
+
+    screen = _Returns(adaptive._screen_scores)
+    with mock.patch.multiple(adaptive, FAST_PATH_VARIANCE_MIN=variance_min,
+                             _score_by_reassembly=reassemble):
+        try:
+            full = adaptive._fast_scores(state, ev, ev.indicators)
+        except NumericalFailureError:
+            with mock.patch.object(adaptive, "_SCREEN_MIN_BLOCKS", 0), \
+                    pytest.raises(NumericalFailureError):
+                adaptive._pick(state, ev)
+            return
+        with mock.patch.object(adaptive, "_SCREEN_MIN_BLOCKS", 0), \
+                mock.patch.object(adaptive, "_screen_scores", screen):
+            pos, score = adaptive._pick(state, ev)
+        # The tightest screen there is, the kernel's own scores and no
+        # bound: the rescoring rule alone must still find every tie.
+        with mock.patch.object(adaptive, "_SCREEN_MIN_BLOCKS", 0), \
+                mock.patch.object(adaptive, "_screen_scores",
+                                  return_value=(full, np.zeros_like(full))):
+            tight = adaptive._pick(state, ev)
+
+    expected = adaptive._argmin_tied(full)
+    assert (pos, repr(score)) == (expected, repr(float(full[expected])))
+    assert (tight[0], repr(tight[1])) == (expected, repr(float(full[expected])))
+    safe = ev.variances[ev.unmeasured_idx] >= variance_min
+    assert len(screen.values) == int(safe.any())
+    if safe.any():
+        estimate, bound = screen.values[0]
+        assert np.all(bound >= 0)
+        assert np.all((estimate - bound)[safe] <= full[safe])
+
+
 def test_scoring_memory_stays_below_one_candidate_matrix():
     """Scoring 3,348 candidates against all of them as targets never holds a
-    P x P float64 matrix, in the calling thread or on the pool."""
-    grid = GridSpec(0.5, 6.0, 0.1, 1.0, 60.0, 1.0)
-    design = evenly_spaced_design(grid, 3, 4)
+    P x P float64 matrix, and neither does a screened pick on the 5,600-cell
+    grid: the screen's memory is linear in the grid."""
     oracle = SyntheticLogisticOracle(noise_std=0.0)
-    ms = [Measurement(c, oracle.evaluate(c)) for c in design]
-    config = ExperimentConfig(grid=grid, threshold=4.0, initial_design=tuple(design))
-    state = ExperimentState(config=config, measurements=ms, model=SPH)
-    n_candidates = grid.point_count - len(ms)
-    assert n_candidates == 3348
-    for pool in (contextlib.nullcontext(), forced_pool()):
+    for grid, screen in ((GridSpec(0.5, 6.0, 0.1, 1.0, 60.0, 1.0), False),
+                         (GridSpec(0.5, 6.0, 0.1, 1.0, 100.0, 1.0, k_scale=0.1), True)):
+        design = evenly_spaced_design(grid, 3, 4)
+        ms = [Measurement(c, oracle.evaluate(c)) for c in design]
+        config = ExperimentConfig(grid=grid, threshold=4.0, initial_design=tuple(design))
+        state = ExperimentState(config=config, measurements=ms, model=SPH)
+        n_candidates = grid.point_count - len(ms)
+        ev = adaptive._evaluate(state, SPH)
+        ev.indicators = np.ones(n_candidates, dtype=bool)
         tracemalloc.start()
         try:
-            with pool:
-                candidate_scores(state, indicators=np.ones(n_candidates, dtype=bool))
+            with mock.patch.object(adaptive, "_screen_scores",
+                                   wraps=adaptive._screen_scores) as spy:
+                adaptive._fast_scores(state, ev, ev.indicators, screen=screen)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n_candidates ** 2  # 85.5 MB
+        assert spy.call_count == screen
+        assert peak < 8 * n_candidates ** 2  # 85.5 MB, 250 MB
+        if screen:
+            # eight float64 per cell of each of the n + 2 planes, padded to
+            # about four times the grid
+            assert peak < 64 * (len(ms) + 2) * 4 * grid.point_count
 
 
 def test_rc_score_matches_batch(unit_grid_5x5):

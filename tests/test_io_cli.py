@@ -90,7 +90,6 @@ def test_round_trip_preserves_full_float_precision(tmp_path):
         assert a.response == b.response  # bitwise, not approximate
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 
 
@@ -134,7 +133,7 @@ def experiment_states(draw):
     )
     history = [
         IterationRecord(iteration=i + 1, location=points[draw(positions)],
-                        rc_score=draw(FINITE), model=draw(variogram_models()),
+                        rc_score=draw(NONNEGATIVE), model=draw(variogram_models()),
                         n_uncertain=draw(st.integers(0, grid.point_count)))
         for i in range(draw(st.integers(0, 4)))
     ]
@@ -143,7 +142,7 @@ def experiment_states(draw):
         st.builds(PendingSuggestion, location=st.sampled_from(points),
                   phase=st.just("initial")),
         st.builds(PendingSuggestion, location=st.sampled_from(points),
-                  phase=st.just("adaptive"), rc_score=FINITE, model=variogram_models(),
+                  phase=st.just("adaptive"), rc_score=NONNEGATIVE, model=variogram_models(),
                   n_uncertain=st.integers(0, grid.point_count)),
     ))
     return ExperimentState(
@@ -213,6 +212,48 @@ def test_load_rejects_mistyped_field(path, value):
     target[path[-1]] = value
     with pytest.raises(SchemaError):
         state_from_dict(payload)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(("history", 0, "rc_score"), NAN, id="rc_score-nan"),
+    pytest.param(("history", 0, "rc_score"), INF, id="rc_score-inf"),
+    pytest.param(("history", 0, "rc_score"), -1.0, id="rc_score-negative"),
+    pytest.param(("pending_suggestion", "rc_score"), NAN, id="pending-rc_score-nan"),
+    pytest.param(("pending_suggestion", "rc_score"), -INF, id="pending-rc_score-negative"),
+    pytest.param(("history", 0, "model", "fit_mse"), NAN, id="fit_mse-nan"),
+    pytest.param(("model", "fit_mse"), INF, id="fit_mse-inf"),
+    pytest.param(("pending_suggestion", "model", "fit_mse"), -0.5, id="fit_mse-negative"),
+    pytest.param(("history", 0, "model", "flag"), "bogus", id="flag-unknown"),
+    pytest.param(("model", "flag"), 1, id="flag-number"),
+    pytest.param(("stop_reason",), "later", id="stop_reason-unknown"),
+    pytest.param(("stop_reason",), [], id="stop_reason-list"),
+])
+def test_cli_rejects_out_of_range_values_in_the_experiment_file(tmp_path, capsys, path, value):
+    """Each command exits 2 on the file, and report writes no artifact from it
+    (a NaN score would reach audit.ndjson as the bare token NaN, not JSON)."""
+    config_path = write_config(tmp_path)
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = tmp_path / "demo.json"
+    assert main(["run", str(exp_path)]) == 0
+    payload = json.loads(exp_path.read_text())
+    record = payload["history"][0]
+    payload["pending_suggestion"] = {"m": record["chosen_m"], "k": record["chosen_k"],
+                                     "phase": "adaptive", "rc_score": record["rc_score"],
+                                     "model": dict(record["model"]), "n_uncertain": 1}
+    state_from_dict(json.loads(json.dumps(payload)))  # valid before the mutation
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    exp_path.write_text(json.dumps(payload))
+    audit = (tmp_path / "audit.ndjson").read_bytes()
+    for command in ("report", "step", "run"):
+        assert main([command, str(exp_path)]) == 2, command
+    assert (tmp_path / "audit.ndjson").read_bytes() == audit
+    assert b"NaN" not in audit
 
 
 def test_load_reports_json_position(tmp_path):
@@ -600,6 +641,9 @@ def test_cli_exit_code_2_on_bad_config(tmp_path, capsys):
     for malformed in ({"initial_design": {"lattice": [3]}},
                       {"max_iterations": "many"},
                       {"max_iterations": 1.5},
+                      {"max_iterations": True},
+                      {"initial_design": {"lattice": [True, 4]}},
+                      {"seed": False},
                       {"initial_design": [[0.5, 1.0], [1.0, "x"]]},
                       {"alpha": "x"},
                       {"seed": "x"},
