@@ -94,14 +94,24 @@ class ExperimentConfig:
         z_quantile(self.alpha)
         if self.max_iterations < 0:
             raise ConfigurationError(f"max_iterations must be >= 0, got {self.max_iterations}")
-        object.__setattr__(self, "initial_design", tuple(self.initial_design))
+        design = tuple(self.initial_design)
+        object.__setattr__(self, "initial_design", design)
+        # One flat_indices call checks every point: rows lists the on-grid
+        # positions in order, so the first position missing from it is the
+        # first off-grid point.  Points before it are checked for duplicates
+        # by grid index, as a point-by-point walk would meet them.
+        rows, flat = self.grid.flat_indices(design)
         seen = set()
-        for c in self.initial_design:
-            if not self.grid.contains(c):
-                raise ConfigurationError(f"initial design point ({c.m}, {c.k}) is not on the grid")
-            if c in seen:
+        for position, (row, index) in enumerate(zip(rows.tolist(), flat.tolist())):
+            if row != position:
+                break
+            if index in seen:
+                c = design[position]
                 raise DuplicateLocationError(f"duplicate initial design point ({c.m}, {c.k})")
-            seen.add(c)
+            seen.add(index)
+        if len(seen) < len(design):
+            c = design[len(seen)]
+            raise ConfigurationError(f"initial design point ({c.m}, {c.k}) is not on the grid")
 
 
 def _check_score(score: float) -> None:

@@ -76,6 +76,29 @@ def as_int(value) -> int:
     return integer
 
 
+def as_float(value) -> float:
+    """The rule for every float field: a JSON number.  Booleans and strings
+    are rejected, though float() would read them as 0, 1 or the number they
+    spell."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _as_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+_MODEL_FLOATS = ("nugget", "range", "sill", "fit_mse")
+
+
+def _model_from_dict(data) -> VariogramModel:
+    return VariogramModel(**{name: as_float(value) if name in _MODEL_FLOATS else value
+                             for name, value in _as_object(data, "model").items()})
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Parse the experiment-config schema: a config file, or the ``config``
     object of an experiment file.
@@ -84,70 +107,94 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     n_k]}.  Raises ConfigurationError for values the planner rejects and one
     of PARSE_ERRORS for missing or mistyped fields.
     """
-    grid = GridSpec(**data["grid"])
+    grid = GridSpec(**{name: as_float(value)
+                       for name, value in _as_object(data["grid"], "grid").items()})
     design = data.get("initial_design")
     if isinstance(design, dict) and set(design) == {"lattice"}:
         n_m, n_k = design["lattice"]
         initial = evenly_spaced_design(grid, as_int(n_m), as_int(n_k))
     elif isinstance(design, list):
-        initial = [grid.snap(float(m), float(k)) for m, k in design]
+        initial = [grid.snap(as_float(m), as_float(k)) for m, k in design]
     else:
         raise TypeError('initial_design must be a list of [m, k] pairs or {"lattice": [n_m, n_k]}')
     return ExperimentConfig(
         grid=grid,
-        threshold=float(data["threshold"]),
-        alpha=float(data.get("alpha", 0.1)),
+        threshold=as_float(data["threshold"]),
+        alpha=as_float(data.get("alpha", 0.1)),
         max_iterations=as_int(data.get("max_iterations", 50)),
         initial_design=tuple(initial),
         seed=as_int(data.get("seed", 0)),
     )
 
 
-def state_to_dict(state: ExperimentState, oracle_spec: dict) -> dict:
-    config = state.config
-    pending = state.pending
+# The experiment file's fields.  state_to_dict and the writer both build the
+# file from these helpers, so the schema is written down once.
+
+def _config_fields(config: ExperimentConfig) -> dict:
     return {
-        "version": STATE_VERSION,
-        "config": {
-            "grid": asdict(config.grid),
-            "threshold": config.threshold,
-            "alpha": config.alpha,
-            "max_iterations": config.max_iterations,
-            "initial_design": [[c.m, c.k] for c in config.initial_design],
-            "seed": config.seed,
-        },
-        "oracle": oracle_spec,
-        "measurements": [
-            {"m": m.location.m, "k": m.location.k, "response": m.response}
-            for m in state.measurements
-        ],
-        "model": None if state.model is None else asdict(state.model),
-        "iteration": state.iteration,
-        "history": [
-            {
-                "iteration": rec.iteration,
-                "chosen_m": rec.location.m,
-                "chosen_k": rec.location.k,
-                "rc_score": rec.rc_score,
-                "model": asdict(rec.model),
-                "n_uncertain": rec.n_uncertain,
-            }
-            for rec in state.history
-        ],
-        "stop_reason": state.stop_reason,
-        "pending_suggestion": None if pending is None else {
-            "m": pending.location.m,
-            "k": pending.location.k,
-            "phase": pending.phase,
-            "rc_score": pending.rc_score,
-            "model": None if pending.model is None else asdict(pending.model),
-            "n_uncertain": pending.n_uncertain,
-        },
+        "grid": asdict(config.grid),
+        "threshold": config.threshold,
+        "alpha": config.alpha,
+        "max_iterations": config.max_iterations,
+        "initial_design": [[c.m, c.k] for c in config.initial_design],
+        "seed": config.seed,
     }
 
 
+def _measurement_fields(measurement: Measurement) -> dict:
+    return {"m": measurement.location.m, "k": measurement.location.k, "response": measurement.response}
+
+
+def _model_fields(model: VariogramModel | None) -> dict | None:
+    return None if model is None else asdict(model)
+
+
+def _record_fields(rec: IterationRecord) -> dict:
+    return {
+        "iteration": rec.iteration,
+        "chosen_m": rec.location.m,
+        "chosen_k": rec.location.k,
+        "rc_score": rec.rc_score,
+        "model": _model_fields(rec.model),
+        "n_uncertain": rec.n_uncertain,
+    }
+
+
+def _pending_fields(pending: PendingSuggestion | None) -> dict | None:
+    return None if pending is None else {
+        "m": pending.location.m,
+        "k": pending.location.k,
+        "phase": pending.phase,
+        "rc_score": pending.rc_score,
+        "model": _model_fields(pending.model),
+        "n_uncertain": pending.n_uncertain,
+    }
+
+
+def _state_fields(state: ExperimentState, oracle_spec: dict, config, measurements, history) -> dict:
+    """The file's top-level object, with the values of its config,
+    measurements and history given by the caller."""
+    return {
+        "version": STATE_VERSION,
+        "config": config,
+        "oracle": oracle_spec,
+        "measurements": measurements,
+        "model": _model_fields(state.model),
+        "iteration": state.iteration,
+        "history": history,
+        "stop_reason": state.stop_reason,
+        "pending_suggestion": _pending_fields(state.pending),
+    }
+
+
+def state_to_dict(state: ExperimentState, oracle_spec: dict) -> dict:
+    return _state_fields(state, oracle_spec, _config_fields(state.config),
+                         [_measurement_fields(m) for m in state.measurements],
+                         [_record_fields(rec) for rec in state.history])
+
+
 def _pending_from_dict(pend: dict, grid: GridSpec) -> PendingSuggestion:
-    location = grid.snap(float(pend["m"]), float(pend["k"]))
+    location = grid.snap(as_float(pend["m"]), as_float(pend["k"]))
     if pend["phase"] == "initial":
         return PendingSuggestion(location=location, phase="initial")
     if pend["phase"] != "adaptive":
@@ -155,8 +202,8 @@ def _pending_from_dict(pend: dict, grid: GridSpec) -> PendingSuggestion:
     return PendingSuggestion(
         location=location,
         phase="adaptive",
-        rc_score=float(pend["rc_score"]),
-        model=VariogramModel(**pend["model"]),
+        rc_score=as_float(pend["rc_score"]),
+        model=_model_from_dict(pend["model"]),
         n_uncertain=as_int(pend["n_uncertain"]),
     )
 
@@ -171,15 +218,15 @@ def state_from_dict(data: dict) -> tuple[ExperimentState, dict]:
         config = config_from_dict(data["config"])
         grid = config.grid
         measurements = [
-            Measurement(grid.snap(float(row["m"]), float(row["k"])), float(row["response"]))
+            Measurement(grid.snap(as_float(row["m"]), as_float(row["k"])), as_float(row["response"]))
             for row in data["measurements"]
         ]
         history = [
             IterationRecord(
                 iteration=as_int(rec["iteration"]),
-                location=grid.snap(float(rec["chosen_m"]), float(rec["chosen_k"])),
-                rc_score=float(rec["rc_score"]),
-                model=VariogramModel(**rec["model"]),
+                location=grid.snap(as_float(rec["chosen_m"]), as_float(rec["chosen_k"])),
+                rc_score=as_float(rec["rc_score"]),
+                model=_model_from_dict(rec["model"]),
                 n_uncertain=as_int(rec["n_uncertain"]),
             )
             for rec in data["history"]
@@ -191,7 +238,7 @@ def state_from_dict(data: dict) -> tuple[ExperimentState, dict]:
         state = ExperimentState(
             config=config,
             measurements=measurements,
-            model=None if data["model"] is None else VariogramModel(**data["model"]),
+            model=None if data["model"] is None else _model_from_dict(data["model"]),
             iteration=as_int(data["iteration"]),
             history=history,
             stop_reason=stop_reason,
@@ -203,9 +250,71 @@ def state_from_dict(data: dict) -> tuple[ExperimentState, dict]:
     return state, oracle_spec
 
 
+def _json_at(value, depth: int) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) as it reads nested
+    `depth` levels deep in a larger document."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _lay_out(items: list[str], depth: int, brackets: str) -> str:
+    """A JSON array or object whose items are laid out one level below
+    `depth`, in the layout of json.dumps(..., indent=2)."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+class _Encoded(str):
+    """JSON text already laid out at its place in the file."""
+
+
+class _StateWriter:
+    """Writes the experiment file, encoding only the parts it has not
+    encoded before.
+
+    It keeps the JSON text of the config, of each measurement row and of
+    each history record of the last state written, keyed by object
+    identity: these are frozen dataclasses, so one object always encodes
+    the same way.  Identity and not equality, because equal values can
+    encode differently (0.0 == -0.0).  Each entry holds its object, so the
+    id cannot be reused while the entry lives.  The oracle spec, the model,
+    the pending suggestion and the scalars are encoded on every write.
+    """
+
+    def __init__(self):
+        self._texts: dict[int, tuple[object, str]] = {}
+
+    def text(self, state: ExperimentState, oracle_spec: dict) -> str:
+        """The file's text: json.dumps(state_to_dict(state, oracle_spec),
+        indent=2, sort_keys=True) and a newline, byte for byte."""
+        texts = {}
+
+        def encoded(part, fields, depth: int) -> str:
+            entry = self._texts.get(id(part))
+            if entry is None or entry[0] is not part:
+                entry = (part, _json_at(fields(part), depth))
+            texts[id(part)] = entry
+            return entry[1]
+
+        def rows(parts, fields) -> _Encoded:
+            return _Encoded(_lay_out([encoded(part, fields, 2) for part in parts], 1, "[]"))
+
+        payload = _state_fields(state, oracle_spec,
+                                _Encoded(encoded(state.config, _config_fields, 1)),
+                                rows(state.measurements, _measurement_fields),
+                                rows(state.history, _record_fields))
+        items = [f"{json.dumps(key)}: {value if isinstance(value, _Encoded) else _json_at(value, 1)}"
+                 for key, value in sorted(payload.items())]
+        self._texts = texts
+        return _lay_out(items, 0, "{}") + "\n"
+
+
+_WRITER = _StateWriter()
+
+
 def save_state(state: ExperimentState, oracle_spec: dict, path) -> None:
-    payload = state_to_dict(state, oracle_spec)
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, _WRITER.text(state, oracle_spec))
 
 
 def read_json(path, error=SchemaError, what: str = "experiment file"):

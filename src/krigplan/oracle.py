@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, OracleMissError, SchemaError
-from .experiment_io import PARSE_ERRORS, as_int
+from .experiment_io import PARSE_ERRORS, as_float, as_int
 from .grid import Combination, GridSpec
 
 EVENT_COUNT = 15
@@ -220,7 +220,7 @@ def build_oracle(spec_dict: dict, grid: GridSpec, default_seed: int = 0):
         if extra:
             raise ConfigurationError(f"unknown synthetic oracle fields: {sorted(extra)}")
         try:
-            kwargs = {k: float(spec_dict[k]) for k in float_fields if k in spec_dict}
+            kwargs = {k: as_float(spec_dict[k]) for k in float_fields if k in spec_dict}
             kwargs["seed"] = as_int(spec_dict.get("seed", default_seed))
         except PARSE_ERRORS as exc:
             raise ConfigurationError(f"malformed synthetic oracle field: {exc!r}") from None

@@ -100,6 +100,50 @@ def test_config_validation():
                          initial_design=(design[0], design[0]))  # duplicate
 
 
+def reference_design_error(grid, design):
+    """The point-by-point design check: the first point that is off the grid
+    or repeats an earlier one decides the error."""
+    seen = set()
+    for c in design:
+        if not grid.contains(c):
+            return ConfigurationError, f"initial design point ({c.m}, {c.k}) is not on the grid"
+        if c in seen:
+            return DuplicateLocationError, f"duplicate initial design point ({c.m}, {c.k})"
+        seen.add(c)
+    return None
+
+
+@pytest.mark.parametrize("defect", [
+    "last-off-grid", "first-off-grid", "off-grid-then-duplicate", "duplicate-then-off-grid",
+    "last-duplicate", "outside", "none",
+])
+def test_design_check_names_the_first_bad_point(defect):
+    """The one-pass check on the 5,600-cell grid's 80-point design raises
+    what the point-by-point walk raises, naming the same point."""
+    grid = GridSpec(0.5, 6.0, 0.1, 1.0, 100.0, 1.0, k_scale=0.1)
+    design = evenly_spaced_design(grid, 8, 10)
+    off, outside = Combination(0.55, 1.0), Combination(6.1, 100.0)
+    design = {
+        "last-off-grid": design[:-1] + [off],
+        "first-off-grid": [off] + design[1:],
+        "off-grid-then-duplicate": design[:40] + [off] + design[:1] + design[42:],
+        "duplicate-then-off-grid": design[:40] + design[:1] + [off] + design[42:],
+        "last-duplicate": design[:-1] + design[-2:-1],
+        "outside": design[:-1] + [outside],
+        "none": design,
+    }[defect]
+    assert len(design) == 80
+    expected = reference_design_error(grid, design)
+    if expected is None:
+        config = ExperimentConfig(grid=grid, threshold=4.0, initial_design=design)
+        assert config.initial_design == tuple(design)
+        return
+    with pytest.raises(expected[0]) as exc:
+        ExperimentConfig(grid=grid, threshold=4.0, initial_design=design)
+    assert type(exc.value) is expected[0]
+    assert str(exc.value) == expected[1]
+
+
 def test_state_history_length_checked():
     config = small_config()
     with pytest.raises(ConfigurationError):

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +115,7 @@ def experiment_states(draw):
     model, a pending suggestion of either phase and either stop reason."""
     axes = []
     for _ in "mk":
-        low = draw(st.sampled_from([-1.5, 0.0, 0.5, 1.0]))
+        low = draw(st.sampled_from([-1.5, -0.0, 0.0, 0.5, 1.0]))
         stride = draw(st.sampled_from([0.1, 0.5, 1.0, 2.5]))
         axes += [low, low + draw(st.integers(1, 5)) * stride, stride]
     grid = GridSpec(*axes, k_scale=draw(st.sampled_from([0.1, 1.0, 3.0])))
@@ -137,22 +138,29 @@ def experiment_states(draw):
                         n_uncertain=draw(st.integers(0, grid.point_count)))
         for i in range(draw(st.integers(0, 4)))
     ]
-    pending = draw(st.one_of(
-        st.none(),
-        st.builds(PendingSuggestion, location=st.sampled_from(points),
-                  phase=st.just("initial")),
-        st.builds(PendingSuggestion, location=st.sampled_from(points),
-                  phase=st.just("adaptive"), rc_score=NONNEGATIVE, model=variogram_models(),
-                  n_uncertain=st.integers(0, grid.point_count)),
-    ))
     return ExperimentState(
         config=config,
         measurements=[Measurement(points[i], draw(NONNEGATIVE)) for i in measured],
         model=draw(st.none() | variogram_models()),
         iteration=len(history),
         history=history,
-        stop_reason=draw(st.sampled_from([None, STOP_NATURAL, STOP_BUDGET])),
-        pending=pending,
+        stop_reason=draw(STOP_REASONS),
+        pending=draw(pending_suggestions(grid)),
+    )
+
+
+STOP_REASONS = st.sampled_from([None, STOP_NATURAL, STOP_BUDGET])
+
+
+def pending_suggestions(grid):
+    """None, or a pending suggestion of either phase on the grid."""
+    points = st.builds(grid.point, st.integers(0, grid.point_count - 1))
+    return st.one_of(
+        st.none(),
+        st.builds(PendingSuggestion, location=points, phase=st.just("initial")),
+        st.builds(PendingSuggestion, location=points,
+                  phase=st.just("adaptive"), rc_score=NONNEGATIVE, model=variogram_models(),
+                  n_uncertain=st.integers(0, grid.point_count)),
     )
 
 
@@ -168,6 +176,92 @@ def test_state_round_trips_through_dict_and_file(state):
         save_state(loaded, loaded_spec, second)
         assert loaded == state
         assert second.read_bytes() == first.read_bytes()
+
+
+def canonical_text(state, oracle_spec):
+    """The experiment file's text by definition: the whole state through
+    json.dumps."""
+    return json.dumps(state_to_dict(state, oracle_spec), indent=2, sort_keys=True) + "\n"
+
+
+# Zeros of both signs are equal but encode differently, so a writer that
+# reused text by value would write the wrong sign.
+SIGNED = st.sampled_from([0.0, -0.0]) | NONNEGATIVE
+
+
+def twin(value):
+    """An object equal to value but not the same object, with the sign of
+    each zero it holds flipped."""
+    def flip(x):
+        return -x if x == 0 else x
+
+    if isinstance(value, Measurement):
+        return Measurement(value.location, flip(value.response))
+    if isinstance(value, IterationRecord):
+        return replace(value, rc_score=flip(value.rc_score))
+    grid = value.grid
+    return replace(value, grid=replace(grid, m_min=flip(grid.m_min), k_min=flip(grid.k_min)))
+
+
+WRITER_STEPS = ["append", "append", "record", "pop", "model", "pending", "stop", "config",
+                "config-twin", "row-twin", "record-twin", "state", "path", "spec", "spec-edit"]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(data=st.data())
+def test_every_save_writes_the_canonical_encoding(data):
+    """One run of saves through save_state, as a campaign and its edits would
+    make them: each file is the canonical encoding of the state saved."""
+    state = data.draw(experiment_states())
+    specs = [{"kind": "synthetic_logistic", "noise_std": 0.0}, {"kind": "table_replay", "path": "t.csv"}]
+    spec = specs[0]
+    with tempfile.TemporaryDirectory() as directory:
+        paths = [Path(directory, "a.json"), Path(directory, "b.json")]
+        path = paths[0]
+        for step in data.draw(st.lists(st.sampled_from(WRITER_STEPS), min_size=1, max_size=15)):
+            grid = state.config.grid
+            if step == "append":
+                measured = state.measured_locations()
+                free = [i for i in range(grid.point_count) if grid.point(i) not in measured]
+                if free:
+                    location = grid.point(data.draw(st.sampled_from(free)))
+                    state.measurements.append(Measurement(location, data.draw(SIGNED)))
+            elif step == "record":
+                state.history.append(IterationRecord(
+                    iteration=state.iteration + 1,
+                    location=grid.point(data.draw(st.integers(0, grid.point_count - 1))),
+                    rc_score=data.draw(SIGNED), model=data.draw(variogram_models()),
+                    n_uncertain=data.draw(st.integers(0, grid.point_count))))
+                state.iteration += 1
+            elif step == "pop" and state.measurements:
+                state.measurements.pop(data.draw(st.integers(0, len(state.measurements) - 1)))
+            elif step == "model":
+                state.model = data.draw(st.none() | variogram_models())
+            elif step == "pending":
+                state.pending = data.draw(pending_suggestions(grid))
+            elif step == "stop":
+                state.stop_reason = data.draw(STOP_REASONS)
+            elif step == "config":
+                state.config = replace(state.config, seed=data.draw(st.integers(-2**63, 2**63 - 1)),
+                                       max_iterations=data.draw(st.integers(0, 100)))
+            elif step == "config-twin":
+                state.config = twin(state.config)
+            elif step == "row-twin" and state.measurements:
+                i = data.draw(st.integers(0, len(state.measurements) - 1))
+                state.measurements[i] = twin(state.measurements[i])
+            elif step == "record-twin" and state.history:
+                i = data.draw(st.integers(0, len(state.history) - 1))
+                state.history[i] = twin(state.history[i])
+            elif step == "state":
+                state = data.draw(experiment_states())
+            elif step == "path":
+                path = paths[paths.index(path) - 1]
+            elif step == "spec":
+                spec = specs[specs.index(spec) - 1]
+            elif step == "spec-edit":
+                spec["noise_std"] = data.draw(SIGNED)
+            save_state(state, spec, path)
+            assert path.read_bytes() == canonical_text(state, spec).encode()
 
 
 def test_load_rejects_wrong_version(tmp_path):
@@ -230,6 +324,15 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(("model", "flag"), 1, id="flag-number"),
     pytest.param(("stop_reason",), "later", id="stop_reason-unknown"),
     pytest.param(("stop_reason",), [], id="stop_reason-list"),
+    pytest.param(("measurements", 0, "response"), True, id="response-true"),
+    pytest.param(("measurements", 0, "m"), "1.0", id="m-string"),
+    pytest.param(("history", 0, "model", "nugget"), True, id="nugget-true"),
+    pytest.param(("history", 0, "rc_score"), False, id="rc_score-false"),
+    pytest.param(("history", 0, "chosen_k"), True, id="chosen_k-true"),
+    pytest.param(("pending_suggestion", "m"), True, id="pending-m-true"),
+    pytest.param(("model", "range"), True, id="range-true"),
+    pytest.param(("config", "grid", "k_min"), True, id="k_min-true"),
+    pytest.param(("config", "threshold"), True, id="threshold-true"),
 ])
 def test_cli_rejects_out_of_range_values_in_the_experiment_file(tmp_path, capsys, path, value):
     """Each command exits 2 on the file, and report writes no artifact from it
@@ -377,25 +480,27 @@ def test_region_json_text_is_json_dumps_layout(seed):
     assert region_json_text(region) == reference_region_json_text(region.report())
 
 
+CRITERION_8 = {
+    "name": "gate",
+    "grid": {"m_min": 0.5, "m_max": 6.0, "m_stride": 0.5,
+             "k_min": 1.0, "k_max": 60.0, "k_stride": 1.0, "k_scale": 0.1},
+    "threshold": 4.0,
+    "alpha": 0.1,
+    "max_iterations": 12,
+    "seed": 9,
+    "initial_design": {"lattice": [3, 4]},
+    "oracle": {"kind": "synthetic_logistic"},
+}
+
+
 def test_report_alpha_artifacts_equal_combination_functions(tmp_path, capsys):
     """`report --alpha 0.05` on the criterion 8 config writes the text the
     Combination functions give at alpha 0.05."""
     from krigplan import (build_grid, classify_grid, largest_reliable_region,
                           predict_grid, threshold_contour)
 
-    config = {
-        "name": "gate",
-        "grid": {"m_min": 0.5, "m_max": 6.0, "m_stride": 0.5,
-                 "k_min": 1.0, "k_max": 60.0, "k_stride": 1.0, "k_scale": 0.1},
-        "threshold": 4.0,
-        "alpha": 0.1,
-        "max_iterations": 12,
-        "seed": 9,
-        "initial_design": {"lattice": [3, 4]},
-        "oracle": {"kind": "synthetic_logistic"},
-    }
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
+    config_path.write_text(json.dumps(CRITERION_8))
     assert main(["init", "--config", str(config_path)]) == 0
     exp_path = capsys.readouterr().out.strip()
     assert main(["run", exp_path]) == 0
@@ -481,6 +586,31 @@ def test_cli_run_writes_the_experiment_file_once_per_append_and_once_at_the_stop
     state, _ = load_state(exp_path)
     assert state.stop_reason is not None
     assert writes == [exp_path] * (len(state.measurements) + 1)
+
+
+def test_cli_run_writes_the_canonical_encoding_every_time(tmp_path, capsys, monkeypatch):
+    """Every experiment-file write of a criterion 8 run is the canonical
+    encoding of the state read back from it."""
+    from krigplan import experiment_io
+
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CRITERION_8))
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = capsys.readouterr().out.strip()
+    texts = []
+
+    def capturing_write(path, text):
+        if os.fspath(path) == exp_path:
+            texts.append(text)
+        atomic_write_text(path, text)
+
+    monkeypatch.setattr(experiment_io, "atomic_write_text", capturing_write)
+    assert main(["run", exp_path]) == 0
+    assert len(texts) == 12 + 12 + 1
+    for text in texts:
+        state, spec = state_from_dict(json.loads(text))
+        assert text == canonical_text(state, spec)
+    assert state.stop_reason == STOP_BUDGET and len(state.history) == 12
 
 
 def test_cli_report_leaves_a_fitted_experiment_file_alone(tmp_path, capsys):
@@ -652,7 +782,17 @@ def test_cli_exit_code_2_on_bad_config(tmp_path, capsys):
                       {"oracle": {**synthetic, "noise_std": 10**400}},
                       {"oracle": {**synthetic, "floor": "x"}},
                       {"oracle": {**synthetic, "seed": "x"}},
-                      {"oracle": {**synthetic, "seed": 1.5}}):
+                      {"oracle": {**synthetic, "seed": 1.5}},
+                      {"threshold": True},
+                      {"threshold": "4.0"},
+                      {"alpha": False},
+                      {"grid": {**CONFIG["grid"], "k_min": True}},
+                      {"grid": {**CONFIG["grid"], "k_scale": "0.1"}},
+                      {"grid": [0.5, 3.0, 0.5, 1.0, 30.0, 1.0]},
+                      {"initial_design": [[0.5, 1.0], [True, 2.0]]},
+                      {"oracle": {**synthetic, "noise_std": False}},
+                      {"oracle": {**synthetic, "steepness": True}},
+                      {"oracle": {**synthetic, "floor": "1.0"}}):
         path = write_config(tmp_path, malformed, name="malformed.json")
         assert main(["init", "--config", str(path)]) == 2, malformed
 
