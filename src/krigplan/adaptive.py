@@ -153,7 +153,7 @@ class PendingSuggestion:
 class ExperimentState:
     config: ExperimentConfig
     measurements: list[Measurement] = field(default_factory=list)
-    model: VariogramModel | None = None
+    model: VariogramModel | None = None  # the fit of the current measurements, or None
     iteration: int = 0
     history: list[IterationRecord] = field(default_factory=list)
     stop_reason: str | None = None
@@ -218,9 +218,15 @@ def _evaluate(state: ExperimentState, model: VariogramModel) -> _Evaluation:
 
 
 def _current_evaluation(state: ExperimentState) -> _Evaluation:
-    """The evaluation under the state's model (fitted if it has none yet),
-    for the read-only views."""
+    """The evaluation under the state's model (the fit of the current
+    measurements; fitted here if it has none yet), for the read-only views."""
     return _evaluate(state, state.model if state.model is not None else _fit(state))
+
+
+def _next_design_point(state: ExperimentState) -> Combination | None:
+    """The first unmeasured initial-design point, or None once all are measured."""
+    measured = state.measured_locations()
+    return next((p for p in state.config.initial_design if p not in measured), None)
 
 
 def _stop_reason(state: ExperimentState, ev: _Evaluation) -> str | None:
@@ -511,7 +517,12 @@ def select_next(state: ExperimentState) -> Combination | None:
     None means the natural stop: every unmeasured point's CI already falls
     entirely on one side of the threshold (or the grid is fully measured).
     Score ties break toward the earliest point in row-major grid order.
+    While the initial design is incomplete it is the design's first
+    unmeasured point, as suggest_next would give.
     """
+    point = _next_design_point(state)
+    if point is not None:
+        return point
     ev = _current_evaluation(state)
     if _stop_reason(state, ev) == STOP_NATURAL:
         return None
@@ -523,7 +534,10 @@ def check_stop(state: ExperimentState) -> str | None:
 
     The natural condition is evaluated first, so a run that exhausts its
     budget on the same pass that resolves all uncertainty reports natural.
+    None, without a fit, while the initial design is incomplete.
     """
+    if _next_design_point(state) is not None:
+        return None
     return _stop_reason(state, _current_evaluation(state))
 
 
@@ -577,11 +591,10 @@ def suggest_next(state: ExperimentState) -> tuple[PendingSuggestion | None, str 
     point, after that it is the score argmin.  The suggestion is also stored
     on state.pending so the completing append can record the audit entry.
     """
-    measured = state.measured_locations()
-    for point in state.config.initial_design:
-        if point not in measured:
-            state.pending = PendingSuggestion(location=point, phase="initial")
-            return state.pending, None
+    point = _next_design_point(state)
+    if point is not None:
+        state.pending = PendingSuggestion(location=point, phase="initial")
+        return state.pending, None
 
     model = state.model = _fit(state)
     ev = _evaluate(state, model)
@@ -605,14 +618,14 @@ def record_appended_measurement(state: ExperimentState, measurement: Measurement
 
     Only two kinds of appends keep the audit history meaningful: completing
     the pending suggestion, or supplying an unmeasured initial-design point.
-    Anything else is rejected.
+    Anything else is rejected.  An accepted append clears state.model, which
+    no longer fits the measurements; the next view or step refits.
     """
     loc = measurement.location
     if loc in state.measured_locations():
         raise DuplicateLocationError(f"location ({loc.m}, {loc.k}) is already measured")
     pending = state.pending
     if pending is not None and pending.location == loc:
-        state.measurements.append(measurement)
         if pending.phase == "adaptive":
             state.iteration += 1
             state.history.append(IterationRecord(
@@ -623,13 +636,11 @@ def record_appended_measurement(state: ExperimentState, measurement: Measurement
                 n_uncertain=int(pending.n_uncertain),
             ))
         state.pending = None
-        state.stop_reason = None
-        return
-    if loc in set(state.config.initial_design):
-        state.measurements.append(measurement)
-        state.stop_reason = None
-        return
-    raise ConfigurationError(
-        f"location ({loc.m}, {loc.k}) is neither the pending suggestion nor an "
-        "unmeasured initial-design point; run `step` first to get a suggestion"
-    )
+    elif loc not in set(state.config.initial_design):
+        raise ConfigurationError(
+            f"location ({loc.m}, {loc.k}) is neither the pending suggestion nor an "
+            "unmeasured initial-design point; run `step` first to get a suggestion"
+        )
+    state.measurements.append(measurement)
+    state.stop_reason = None
+    state.model = None

@@ -33,11 +33,10 @@ FIT_TOL = 1e-8
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Golden-section steps per array call of the range refinement: a round
-# profiles the 2**_LOOKAHEAD - 1 probes its steps could ask for, per family
-# (one more in the first round, which needs both interior points).
-# Each further step doubles the probes; three (seven probes) was the fastest
-# per selection on a 2-core x86-64 host, with two and four about 15% slower.
+# Golden-section steps per array call of the range refinement.  A call
+# profiles every range those steps could read, at most 2**_LOOKAHEAD per
+# family, so each further step doubles it; three was the fastest per
+# selection on a 2-core x86-64 host, with two and four about 15% slower.
 _LOOKAHEAD = 3
 
 
@@ -268,11 +267,10 @@ def _with_mse(model: VariogramModel, empirical: EmpiricalVariogram) -> Variogram
 
 def _fit_families(empirical: EmpiricalVariogram, families) -> list[VariogramModel]:
     """fit_model for each of `families`, the range searches in lockstep: all
-    coarse grids are profiled as one array, then each round of the
-    golden-section search profiles, as one array, every range the next
-    _LOOKAHEAD steps of each family still refining could ask for (see
-    _golden_search).  Each row is reduced on its own, so the fits are bit for
-    bit those of one family searched one range at a time."""
+    coarse grids are profiled as one array, then one array per _LOOKAHEAD
+    golden-section steps of every family still refining (_golden_search).
+    Each row is reduced on its own, so the fits are bit for bit those of one
+    family searched one range at a time."""
     for family in families:
         if family not in FAMILIES:
             raise ConfigurationError(f"unknown variogram family {family!r}")
@@ -316,111 +314,72 @@ def _fit_families(empirical: EmpiricalVariogram, families) -> list[VariogramMode
             for i, (family, j) in enumerate(zip(families, pick))]
 
 
-# Which probes of a search-tree node are not profiled yet.
-_NONE, _X1, _X2, _BOTH = 0, 1, 2, 3
-
-
 def _is_open(lo, hi) -> bool:
     return hi - lo > FIT_TOL * max(1.0, hi)
 
 
-def _probe_tree(lo, hi, x1, x2, new, depth, probes):
-    """The next `depth` steps of a golden-section search, every way they can go.
-
-    The root is the bracket (lo, hi) with interior points x1 < x2, of which
-    `new` (_X1, _X2 or _BOTH) are not profiled yet.  Node k's children are
-    node 2k + 1, taken when f1 <= f2 (the bracket keeps lo), and node
-    2k + 2; a node whose bracket is closed is a leaf (new is _NONE) and no
-    node below it exists.  Appends each node's unknown probes to `probes`
-    and returns the nodes as (lo, hi, x1, x2, new, position in probes).
-    """
-    nodes = [None] * (2**depth - 1)
-    nodes[0] = (lo, hi, x1, x2, new)
-    for k in range(len(nodes)):
-        if nodes[k] is None:
-            continue
-        lo, hi, x1, x2, new = nodes[k]
-        nodes[k] = (lo, hi, x1, x2, new, len(probes))
-        if new & _X1:
-            probes.append(x1)
-        if new & _X2:
-            probes.append(x2)
-        if new == _NONE or 2 * k + 1 >= len(nodes):
-            continue
-        left = x2 - _INVPHI * (x2 - lo)
-        right = x1 + _INVPHI * (hi - x1)
-        nodes[2 * k + 1] = (lo, x2, left, x1, _X1 if _is_open(lo, x2) else _NONE)
-        nodes[2 * k + 2] = (x1, hi, x2, right, _X2 if _is_open(x1, hi) else _NONE)
-    return nodes
-
-
 def _golden_search(brackets, objective, depth):
     """Golden-section search of each (lo, hi) bracket down to FIT_TOL;
-    returns the midpoint of each final bracket.
-
-    The result is bit for bit that of the textbook loop run on each bracket:
+    returns the midpoint of each final bracket, bit for bit that of the
+    textbook loop:
 
         x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-        f1, f2 = f(x1), f(x2)
         while hi - lo > FIT_TOL * max(1.0, hi):
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
+            if f(x1) <= f(x2):
+                hi, x2 = x2, x1
                 x1 = hi - invphi * (hi - lo)
-                f1 = f(x1)
             else:
-                lo, x1, f1 = x1, x2, f2
+                lo, x1 = x1, x2
                 x2 = lo + invphi * (hi - lo)
-                f2 = f(x2)
         return (lo + hi) / 2
 
-    but one call objective({search index: [ranges]}), which returns the flat
-    list of objectives in that order, covers `depth` steps of every open
-    search.  A round first takes the step the two known values decide, then
-    profiles every probe the next `depth` steps could ask for (_probe_tree)
-    and walks the real path through them.  A probe whose step closes the
-    bracket is never profiled: the loop would not use its value.
+    Each search is that loop reading f from its own table of profiled
+    ranges.  A round takes up to `depth` steps of every open search, then
+    one call objective({search index: [ranges]}), which returns the flat
+    list of objectives in that order, profiles all the next `depth` steps
+    can read: the bracket's interior points not in the table, then the new
+    point of every open bracket depth - 1 steps can reach, level by level.
     """
     mids = [(lo + hi) / 2.0 for lo, hi in brackets]
-    # Open searches: index -> (lo, hi, x1, f1, x2, f2); f is None until profiled.
-    state = {i: (lo, hi, hi - _INVPHI * (hi - lo), None, lo + _INVPHI * (hi - lo), None)
-             for i, (lo, hi) in enumerate(brackets) if _is_open(lo, hi)}
-    while state:
-        trees, probes = {}, {}
-        for i, (lo, hi, x1, f1, x2, f2) in state.items():
-            new = _BOTH
-            if f1 is not None:
-                if f1 <= f2:
-                    hi, x2, f2 = x2, x1, f1
-                    x1, f1, new = hi - _INVPHI * (hi - lo), None, _X1
+    # Open searches: index -> (lo, hi, x1, x2, table of range -> objective).
+    searches = {i: (lo, hi, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo), {})
+                for i, (lo, hi) in enumerate(brackets) if _is_open(lo, hi)}
+    while searches:
+        still_open, probes = {}, {}
+        for i, (lo, hi, x1, x2, f) in searches.items():
+            # The last call profiled all these steps read; the first has no values yet.
+            for _ in range(depth if f else 0):
+                if f[x1] <= f[x2]:
+                    hi, x2 = x2, x1
+                    x1 = hi - _INVPHI * (hi - lo)
                 else:
-                    lo, x1, f1 = x1, x2, f2
-                    x2, f2, new = lo + _INVPHI * (hi - lo), None, _X2
+                    lo, x1 = x1, x2
+                    x2 = lo + _INVPHI * (hi - lo)
                 if not _is_open(lo, hi):
-                    mids[i] = (lo + hi) / 2.0
-                    continue
-            probes[i] = []
-            trees[i] = (_probe_tree(lo, hi, x1, x2, new, depth, probes[i]), f1, f2)
-        objs = objective(probes) if probes else []
-        state, at = {}, 0
-        for i, (nodes, f1, f2) in trees.items():
-            k = 0
-            while True:
-                lo, hi, x1, x2, new, first = nodes[k]
-                if new == _NONE:
-                    mids[i] = (lo + hi) / 2.0
                     break
-                if new & _X1:
-                    f1, first = objs[at + first], first + 1
-                if new & _X2:
-                    f2 = objs[at + first]
-                if 2 * k + 1 >= len(nodes):
-                    state[i] = (lo, hi, x1, f1, x2, f2)
-                    break
-                if f1 <= f2:
-                    k, f1, f2 = 2 * k + 1, None, f1
-                else:
-                    k, f1, f2 = 2 * k + 2, f2, None
-            at += len(probes[i])
+            if not _is_open(lo, hi):
+                mids[i] = (lo + hi) / 2.0
+                continue
+            still_open[i] = (lo, hi, x1, x2, f)
+            new = probes[i] = [x for x in (x1, x2) if x not in f]
+            level = [(lo, hi, x1, x2)]
+            for _ in range(depth - 1):
+                below = []
+                for lo, hi, x1, x2 in level:
+                    if _is_open(lo, x2):  # where f(x1) <= f(x2) leads
+                        x = x2 - _INVPHI * (x2 - lo)
+                        below.append((lo, x2, x, x1))
+                        new.append(x)
+                    if _is_open(x1, hi):
+                        x = x1 + _INVPHI * (hi - x1)
+                        below.append((x1, hi, x2, x))
+                        new.append(x)
+                level = below
+        searches = still_open
+        if probes:
+            objs = iter(objective(probes))
+            for i, xs in probes.items():
+                searches[i][4].update(zip(xs, objs))
     return mids
 
 
@@ -432,10 +391,9 @@ def fit_model(empirical: EmpiricalVariogram, family: str) -> VariogramModel:
     a coarse 40-point grid over a with exact profiling of (C0, b) at each
     trial range, refined by golden-section down to FIT_TOL, which keeps the
     fit robust on the ragged empirical variograms sparse designs give.  The
-    refinement profiles the ranges of several golden-section steps per array
-    call (_golden_search) and ends on the same bracket, bit for bit, as one
-    step at a time.  fit_mse on the result is the unweighted MSE used for
-    model selection.
+    refinement reads each range's objective from a table that one array call
+    fills per _LOOKAHEAD steps (_golden_search).  fit_mse on the result is
+    the unweighted MSE used for model selection.
     """
     return _fit_families(empirical, (family,))[0]
 
@@ -444,8 +402,9 @@ def select_model(empirical: EmpiricalVariogram) -> VariogramModel:
     """Fit all four families and keep the lowest unweighted-MSE model.
 
     The four searches of fit_model run in lockstep, one array evaluation per
-    round of _LOOKAHEAD golden-section steps.  Exact MSE ties break by family order (FAMILIES); with fewer than
-    3 bins every family degrades to the same fallback.
+    _LOOKAHEAD golden-section steps.  Exact MSE ties break by family order
+    (FAMILIES); with fewer than 3 bins every family degrades to the same
+    fallback.
     """
     fits = _fit_families(empirical, FAMILIES)
     return min(fits, key=lambda m: (m.fit_mse, FAMILIES.index(m.family)))

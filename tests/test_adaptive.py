@@ -19,6 +19,7 @@ from krigplan import (
     Measurement,
     NumericalFailureError,
     OracleMissError,
+    PendingSuggestion,
     Prediction,
     ResponseRecord,
     SyntheticLogisticOracle,
@@ -450,6 +451,9 @@ def test_check_stop_natural_when_nothing_uncertain():
     config = small_config(threshold=1000.0, max_iterations=0)
     rng = np.random.default_rng(1)
     ms = random_measurements(rng, config.grid, 5)
+    # the measured points are the whole initial design, so check_stop evaluates the fit
+    config = small_config(threshold=1000.0, max_iterations=0,
+                          initial_design=tuple(m.location for m in ms))
     state = ExperimentState(config=config, measurements=list(ms), model=SPH)
     # natural wins even though the budget is also exhausted
     assert check_stop(state) == STOP_NATURAL
@@ -706,3 +710,39 @@ def test_step_append_loop_equals_run_experiment(config, make_oracle):
     assert stepped.measurements == batch.measurements
     assert stepped.stop_reason == batch.stop_reason
     assert audit_log_text(stepped.history) == audit_log_text(batch.history)
+
+
+def test_views_after_an_append_use_the_current_measurements():
+    """An append clears the fit, so select_next and check_stop refit and
+    agree with the next suggest_next, pick for pick, to the stop."""
+    config = study_config(max_iterations=12)
+    oracle = SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7)
+    state = ExperimentState(config=config)
+    for point in config.initial_design:
+        record_appended_measurement(state, Measurement(point, oracle.evaluate(point)))
+    while True:
+        pick, stop_seen = select_next(state), check_stop(state)
+        suggestion, stop = suggest_next(state)
+        assert stop_seen == stop
+        if stop is not None:
+            break
+        assert pick == suggestion.location
+        record_appended_measurement(state, Measurement(suggestion.location,
+                                                       oracle.evaluate(suggestion.location)))
+        assert state.model is None
+    assert state.iteration == 12
+
+
+@pytest.mark.parametrize("n_measured", [1, 6])
+def test_views_follow_an_incomplete_initial_design(monkeypatch, n_measured):
+    """Until the initial design is measured, select_next is its next point
+    and check_stop continues, as suggest_next does, and neither fits."""
+    config = study_config()
+    oracle = SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7)
+    design = config.initial_design
+    state = ExperimentState(config=config,
+                            measurements=[Measurement(p, oracle.evaluate(p)) for p in design[:n_measured]])
+    monkeypatch.setattr(adaptive, "_fit", lambda state: pytest.fail("fitted before the design was measured"))
+    assert select_next(state) == design[n_measured]
+    assert check_stop(state) is None
+    assert suggest_next(state) == (PendingSuggestion(design[n_measured], "initial"), None)

@@ -18,6 +18,7 @@ from krigplan import (
     eval_model,
     evenly_spaced_design,
     fit_model,
+    run_experiment,
     select_model,
 )
 from krigplan import variogram
@@ -33,6 +34,7 @@ from krigplan.variogram import (
 )
 
 from conftest import random_measurements, scaled_points
+from test_acceptance import NOISE_STD, study_config
 
 
 def line_grid(m_max=6.0):
@@ -595,3 +597,15 @@ def test_select_model_profile_calls_are_bounded(monkeypatch):
     model = select_model(emp)
     assert model.flag is None and emp.n_bins >= 3
     assert len(calls) <= 16
+
+
+def test_study_campaign_profile_calls_are_pinned(monkeypatch):
+    """A whole criterion 6 campaign (seed 7, 51 selections) makes exactly
+    713 array calls, so a change to the search that costs or saves calls
+    shows here.  Counts, not timings, so it is deterministic."""
+    calls = []
+    profiled_linear = variogram._profiled_linear
+    monkeypatch.setattr(variogram, "_profiled_linear", lambda *args: calls.append(1) or profiled_linear(*args))
+    state = run_experiment(study_config(), SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7))
+    assert state.iteration == 50
+    assert len(calls) == 713
