@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft
 
-from .errors import ConfigurationError, DuplicateLocationError, OracleMissError
+from .errors import (
+    ConfigurationError,
+    DuplicateLocationError,
+    InsufficientDataError,
+    OracleMissError,
+)
 from .grid import (
     Combination,
     GridSpec,
@@ -50,18 +55,13 @@ TIE_TOL = 1e-12
 # such candidates are rescored by full re-assembly instead.
 FAST_PATH_VARIANCE_MIN = 1e-10
 
-# Candidate/target entries per scoring block (float64, 512 KB).  Bounds the
-# scoring's working memory whatever the grid and uncertain-set sizes, and
-# keeps each block's temporaries in cache: on the 5,600-cell grid, on a
-# 2-core x86-64 host with single-threaded OpenBLAS, 2**16 scored about twice
-# as fast as 2**20.
+# Candidate/target entries per scoring block (float64, 512 KB).  A block is
+# the unit of scoring work: its candidate rows are scored by one BLAS product
+# against the targets and one row sum.  Bounds the scoring's working memory
+# whatever the grid and uncertain-set sizes, and keeps each block's
+# temporaries in cache: on the 5,600-cell grid, on a 2-core x86-64 host with
+# single-threaded OpenBLAS, 2**16 scored about twice as fast as 2**20.
 _SCORE_BLOCK_ELEMENTS = 2 ** 16
-
-# Each BLAS product in the scoring covers this many candidate rows, at fixed
-# offsets, and a block is a whole number of such runs.  BLAS rounds a row
-# differently depending on the shape of the call it sits in, so fixed runs
-# keep the scores bit-identical whatever the block size.
-_BLAS_ROWS = 16
 
 # _pick screens an iteration with at least this many scoring blocks (see
 # _screen_scores) and walks every block below it.  The screen's cost follows
@@ -165,6 +165,11 @@ class ExperimentState:
             raise ConfigurationError(
                 f"history length {len(self.history)} does not match iteration {self.iteration}"
             )
+        for number, record in enumerate(self.history, start=1):
+            if record.iteration != number:
+                raise ConfigurationError(
+                    f"history record {number} has iteration {record.iteration}, expected {number}"
+                )
 
     def measured_locations(self) -> set[Combination]:
         return {m.location for m in self.measurements}
@@ -219,7 +224,14 @@ def _evaluate(state: ExperimentState, model: VariogramModel) -> _Evaluation:
 
 def _current_evaluation(state: ExperimentState) -> _Evaluation:
     """The evaluation under the state's model (the fit of the current
-    measurements; fitted here if it has none yet), for the read-only views."""
+    measurements; fitted here if it has none yet), for the read-only views.
+    Nothing is scored or fitted while the initial design is incomplete."""
+    point = _next_design_point(state)
+    if point is not None:
+        raise InsufficientDataError(
+            f"initial design point ({point.m}, {point.k}) is not measured yet; "
+            "candidates are scored once the whole initial design is measured"
+        )
     return _evaluate(state, state.model if state.model is not None else _fit(state))
 
 
@@ -265,9 +277,9 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     pos being a node's flat index in the table.
 
     With screen, an iteration of at least _SCREEN_MIN_BLOCKS blocks scores
-    only the _BLAS_ROWS-row runs that _screen_scores cannot rule out of the
-    tied argmin and leaves +inf for every other fast-path candidate: the
-    result then serves _argmin_tied alone, with the same pick and score bits.
+    only the blocks that _screen_scores cannot rule out of the tied argmin
+    and leaves +inf for every other fast-path candidate: the result then
+    serves _argmin_tied alone, with the same pick and score bits.
     """
     idx = ev.unmeasured_idx
     if ev.model.is_degenerate or len(idx) == 0:
@@ -289,45 +301,43 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
 
     safe = variances >= FAST_PATH_VARIANCE_MIN
     denom = np.where(safe, variances, 1.0)
-    rows = _BLAS_ROWS * max(1, _SCORE_BLOCK_ELEMENTS // max(1, len(cols)) // _BLAS_ROWS)
+    rows = max(1, _SCORE_BLOCK_ELEMENTS // max(1, len(cols)))
     starts = range(0, len(idx), rows)
+    scores = np.full(len(idx), np.inf)
 
-    def score_blocks(block_starts, length):
-        for start in block_starts:
-            block = slice(start, start + length)
-            # (row, column) of each candidate in this block that is also a target
-            self_rows = np.flatnonzero(indicators[block])
-            self_cols = np.searchsorted(cols, start + self_rows)
+    def score_block(start):
+        block = slice(start, start + rows)
+        # (row, column) of each candidate in this block that is also a target
+        self_rows = np.flatnonzero(indicators[block])
+        self_cols = np.searchsorted(cols, start + self_rows)
 
-            g = np.take(gamma, offsets[block, None] + target_pos)
-            updated = _row_runs_product(XT[block], D, np.empty_like(g))
-            updated -= g
-            updated **= 2
-            updated /= denom[block, None]
-            np.subtract(target_var, updated, out=updated)
-            np.maximum(updated, 0.0, out=updated)
-            updated[self_rows, self_cols] = 0.0  # the candidate itself is not a target
-            _row_runs_product(updated, ones, scores[block])
+        g = np.take(gamma, offsets[block, None] + target_pos)
+        updated = XT[block] @ D
+        updated -= g
+        updated **= 2
+        updated /= denom[block, None]
+        np.subtract(target_var, updated, out=updated)
+        np.maximum(updated, 0.0, out=updated)
+        updated[self_rows, self_cols] = 0.0  # the candidate itself is not a target
+        scores[block] = updated @ ones
 
     if screen and len(starts) >= _SCREEN_MIN_BLOCKS and safe.any():
-        scores = np.full(len(idx), np.inf)
         estimate, bound = _screen_scores(spec, idx, cols, XT, D, variances, denom, table)
-        # Runs are scored whole, at the fixed offsets of the full walk, so
-        # each BLAS call and each score is bit for bit the full walk's.
+        # Blocks are scored whole, at the walk's offsets, so each BLAS call
+        # and each score is bit for bit the walk's.
         best = int(np.argmin(np.where(safe, estimate, np.inf)))
-        first = best - best % _BLAS_ROWS
-        score_blocks([first], _BLAS_ROWS)
-        run = slice(first, first + _BLAS_ROWS)
-        e_best = float(scores[run][safe[run]].min())
+        first = best - best % rows
+        score_block(first)
+        block = slice(first, first + rows)
+        e_best = float(scores[block][safe[block]].min())
         # estimate - bound is at most a candidate's score, so no candidate
         # left out can be within the tie tolerance of the minimum; a NaN
         # bound or e_best keeps every candidate.
         kept = safe & ~(estimate - bound > e_best + TIE_TOL * max(1.0, e_best))
-        runs = np.unique(np.flatnonzero(kept) // _BLAS_ROWS) * _BLAS_ROWS
-        score_blocks(runs[runs != first].tolist(), _BLAS_ROWS)
-    else:
-        scores = np.empty(len(idx))
-        score_blocks(starts, rows)
+        starts = np.unique(np.flatnonzero(kept) // rows * rows)
+        starts = starts[starts != first].tolist()
+    for start in starts:
+        score_block(start)
     for pos in np.nonzero(~safe)[0]:
         scores[pos] = _score_by_reassembly(state, ev, indicators, int(pos))
     return scores
@@ -435,13 +445,6 @@ def _screen_scores(spec: GridSpec, idx, cols, XT, D, variances, denom, table):
     return estimate, 2 * (err_F + err_kernel)
 
 
-def _row_runs_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a @ b, one BLAS call per run of _BLAS_ROWS rows of a."""
-    for r in range(0, len(a), _BLAS_ROWS):
-        np.matmul(a[r:r + _BLAS_ROWS], b, out=out[r:r + _BLAS_ROWS])
-    return out
-
-
 def _score_by_reassembly(state: ExperimentState, ev: _Evaluation,
                          indicators: np.ndarray, pos: int) -> float:
     """Reference score: rebuild the augmented system and solve it afresh."""
@@ -463,7 +466,8 @@ def rc_score(candidate: Combination, state: ExperimentState, indicators=None) ->
     with; select_next uses the fast path, tests and callers that only need
     one score use this.  The indicator set comes from the current fit unless
     an explicit boolean array (aligned with the unmeasured grid points in
-    row-major order) is supplied.
+    row-major order) is supplied.  Raises InsufficientDataError while the
+    initial design is incomplete.
     """
     ev = _current_evaluation(state)
     i = ev.spec.flat_index(candidate)
@@ -492,6 +496,7 @@ def candidate_scores(state: ExperimentState, indicators=None):
 
     indicators defaults to the straddle set of the current fit; tests pass
     explicit arrays (e.g. all ones) to probe the pure variance objective.
+    Raises InsufficientDataError while the initial design is incomplete.
     """
     ev = _current_evaluation(state)
     ind = _indicators(ev, indicators)

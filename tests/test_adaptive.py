@@ -16,6 +16,7 @@ from krigplan import (
     ExperimentConfig,
     ExperimentState,
     GridSpec,
+    InsufficientDataError,
     Measurement,
     NumericalFailureError,
     OracleMissError,
@@ -202,10 +203,10 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples
 @given(data=st.data())
 def test_fast_scores_match_brute_force_on_partial_indicators(data):
     """Flagged-column scoring agrees with full re-assembly for any indicator
-    set, gives bit-identical scores whatever the block size, and agrees when
-    some candidates take the re-assembly path.  Strides of 0.5 and 0.1 and a
-    k_scale of 0.1 make the offset-table distances differ from the coordinate
-    distances that the re-assembly uses in the last bits."""
+    set, at every block size, and agrees when some candidates take the
+    re-assembly path.  Strides of 0.5 and 0.1 and a k_scale of 0.1 make the
+    offset-table distances differ from the coordinate distances that the
+    re-assembly uses in the last bits."""
     nm, nk = data.draw(st.integers(3, 8)), data.draw(st.integers(3, 10))
     m_stride, k_stride = (data.draw(st.sampled_from([1.0, 0.5, 0.1])) for _ in range(2))
     grid = GridSpec(1.0, 1.0 + (nm - 1) * m_stride, m_stride,
@@ -230,7 +231,6 @@ def test_fast_scores_match_brute_force_on_partial_indicators(data):
         variance_min = float(np.median(current))
     rescored = int(np.sum(current < variance_min))
 
-    by_block = []
     with mock.patch.object(adaptive, "FAST_PATH_VARIANCE_MIN", variance_min):
         # blocks of 16 and 32 candidate rows, so the candidates span several
         # blocks, then the production size
@@ -241,12 +241,8 @@ def test_fast_scores_match_brute_force_on_partial_indicators(data):
                                       wraps=adaptive._score_by_reassembly) as spy:
                 got_candidates, scores = candidate_scores(state, indicators=indicators)
             assert spy.call_count == rescored
-            by_block.append(scores)
-
-    assert got_candidates == candidates
-    np.testing.assert_allclose(by_block[-1], expected, atol=1e-10)
-    for scores in by_block[:-1]:
-        assert np.array_equal(scores, by_block[-1])
+            assert got_candidates == candidates
+            np.testing.assert_allclose(scores, expected, atol=1e-10)
 
 
 class _Returns:
@@ -736,7 +732,8 @@ def test_views_after_an_append_use_the_current_measurements():
 @pytest.mark.parametrize("n_measured", [1, 6])
 def test_views_follow_an_incomplete_initial_design(monkeypatch, n_measured):
     """Until the initial design is measured, select_next is its next point
-    and check_stop continues, as suggest_next does, and neither fits."""
+    and check_stop continues, as suggest_next does, candidate_scores and
+    rc_score raise InsufficientDataError naming that point, and none fits."""
     config = study_config()
     oracle = SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7)
     design = config.initial_design
@@ -745,4 +742,10 @@ def test_views_follow_an_incomplete_initial_design(monkeypatch, n_measured):
     monkeypatch.setattr(adaptive, "_fit", lambda state: pytest.fail("fitted before the design was measured"))
     assert select_next(state) == design[n_measured]
     assert check_stop(state) is None
-    assert suggest_next(state) == (PendingSuggestion(design[n_measured], "initial"), None)
+    point = design[n_measured]
+    named = rf"\({point.m}, {point.k}\) is not measured"
+    with pytest.raises(InsufficientDataError, match=named):
+        candidate_scores(state)
+    with pytest.raises(InsufficientDataError, match=named):
+        rc_score(point, state)
+    assert suggest_next(state) == (PendingSuggestion(point, "initial"), None)

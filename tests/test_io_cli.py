@@ -333,10 +333,13 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(("model", "range"), True, id="range-true"),
     pytest.param(("config", "grid", "k_min"), True, id="k_min-true"),
     pytest.param(("config", "threshold"), True, id="threshold-true"),
+    pytest.param(("history", "iteration"), [2, 1], id="iterations-2-1"),
+    pytest.param(("history", "iteration"), [1, 3], id="iterations-1-3"),
 ])
 def test_cli_rejects_out_of_range_values_in_the_experiment_file(tmp_path, capsys, path, value):
     """Each command exits 2 on the file, and report writes no artifact from it
-    (a NaN score would reach audit.ndjson as the bare token NaN, not JSON)."""
+    (a NaN score would reach audit.ndjson as the bare token NaN, not JSON).
+    The ("history", "iteration") cases renumber the first history records."""
     config_path = write_config(tmp_path)
     assert main(["init", "--config", str(config_path)]) == 0
     exp_path = tmp_path / "demo.json"
@@ -347,10 +350,15 @@ def test_cli_rejects_out_of_range_values_in_the_experiment_file(tmp_path, capsys
                                      "phase": "adaptive", "rc_score": record["rc_score"],
                                      "model": dict(record["model"]), "n_uncertain": 1}
     state_from_dict(json.loads(json.dumps(payload)))  # valid before the mutation
-    target = payload
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    if path == ("history", "iteration"):
+        assert len(payload["history"]) >= len(value)
+        for record, number in zip(payload["history"], value):
+            record["iteration"] = number
+    else:
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
     exp_path.write_text(json.dumps(payload))
     audit = (tmp_path / "audit.ndjson").read_bytes()
     for command in ("report", "step", "run"):

@@ -2,8 +2,8 @@
 
 Scoring starts no thread and no pool.  On iterations with many scoring
 blocks, _pick screens the candidates with lattice FFT convolutions and scores
-only the runs that can hold the argmin; that must change no bit of any pick,
-score or artifact, and the 720-cell study grid never takes the screen.
+only the blocks that can hold the argmin; that must change no bit of any
+pick, score or artifact, and the 720-cell study grid never takes the screen.
 """
 import hashlib
 import json
@@ -18,11 +18,16 @@ import pytest
 
 import krigplan.adaptive as adaptive
 from krigplan import (
+    ExperimentConfig,
     ExperimentState,
+    GridSpec,
     Measurement,
     SyntheticLogisticOracle,
     candidate_scores,
+    evenly_spaced_design,
+    record_appended_measurement,
     run_experiment,
+    suggest_next,
 )
 from krigplan.cli import main
 from krigplan.experiment_io import load_state
@@ -35,7 +40,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def study_state():
-    """Criterion 6's initial design, all 708 candidates flagged: 9 blocks."""
+    """Criterion 6's initial design, all 708 candidates flagged: 8 blocks."""
     config = study_config()
     oracle = SyntheticLogisticOracle(noise_std=0.0)
     ms = [Measurement(c, oracle.evaluate(c)) for c in config.initial_design]
@@ -76,6 +81,29 @@ def test_study_run_scores_in_the_calling_thread():
     assert screen.call_count == 0
     assert state.iteration > 0
     assert threading.active_count() == before
+
+
+def test_unforced_screen_matches_the_public_walk():
+    """On the 5,600-cell grid after the 3x4 design the screen fires by
+    itself, and each of three picks of suggest_next has the location and the
+    score repr of the tied argmin of candidate_scores, which walks every
+    block."""
+    grid = GridSpec(0.5, 6.0, 0.1, 1.0, 100.0, 1.0, k_scale=0.1)
+    design = evenly_spaced_design(grid, 3, 4)
+    oracle = SyntheticLogisticOracle(noise_std=0.0)
+    config = ExperimentConfig(grid=grid, threshold=4.0, initial_design=tuple(design))
+    state = ExperimentState(config, [Measurement(c, oracle.evaluate(c)) for c in design])
+    for _ in range(3):
+        with mock.patch.object(adaptive, "_screen_scores",
+                               wraps=adaptive._screen_scores) as screen:
+            suggestion, _ = suggest_next(state)
+        assert screen.call_count == 1
+        candidates, scores = candidate_scores(state)
+        best = adaptive._argmin_tied(scores)
+        assert (suggestion.location, repr(suggestion.rc_score)) == \
+            (candidates[best], repr(float(scores[best])))
+        record_appended_measurement(
+            state, Measurement(suggestion.location, oracle.evaluate(suggestion.location)))
 
 
 def test_scoring_evaluates_the_variogram_once_per_call():
