@@ -28,6 +28,7 @@ from .errors import (
     ConfigurationError,
     DuplicateLocationError,
     InsufficientDataError,
+    NumericalFailureError,
     OracleMissError,
 )
 from .grid import (
@@ -38,7 +39,7 @@ from .grid import (
     offset_distances,
 )
 from .kriging import assemble_system, confidence_bounds, solve_grid, solve_lattice, z_quantile
-from .variogram import VariogramModel, empirical_variogram, eval_model, select_model
+from .variogram import FAMILIES, VariogramModel, empirical_variogram, eval_model, fit_model, select_model
 
 # Not called here, but the benchmark's tracer (perfbench/spans.py) wraps
 # this name on this module, so it must stay importable from it.
@@ -186,10 +187,6 @@ def weight_indicator(prediction, threshold: float) -> int:
     return int(_straddles(prediction.ci_lower, prediction.ci_upper, threshold))
 
 
-def _fit(state: ExperimentState) -> VariogramModel:
-    return select_model(empirical_variogram(state.measurements, state.config.grid))
-
-
 @dataclass
 class _Evaluation:
     """One fit's view of the grid: the lattice solve (columns indexed by flat
@@ -222,17 +219,43 @@ def _evaluate(state: ExperimentState, model: VariogramModel) -> _Evaluation:
     return _Evaluation(model, spec, variances, rhs, solution, unmeasured_idx, indicators)
 
 
+def _fit(state: ExperimentState) -> _Evaluation:
+    """Fit the current measurements and evaluate the grid under the
+    lowest-MSE family whose lattice solve raises no NumericalFailureError,
+    exact MSE ties broken by FAMILIES order as in select_model.
+
+    select_model's pick is evaluated first; the other families are fitted
+    (fit_model) only when its solve fails, which a bounded-linear fit, valid
+    only in 1-D, can do on larger layouts.  When no family qualifies, the
+    first failure is raised.
+    """
+    empirical = empirical_variogram(state.measurements, state.config.grid)
+    model = select_model(empirical)
+    try:
+        return _evaluate(state, model)
+    except NumericalFailureError as exc:
+        failure = exc
+    others = [fit_model(empirical, family) for family in FAMILIES if family != model.family]
+    for other in sorted(others, key=lambda m: (m.fit_mse, FAMILIES.index(m.family))):
+        try:
+            return _evaluate(state, other)
+        except NumericalFailureError:
+            pass
+    raise failure
+
+
 def _current_evaluation(state: ExperimentState) -> _Evaluation:
     """The evaluation under the state's model (the fit of the current
-    measurements; fitted here if it has none yet), for the read-only views.
-    Nothing is scored or fitted while the initial design is incomplete."""
+    measurements; fitted here by _fit if it has none yet), for the read-only
+    views.  Nothing is scored or fitted while the initial design is
+    incomplete."""
     point = _next_design_point(state)
     if point is not None:
         raise InsufficientDataError(
             f"initial design point ({point.m}, {point.k}) is not measured yet; "
             "candidates are scored once the whole initial design is measured"
         )
-    return _evaluate(state, state.model if state.model is not None else _fit(state))
+    return _evaluate(state, state.model) if state.model is not None else _fit(state)
 
 
 def _next_design_point(state: ExperimentState) -> Combination | None:
@@ -601,8 +624,8 @@ def suggest_next(state: ExperimentState) -> tuple[PendingSuggestion | None, str 
         state.pending = PendingSuggestion(location=point, phase="initial")
         return state.pending, None
 
-    model = state.model = _fit(state)
-    ev = _evaluate(state, model)
+    ev = _fit(state)
+    model = state.model = ev.model
     state.stop_reason = _stop_reason(state, ev)
     if state.stop_reason is not None:
         state.pending = None

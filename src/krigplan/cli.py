@@ -25,6 +25,7 @@ from . import experiment_io as eio
 from .adaptive import (
     ExperimentConfig,
     ExperimentState,
+    _fit,
     record_appended_measurement,
     run_experiment,
     suggest_next,
@@ -39,25 +40,30 @@ from .grid import Measurement
 from .kriging import predict_lattice
 from .oracle import REPLAY_KIND, SYNTHETIC_KIND, build_oracle
 from .region import classify_cells, contour_lines, largest_region
-from .variogram import empirical_variogram, select_model
 
 # Not called here, but the benchmark's tracer (perfbench/spans.py) wraps
 # these names on this module, so they must stay importable from it.
 from .grid import build_grid  # noqa: F401
 from .kriging import predict_grid  # noqa: F401
 from .region import classify_grid, largest_reliable_region, threshold_contour  # noqa: F401
+from .variogram import empirical_variogram, select_model  # noqa: F401
 
 OUT_DIR_ENV = "KRIGPLAN_OUT_DIR"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
-def _out_dir(experiment_path: str) -> str:
+def _out_dir(path: str) -> str:
+    """The directory for what a command writes: KRIGPLAN_OUT_DIR (created if
+    missing) when set, else the directory of path."""
     override = os.environ.get(OUT_DIR_ENV)
-    if override:
+    if not override:
+        return os.path.dirname(os.path.abspath(path))
+    try:
         os.makedirs(override, exist_ok=True)
-        return override
-    return os.path.dirname(os.path.abspath(experiment_path))
+    except OSError as exc:
+        raise ConfigurationError(f"{OUT_DIR_ENV}={override!r} is not a usable directory: {exc}") from None
+    return override
 
 
 def _load_config(path: str) -> tuple[ExperimentConfig, dict, str]:
@@ -96,8 +102,7 @@ def _write_artifacts(state: ExperimentState, out_dir: str, alpha: float | None =
         alpha = config.alpha
     model = state.model
     if model is None:
-        model = select_model(empirical_variogram(state.measurements, config.grid))
-        state.model = model
+        model = state.model = _fit(state).model
     spec = config.grid
     prediction = predict_lattice(state.measurements, model, spec, alpha=alpha)
     rows, flat = spec.flat_indices(m.location for m in state.measurements)
@@ -134,16 +139,14 @@ def _print_summary(state: ExperimentState, summary: dict) -> None:
     if region.cell_count:
         m_min, m_max, k_min, k_max = (eio.format_float(v) for v in region.bbox())
         print(f"reliable region: {region.cell_count} cells, "
-              f"m in [{m_min}, {m_max}], k in [{k_min}, {k_max}]")
+              f"bounding box m in [{m_min}, {m_max}], k in [{k_min}, {k_max}]")
     else:
         print("reliable region: empty")
 
 
 def cmd_init(args) -> int:
     config, oracle_spec, name = _load_config(args.config)
-    out_dir = os.environ.get(OUT_DIR_ENV) or os.path.dirname(os.path.abspath(args.config))
-    os.makedirs(out_dir, exist_ok=True)
-    experiment_path = os.path.join(out_dir, f"{name}.json")
+    experiment_path = os.path.join(_out_dir(args.config), f"{name}.json")
     if os.path.exists(experiment_path) and not args.force:
         raise ConfigurationError(
             f"experiment file {experiment_path} already exists; pass --force to overwrite"
@@ -156,6 +159,7 @@ def cmd_init(args) -> int:
 
 def cmd_run(args) -> int:
     state, oracle_spec = eio.load_state(args.experiment)
+    out_dir = _out_dir(args.experiment)
     config = state.config
     if args.max_iter is not None:
         config = replace(config, max_iterations=args.max_iter)
@@ -186,7 +190,7 @@ def cmd_run(args) -> int:
         return 3
 
     # run_experiment saved the final state through persist at the stop.
-    summary = _write_artifacts(state, _out_dir(args.experiment))
+    summary = _write_artifacts(state, out_dir)
     _print_summary(state, summary)
     return 0
 
@@ -270,9 +274,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OracleMissError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except NumericalFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -206,93 +206,55 @@ def contour_lines(m_axis, k_axis, values: np.ndarray, threshold: float) -> list[
     first = above[:-1, :-1]
     mixed = (above[1:, :-1] != first) | (above[1:, 1:] != first) | (above[:-1, 1:] != first)
 
-    # Interpolated crossing points, one per grid edge, keyed so that both
-    # cells sharing an edge reference the identical vertex.
-    vertices: dict[tuple, tuple[float, float]] = {}
-
-    def edge_vertex(axis, i, j):
-        key = (axis, i, j)
-        if key in vertices:
-            return key
-        if axis == "m":
-            v0, v1 = values[i, j], values[i + 1, j]
-            t = (threshold - v0) / (v1 - v0)
-            vertices[key] = (float(ms[i] + t * (ms[i + 1] - ms[i])), float(ks[j]))
-        else:
-            v0, v1 = values[i, j], values[i, j + 1]
-            t = (threshold - v0) / (v1 - v0)
-            vertices[key] = (float(ms[i]), float(ks[j] + t * (ks[j + 1] - ks[j])))
-        return key
-
-    segments: list[tuple[tuple, tuple]] = []
+    # A crossing vertex is the grid edge it lies on: ("m", i, j) joins corners
+    # (i, j) and (i+1, j), ("k", i, j) joins (i, j) and (i, j+1), so both cells
+    # sharing an edge name the same vertex.
+    neighbours: dict[tuple, list[tuple]] = {}
+    side = above.tolist()
     for i, j in zip(*(v.tolist() for v in np.nonzero(mixed))):
-        a = above[i, j]        # corner (i, j)
-        b = above[i + 1, j]    # corner (i+1, j)
-        c = above[i + 1, j + 1]
-        d = above[i, j + 1]
-        crossed = []
-        if a != b:
-            crossed.append(("m", i, j))
-        if b != c:
-            crossed.append(("k", i + 1, j))
-        if d != c:
-            crossed.append(("m", i, j + 1))
-        if a != d:
-            crossed.append(("k", i, j))
-        if len(crossed) == 2:
-            segments.append((edge_vertex(*crossed[0]), edge_vertex(*crossed[1])))
-        else:
+        a = side[i][j]         # corner (i, j)
+        b = side[i + 1][j]     # corner (i+1, j)
+        c = side[i + 1][j + 1]
+        d = side[i][j + 1]
+        ab, bc, dc, ad = ("m", i, j), ("k", i + 1, j), ("m", i, j + 1), ("k", i, j)
+        if a == c and b == d:
             # Saddle: pair the crossings around whichever diagonal the
             # cell-center mean groups with.
             center_above = (values[i, j] + values[i + 1, j] + values[i + 1, j + 1] + values[i, j + 1]) / 4.0 > threshold
-            e_ab = edge_vertex("m", i, j)
-            e_bc = edge_vertex("k", i + 1, j)
-            e_dc = edge_vertex("m", i, j + 1)
-            e_ad = edge_vertex("k", i, j)
-            if center_above == a:
-                segments.append((e_ab, e_bc))
-                segments.append((e_ad, e_dc))
-            else:
-                segments.append((e_ab, e_ad))
-                segments.append((e_bc, e_dc))
-
-    if not segments:
-        return []
-
-    adjacency: dict[tuple, list[tuple]] = {}
-    for u, v in segments:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-
-    visited_edges = set()
-    polylines = []
-
-    def walk(start):
-        line = [start]
-        node = start
-        while True:
-            nxt = None
-            for cand in sorted(adjacency[node]):
-                e = tuple(sorted((node, cand)))
-                if e not in visited_edges:
-                    visited_edges.add(e)
-                    nxt = cand
-                    break
-            if nxt is None:
-                break
-            line.append(nxt)
-            node = nxt
-        return line
+            pairs = ((ab, bc), (ad, dc)) if center_above == a else ((ab, ad), (bc, dc))
+        else:
+            crossed = [edge for edge, cut in ((ab, a != b), (bc, b != c), (dc, d != c), (ad, a != d)) if cut]
+            pairs = (crossed,)
+        for u, v in pairs:
+            neighbours.setdefault(u, []).append(v)
+            neighbours.setdefault(v, []).append(u)
 
     # Open chains first (from endpoints of degree 1), then any leftover loops.
-    endpoints = sorted(n for n, nbrs in adjacency.items() if len(nbrs) == 1)
-    for start in endpoints:
-        if all(tuple(sorted((start, nb))) in visited_edges for nb in adjacency[start]):
+    # Each step takes the smallest neighbour not yet walked to and unlinks
+    # the pair, so a start with no neighbours left has nothing to walk.
+    endpoints = sorted(node for node, nbrs in neighbours.items() if len(nbrs) == 1)
+    polylines = []
+    for start in endpoints + sorted(neighbours):
+        if not neighbours[start]:
             continue
-        polylines.append(walk(start))
-    for start in sorted(adjacency):
-        if all(tuple(sorted((start, nb))) in visited_edges for nb in adjacency[start]):
-            continue
-        polylines.append(walk(start))
+        line = [start]
+        node = start
+        while neighbours[node]:
+            nxt = min(neighbours[node])
+            neighbours[node].remove(nxt)
+            neighbours[nxt].remove(node)
+            line.append(nxt)
+            node = nxt
+        polylines.append(line)
 
-    return [[vertices[node] for node in line] for line in polylines]
+    def point(key):
+        axis, i, j = key
+        if axis == "m":
+            v0, v1 = values[i, j], values[i + 1, j]
+            t = (threshold - v0) / (v1 - v0)
+            return (float(ms[i] + t * (ms[i + 1] - ms[i])), float(ks[j]))
+        v0, v1 = values[i, j], values[i, j + 1]
+        t = (threshold - v0) / (v1 - v0)
+        return (float(ms[i]), float(ks[j] + t * (ks[j + 1] - ks[j])))
+
+    return [[point(key) for key in line] for line in polylines]

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -42,6 +43,7 @@ from krigplan import (
 )
 from krigplan.adaptive import STOP_BUDGET, STOP_NATURAL
 from krigplan.experiment_io import audit_log_text, state_from_dict, state_to_dict
+from krigplan.variogram import FAMILIES, empirical_variogram, fit_model, select_model
 
 from conftest import random_measurements
 from test_acceptance import NOISE_STD, study_config
@@ -749,3 +751,87 @@ def test_views_follow_an_incomplete_initial_design(monkeypatch, n_measured):
     with pytest.raises(InsufficientDataError, match=named):
         rc_score(point, state)
     assert suggest_next(state) == (PendingSuggestion(point, "initial"), None)
+
+
+# --- admissible variogram family ---------------------------------------------
+
+def _spy_evaluate(monkeypatch):
+    """Record each _evaluate call as (model, error or None)."""
+    calls = []
+    evaluate = adaptive._evaluate
+
+    def spy(state, model):
+        try:
+            ev = evaluate(state, model)
+        except NumericalFailureError as exc:
+            calls.append((model, exc))
+            raise
+        calls.append((model, None))
+        return ev
+
+    monkeypatch.setattr(adaptive, "_evaluate", spy)
+    return calls
+
+
+def refuse_family(monkeypatch, family):
+    """Make every lattice solve under `family` raise NumericalFailureError."""
+    evaluate = adaptive._evaluate
+
+    def refuse(state, model):
+        if model.family == family:
+            raise NumericalFailureError(f"{family} refused")
+        return evaluate(state, model)
+
+    monkeypatch.setattr(adaptive, "_evaluate", refuse)
+
+
+def test_larger_design_campaign_skips_inadmissible_fits_to_its_stop(monkeypatch):
+    """A bounded-linear fit (a valid variogram only in 1-D) leaves negative
+    variances on the study grid's 6x8 design; the planner krigs with the next
+    family instead of aborting, and records the model it kriged with."""
+    config = replace(study_config(seed=0),
+                     initial_design=tuple(evenly_spaced_design(study_config().grid, 6, 8)))
+    calls = _spy_evaluate(monkeypatch)
+    state = run_experiment(config, SyntheticLogisticOracle(noise_std=NOISE_STD, seed=0))
+    assert state.stop_reason == STOP_BUDGET
+    assert len(state.measurements) == 48 + 50
+    skipped = [model for model, exc in calls if exc is not None]
+    assert skipped and {model.family for model in skipped} == {"bounded_linear"}
+    kriged = [model for model, exc in calls if exc is None]
+    assert [record.model for record in state.history] == kriged[:-1]
+    assert state.model == kriged[-1]
+
+
+def test_planner_takes_the_lowest_mse_admissible_family(monkeypatch):
+    config = study_config()
+    oracle = SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7)
+    state = ExperimentState(config=config, measurements=[
+        Measurement(p, oracle.evaluate(p)) for p in config.initial_design])
+    empirical = empirical_variogram(state.measurements, config.grid)
+    fits = sorted((fit_model(empirical, family) for family in FAMILIES),
+                  key=lambda m: (m.fit_mse, FAMILIES.index(m.family)))
+    assert fits[0] == select_model(empirical)
+    refuse_family(monkeypatch, fits[0].family)
+    assert check_stop(state) is None
+    assert candidate_scores(state)[0]
+    suggestion, stop = suggest_next(state)
+    assert stop is None
+    assert state.model == suggestion.model == fits[1]
+
+
+def test_no_admissible_family_raises_the_first_failure(monkeypatch):
+    from krigplan import kriging
+
+    config = study_config()
+    oracle = SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7)
+    state = ExperimentState(config=config, measurements=[
+        Measurement(p, oracle.evaluate(p)) for p in config.initial_design])
+    calls = _spy_evaluate(monkeypatch)
+    monkeypatch.setattr(kriging, "VARIANCE_FLOOR", 1e9)
+    with pytest.raises(NumericalFailureError) as raised:
+        suggest_next(state)
+    assert raised.value is calls[0][1]
+    assert calls[0][0] == select_model(empirical_variogram(state.measurements, config.grid))
+    assert sorted(model.family for model, _ in calls) == sorted(FAMILIES)
+    assert all(exc is not None for _, exc in calls)
+    assert state.model is None

@@ -40,7 +40,7 @@ from krigplan.experiment_io import (
 
 from krigplan.variogram import FAMILIES, FLAG_DEGENERATE, FLAG_LOW_INFORMATION
 
-from test_adaptive import replay_oracle, small_config
+from test_adaptive import refuse_family, replay_oracle, small_config
 
 
 # --- formatting and atomic writes ---------------------------------------------
@@ -59,6 +59,23 @@ def test_atomic_write(tmp_path):
     atomic_write_text(path, "second\n")
     assert path.read_text() == "second\n"
     assert os.listdir(tmp_path) == ["out.txt"]  # no stray temp files
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_atomic_write_failure_keeps_the_old_file(tmp_path, monkeypatch, failure):
+    path = tmp_path / "out.txt"
+    atomic_write_text(path, "first\n")
+    text = "second\n" * 1000
+    if failure == "write":
+        text += "\ud800"  # a lone surrogate: no encoding can write it
+    else:
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises((OSError, UnicodeEncodeError)):
+        atomic_write_text(path, text)
+    assert path.read_text() == "first\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 # --- state persistence ---------------------------------------------------------
@@ -768,6 +785,17 @@ def test_cli_exit_code_2_on_bad_config(tmp_path, capsys):
     assert main(["init", "--config", str(bad_json)]) == 2
     assert "line 1" in capsys.readouterr().err
 
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([CONFIG]))
+    assert main(["init", "--config", str(array)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+    for oracle, message in (({"noise_std": 0.05}, "needs an 'oracle' object with a 'kind'"),
+                            ({"kind": "table_replay", "path": 3}, "needs a 'path' string")):
+        path = write_config(tmp_path, {"oracle": oracle}, name="oracle.json")
+        assert main(["init", "--config", str(path)]) == 2, oracle
+        assert message in capsys.readouterr().err
+
     bad_oracle = write_config(tmp_path, {"oracle": {"kind": "crystal_ball"}},
                               name="bad_oracle.json")
     assert main(["init", "--config", str(bad_oracle)]) == 2
@@ -800,9 +828,60 @@ def test_cli_exit_code_2_on_bad_config(tmp_path, capsys):
                       {"initial_design": [[0.5, 1.0], [True, 2.0]]},
                       {"oracle": {**synthetic, "noise_std": False}},
                       {"oracle": {**synthetic, "steepness": True}},
-                      {"oracle": {**synthetic, "floor": "1.0"}}):
+                      {"oracle": {**synthetic, "floor": "1.0"}},
+                      {"initial_design": "lattice"},
+                      {"initial_design": {"lattice": [2, 3], "extra": 1}}):
         path = write_config(tmp_path, malformed, name="malformed.json")
         assert main(["init", "--config", str(path)]) == 2, malformed
+    assert "initial_design must be a list" in capsys.readouterr().err
+
+
+def test_cli_exit_code_2_on_bad_experiment_file(tmp_path, capsys):
+    config_path = write_config(tmp_path)
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = capsys.readouterr().out.strip()
+    assert main(["report", exp_path]) == 2
+    assert "no measurements yet" in capsys.readouterr().err
+
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([json.loads(Path(exp_path).read_text())]))
+    assert main(["run", str(array)]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+    assert main(["report", str(tmp_path)]) == 2
+    assert "cannot read experiment file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table, message", [
+    ("", "empty file"),
+    ("m,k,response\n0.5,1.0,2.0\n1.0,1.0\n", ":3: expected 3 fields, got 2"),
+])
+def test_cli_exit_code_2_on_bad_replay_table(tmp_path, capsys, table, message):
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text(table)
+    config_path = write_config(tmp_path, {"oracle": {"kind": "table_replay", "path": str(csv_path)}})
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = capsys.readouterr().out.strip()
+    assert main(["run", exp_path]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_cli_exit_code_2_on_unusable_out_dir(tmp_path, capsys, monkeypatch, below):
+    """KRIGPLAN_OUT_DIR naming a file (or a path below one) exits 2 before
+    anything is written; run fails before its first oracle call."""
+    config_path = write_config(tmp_path)
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = capsys.readouterr().out.strip()
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    monkeypatch.setenv("KRIGPLAN_OUT_DIR", str(blocker / "out" if below else blocker))
+    before = Path(exp_path).read_bytes()
+    for argv in (["init", "--config", str(config_path), "--force"], ["run", exp_path], ["report", exp_path]):
+        assert main(argv) == 2, argv
+        assert "KRIGPLAN_OUT_DIR" in capsys.readouterr().err
+    assert Path(exp_path).read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "config.json", "demo.json"]
 
 
 def test_cli_init_rejects_oversized_grid(tmp_path, capsys):
@@ -848,6 +927,24 @@ def test_cli_exit_code_4_on_numerical_failure(tmp_path, capsys):
 
     assert main(["report", exp_path]) == 4
     assert "ill-conditioned" in capsys.readouterr().err
+
+
+def test_cli_report_fits_the_lowest_mse_admissible_family(tmp_path, capsys, monkeypatch):
+    """With no model in the file, report krigs with the family the planner
+    would: the best fit whose lattice solve succeeds."""
+    config_path = write_config(tmp_path, {"max_iterations": 2})
+    main(["init", "--config", str(config_path)])
+    exp_path = capsys.readouterr().out.strip()
+    assert main(["run", exp_path]) == 0
+    data = json.loads(Path(exp_path).read_text())
+    winner = data["model"]["family"]
+    data["model"] = None
+    Path(exp_path).write_text(json.dumps(data))
+    refuse_family(monkeypatch, winner)
+    assert main(["report", exp_path]) == 0
+    model = load_state(exp_path)[0].model
+    assert model is not None and model.family != winner
+    assert f"model: {model.family}" in capsys.readouterr().out
 
 
 def test_cli_run_seed_override_changes_responses(tmp_path, capsys):

@@ -198,6 +198,16 @@ def test_load_reduced_table(tmp_path, grid):
     ]
 
 
+def test_load_skips_blank_lines(tmp_path, grid):
+    path = tmp_path / "table.csv"
+    path.write_text("m,k,response\n\n1.0,3,2.5\n\n2.0,9,4.25\n\n")
+    records = load_response_table(path, grid)
+    assert [(r.location.m, r.location.k, r.response) for r in records] == [
+        (1.0, 3.0, 2.5),
+        (2.0, 9.0, 4.25),
+    ]
+
+
 def test_load_event_table(tmp_path, grid):
     events = ",".join(str(v) for v in range(1, 16))
     path = tmp_path / "events.csv"
