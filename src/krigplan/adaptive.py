@@ -212,7 +212,9 @@ def _evaluate(state: ExperimentState, model: VariogramModel) -> _Evaluation:
     spec = state.config.grid
     means, variances, rhs, solution, measured = solve_lattice(
         assemble_system(state.measurements, model, spec))
-    unmeasured_idx = np.setdiff1d(np.arange(spec.point_count), measured)
+    keep = np.ones(spec.point_count, dtype=bool)
+    keep[measured] = False
+    unmeasured_idx = np.flatnonzero(keep)
     lower, upper = confidence_bounds(means[unmeasured_idx], variances[unmeasured_idx],
                                      z_quantile(state.config.alpha))
     indicators = _straddles(lower, upper, state.config.threshold)

@@ -11,6 +11,13 @@ with zero diagonal in Gamma (gamma(0) = 0), so prediction at a measured
 location reproduces its response exactly and has zero variance, nugget or
 not.  The prediction variance is the dot product of the right-hand side
 with the solution vector.
+
+Each system is LU-factorized once, and the factors give its inverse once.
+The bordered matrix is symmetric, so the inverse is made exactly symmetric
+too, and every batch of targets is then solved by one matrix product (GEMM)
+with it.  The inverse's roundoff grows with the condition number, so these
+variances are less accurate than a triangular solve's on near-singular
+systems; measured targets are solved exactly (see _solve_coords).
 """
 from __future__ import annotations
 
@@ -75,8 +82,9 @@ class Prediction:
 class KrigingSystem:
     """Bordered semivariance system for a fixed measurement set and model.
 
-    The LU factorization and the condition estimate are computed once and
-    reused across every target solved against this system.
+    The condition estimate, the LU factorization and the inverse built from
+    it are each computed once, on first use; every target solved against
+    this system is then one product with the cached inverse.
     """
 
     def __init__(self, measurements, model: VariogramModel, spec: GridSpec):
@@ -100,6 +108,7 @@ class KrigingSystem:
         mat[:n, n] = 1.0
         self.matrix = mat
         self._lu = None
+        self._inverse = None
         self._cond = None
 
     @property
@@ -146,7 +155,14 @@ class KrigingSystem:
         return out
 
     def solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self.lu(), rhs)
+        """The system solved against rhs ((n+1,) or (n+1, P)) by one product
+        with the inverse.  The inverse is built on first use from the LU
+        factors and averaged with its transpose, so that it is exactly
+        symmetric like the matrix."""
+        if self._inverse is None:
+            b = lu_solve(self.lu(), np.eye(self.n + 1))
+            self._inverse = (b + b.T) / 2
+        return self._inverse @ rhs
 
 
 def assemble_system(measurements, model: VariogramModel, spec: GridSpec) -> KrigingSystem:
@@ -168,7 +184,16 @@ def _checked_variances(variances: np.ndarray, point_at) -> np.ndarray:
 
 
 def solve(system: KrigingSystem, target: Combination):
-    """Weights and prediction variance for one target."""
+    """Weights and prediction variance for one target.
+
+    A degenerate model has a singular system and so no weights; it raises
+    NumericalFailureError saying so (solve_grid and solve_lattice instead
+    predict the common response with zero variance)."""
+    if system.model.is_degenerate:
+        raise NumericalFailureError(
+            "the variogram model is degenerate (nugget and sill 0): its kriging "
+            "system is singular and has no weights"
+        )
     system.check_conditioning()
     rhs = system.rhs(scaled_coords([target], system.spec))[:, 0]
     sol = system.solve_rhs(rhs)
@@ -192,15 +217,23 @@ def _solve_coords(system: KrigingSystem, coords: np.ndarray, measured_pos, measu
     """(means, variances, rhs, solution) at the (P, 2) target coordinates,
     the solve behind solve_grid and solve_lattice.  Target measured_pos[i]
     sits on measurement measured_rows[i]; point_at names a target by its
-    position in error messages."""
+    position in error messages.
+
+    A measured target's right-hand side is its measurement's column of the
+    matrix, so its solution column is set to that unit vector exactly: the
+    product with the inverse leaves roundoff there that grows with the
+    semivariance scale and could trip VARIANCE_FLOOR at a zero variance."""
     if system.model.is_degenerate or not len(coords):
-        rhs = sol = np.zeros((system.n + 1, len(coords)))
+        shape = (system.n + 1, len(coords))
+        rhs, sol = np.zeros(shape), np.zeros(shape)
         means = np.full(len(coords), system.values.mean())
         variances = np.zeros(len(coords))
     else:
         system.check_conditioning()
         rhs = system.rhs(coords)
         sol = system.solve_rhs(rhs)
+        sol[:, measured_pos] = 0.0
+        sol[measured_rows, measured_pos] = 1.0
         means = system.values @ sol[: system.n, :]
         variances = _checked_variances(np.einsum("ip,ip->p", rhs, sol), point_at)
     means[measured_pos] = system.values[measured_rows]
@@ -270,7 +303,8 @@ def predict(measurements, model: VariogramModel, spec: GridSpec, target: Combina
 
 def predict_grid(measurements, model: VariogramModel, spec: GridSpec, targets,
                  alpha: float = 0.1) -> list[Prediction]:
-    """Batch prediction; the system is factorized once and reused."""
+    """Batch prediction; the system is inverted once and every target is
+    solved by one product with the inverse."""
     z = z_quantile(alpha)
     targets = list(targets)
     solution = solve_grid(assemble_system(measurements, model, spec), targets)

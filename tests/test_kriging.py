@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from krigplan import (
     Combination,
@@ -25,7 +26,15 @@ from krigplan import (
     solve,
     solve_grid,
 )
-from krigplan.kriging import Z_QUANTILES, KrigingSystem, z_quantile
+from krigplan.grid import lattice_coords
+from krigplan.kriging import (
+    CONDITION_LIMIT,
+    VARIANCE_FLOOR,
+    Z_QUANTILES,
+    KrigingSystem,
+    solve_lattice,
+    z_quantile,
+)
 from krigplan.variogram import FAMILIES, eval_model
 
 from conftest import (
@@ -254,6 +263,25 @@ def test_degenerate_model_predicts_constant(study_grid):
     assert preds[1].mean == 4.0 and preds[1].variance == 0.0
 
 
+def test_solve_names_a_degenerate_model(study_grid):
+    """solve has no weights to return under a degenerate model and says why,
+    rather than reporting its singular system as merely ill-conditioned."""
+    ms = [Measurement(Combination(0.5, 1.0), 4.0), Measurement(Combination(3.0, 1.0), 4.0)]
+    system = assemble_system(ms, VariogramModel("spherical", 0.0, 1.0, 0.0), study_grid)
+    with pytest.raises(NumericalFailureError, match=r"degenerate \(nugget and sill 0\)") as exc:
+        solve(system, Combination(5.0, 50.0))
+    assert "ill-conditioned" not in str(exc.value)
+
+
+def test_degenerate_grid_solution_arrays_are_distinct(study_grid):
+    ms = [Measurement(Combination(1.0, 3.0), 4.0), Measurement(Combination(2.0, 9.0), 4.0)]
+    system = assemble_system(ms, VariogramModel("spherical", 0.0, 1.0, 0.0), study_grid)
+    sol = solve_grid(system, [Combination(5.0, 50.0), Combination(1.5, 7.0)])
+    assert sol.rhs is not sol.solution
+    assert not np.shares_memory(sol.rhs, sol.solution)
+    np.testing.assert_array_equal(sol.solution, np.zeros((3, 2)))
+
+
 def test_predict_requires_measurements(study_grid):
     with pytest.raises(InsufficientDataError):
         predict([], SPH, study_grid, Combination(1.0, 3.0))
@@ -304,3 +332,76 @@ def test_negative_variance_names_its_cell_on_both_paths(study_grid):
             messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert "at (0.5, 1.0) is negative beyond roundoff" in messages[0]
+
+
+# --- the solve through the cached inverse ------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(data=st.data())
+def test_lattice_solve_matches_refined_lu(data):
+    """solve_lattice's means and variances agree with an LU solve plus one
+    step of iterative refinement, and each system is factorized and inverted
+    once however many times it is solved.
+
+    The tolerance is the first-order error of a product with a computed
+    inverse: eps * cond(A) * ||A^-1|| scales ||r||^2 for a variance r.A^-1 r,
+    whose size is at most ||A^-1|| ||r||^2, and ||r|| ||values|| for a mean.
+    On near-singular systems (zero-nugget Gaussian fits) that is far above
+    the largest variance, and the product can dip below VARIANCE_FLOOR where
+    the refined solve does not; solve_lattice then raises, which is allowed
+    only where the tolerance reaches below the floor."""
+    n_m, n_k = data.draw(st.integers(1, 10)), data.draw(st.integers(2, 12))
+    spec = GridSpec(0.5, 0.5 + (n_m - 1) * 0.5, 0.5, 1.0, float(n_k), 1.0,
+                    k_scale=data.draw(st.sampled_from([0.1, 1.0, 0.37])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    ms = random_measurements(rng, spec, data.draw(st.integers(1, min(20, spec.point_count))))
+    model = VariogramModel(data.draw(st.sampled_from(FAMILIES)),
+                           data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+                           data.draw(st.floats(0.1, 8.0)), data.draw(st.floats(0.1, 3.0)))
+    system = assemble_system(ms, model, spec)
+    if system.condition_estimate() > CONDITION_LIMIT:
+        with pytest.raises(NumericalFailureError, match="ill-conditioned"):
+            solve_lattice(system)
+        return
+
+    mat, rhs = system.matrix, system.rhs(lattice_coords(spec))
+    lu = lu_factor(mat)
+    x = lu_solve(lu, rhs)
+    x += lu_solve(lu, rhs - mat @ x)
+    rows, flat = spec.flat_indices(system.locations)
+    ref_means, ref_variances = system.values @ x[: system.n], np.einsum("ip,ip->p", rhs, x)
+    ref_means[flat], ref_variances[flat] = system.values[rows], 0.0
+    sv = np.linalg.svd(mat, compute_uv=False)
+    r = np.linalg.norm(rhs, axis=0).max()
+    var_tol, mean_tol = EPS * sv[0] / sv[-1] ** 2 * r * np.array([r, np.linalg.norm(system.values)])
+
+    with mock.patch("krigplan.kriging.lu_factor", wraps=lu_factor) as factor, \
+            mock.patch("krigplan.kriging.lu_solve", wraps=lu_solve) as inverse:
+        try:
+            means, variances, _, _, _ = solve_lattice(system)
+        except NumericalFailureError as exc:
+            assert "negative beyond roundoff" in str(exc)
+            assert ref_variances.min() - var_tol < VARIANCE_FLOOR
+        else:
+            assert np.all(np.abs(means - ref_means) <= mean_tol)
+            assert np.all(np.abs(variances - np.maximum(ref_variances, 0.0)) <= var_tol)
+        for _ in range(3):
+            system.solve_rhs(rhs)
+    assert factor.call_count == 1
+    assert inverse.call_count == 1
+
+
+def test_measured_targets_solve_exactly_at_large_semivariance(study_grid):
+    """A measured target's solution column is its unit vector exactly, so the
+    roundoff of the product with the inverse, which grows with the
+    semivariance scale, cannot trip VARIANCE_FLOOR at its zero variance."""
+    rng = np.random.default_rng(5)
+    ms = random_measurements(rng, study_grid, 22)
+    system = assemble_system(ms, VariogramModel("spherical", 0.0, 8.0, 2.0**17), study_grid)
+    _, variances, _, solution, measured = solve_lattice(system)
+    rows, flat = study_grid.flat_indices(system.locations)
+    np.testing.assert_array_equal(solution[:, flat], np.eye(system.n + 1)[:, rows])
+    assert np.all(variances[measured] == 0.0)
