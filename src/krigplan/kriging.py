@@ -12,12 +12,16 @@ location reproduces its response exactly and has zero variance, nugget or
 not.  The prediction variance is the dot product of the right-hand side
 with the solution vector.
 
-Each system is LU-factorized once, and the factors give its inverse once.
-The bordered matrix is symmetric, so the inverse is made exactly symmetric
-too, and every batch of targets is then solved by one matrix product (GEMM)
-with it.  The inverse's roundoff grows with the condition number, so these
-variances are less accurate than a triangular solve's on near-singular
-systems; measured targets are solved exactly (see _solve_coords).
+Each system is LU-factorized once, and the factors give its inverse once,
+made exactly symmetric like the matrix.  Every batch of targets is then
+solved by one matrix product (GEMM) with that inverse.  A product with a
+computed inverse is not backward stable: its variances are accurate to
+about EPS * cond**2 of the largest variance, where a triangular (LU) solve
+reaches about EPS * cond.  Where the first could exceed
+INVERSE_VARIANCE_RTOL (near-singular systems, such as zero-nugget Gaussian
+fits), the product is refined twice against the matrix, which brings it to
+the LU solve's accuracy.  Measured targets are solved exactly (see
+_solve_coords).
 """
 from __future__ import annotations
 
@@ -50,6 +54,11 @@ CONDITION_LIMIT = 1e12
 # Variances this far below zero are roundoff and clamp to 0; anything lower
 # means the system (or the model) is unsound and must not be masked.
 VARIANCE_FLOOR = -1e-9
+EPS = float(np.finfo(float).eps)
+# Largest variance error, relative to the largest variance, accepted from the
+# unrefined product with the inverse (about EPS * cond**2 of it): systems
+# with EPS * cond**2 above this, cond above about 6.7e4, are refined.
+INVERSE_VARIANCE_RTOL = 1e-6
 
 
 def z_quantile(alpha: float) -> float:
@@ -82,9 +91,10 @@ class Prediction:
 class KrigingSystem:
     """Bordered semivariance system for a fixed measurement set and model.
 
-    The condition estimate, the LU factorization and the inverse built from
-    it are each computed once, on first use; every target solved against
-    this system is then one product with the cached inverse.
+    The condition estimate and the inverse, built from one LU factorization,
+    are each computed once, on first use; every target solved against this
+    system is then one product with the cached inverse, refined on
+    near-singular systems (solve_rhs).
     """
 
     def __init__(self, measurements, model: VariogramModel, spec: GridSpec):
@@ -107,7 +117,6 @@ class KrigingSystem:
         mat[n, :n] = 1.0
         mat[:n, n] = 1.0
         self.matrix = mat
-        self._lu = None
         self._inverse = None
         self._cond = None
 
@@ -136,16 +145,15 @@ class KrigingSystem:
             )
 
     def lu(self):
-        if self._lu is None:
-            try:
-                self._lu = lu_factor(self.matrix)
-            except Exception as exc:  # singular factorization
-                a, b = self._closest_pair()
-                raise NumericalFailureError(
-                    f"kriging system factorization failed ({exc}); "
-                    f"nearest locations are ({a.m}, {a.k}) and ({b.m}, {b.k})"
-                ) from exc
-        return self._lu
+        """LU factors of the matrix; solve_rhs calls this once per system."""
+        try:
+            return lu_factor(self.matrix)
+        except Exception as exc:  # singular factorization
+            a, b = self._closest_pair()
+            raise NumericalFailureError(
+                f"kriging system factorization failed ({exc}); "
+                f"nearest locations are ({a.m}, {a.k}) and ({b.m}, {b.k})"
+            ) from exc
 
     def rhs(self, coords: np.ndarray) -> np.ndarray:
         """(n+1, P) right-hand sides for a (P, 2) array of scaled target coordinates."""
@@ -156,13 +164,22 @@ class KrigingSystem:
 
     def solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
         """The system solved against rhs ((n+1,) or (n+1, P)) by one product
-        with the inverse.  The inverse is built on first use from the LU
-        factors and averaged with its transpose, so that it is exactly
-        symmetric like the matrix."""
+        with the inverse.
+
+        The inverse is built on first use from the LU factors.  The matrix
+        is symmetric, so its inverse is too: the computed one is averaged
+        with its transpose, the nearest symmetric matrix to it, whose error
+        is no larger.  If EPS * cond**2 exceeds INVERSE_VARIANCE_RTOL, each
+        solve is refined twice by the product of the inverse with the
+        residual."""
         if self._inverse is None:
             b = lu_solve(self.lu(), np.eye(self.n + 1))
             self._inverse = (b + b.T) / 2
-        return self._inverse @ rhs
+        sol = self._inverse @ rhs
+        if EPS * self.condition_estimate() ** 2 > INVERSE_VARIANCE_RTOL:
+            for _ in range(2):  # one step falls short of LU above cond ~1e10
+                sol += self._inverse @ (rhs - self.matrix @ sol)
+        return sol
 
 
 def assemble_system(measurements, model: VariogramModel, spec: GridSpec) -> KrigingSystem:
@@ -194,11 +211,10 @@ def solve(system: KrigingSystem, target: Combination):
             "the variogram model is degenerate (nugget and sill 0): its kriging "
             "system is singular and has no weights"
         )
-    system.check_conditioning()
-    rhs = system.rhs(scaled_coords([target], system.spec))[:, 0]
-    sol = system.solve_rhs(rhs)
-    sigma2 = float(_checked_variances(np.array([rhs @ sol]), lambda _: target)[0])
-    return SolvedWeights(weights=sol[: system.n].copy(), lagrange=float(-sol[-1])), sigma2
+    solution = solve_grid(system, [target])
+    sol = solution.solution[:, 0]
+    weights = SolvedWeights(weights=sol[: system.n].copy(), lagrange=float(-sol[-1]))
+    return weights, float(solution.variances[0])
 
 
 @dataclass(frozen=True)
