@@ -2,19 +2,19 @@
 
 Each iteration refits the variogram, kriges the whole grid, and scores
 every unmeasured combination by the total uncertainty that would remain
-if it were measured next: the sum, over grid points whose confidence
-interval still straddles the threshold, of the hypothetical kriging
-variance conditional on the augmented measurement set (variogram held
-fixed).  The candidate minimizing that remaining-uncertainty score is
-measured next.  The run stops naturally once no interval straddles the
-threshold, or on budget after max_iterations adaptive measurements.
+if it were measured next: the sum, over the points region.classify_cells
+labels uncertain (their confidence interval straddles the threshold), of
+the hypothetical kriging variance conditional on the augmented measurement
+set (variogram held fixed).  The candidate minimizing that score is
+measured next.  The run stops naturally once no point is uncertain, or on
+budget after max_iterations adaptive measurements.
 
 suggest_next is one planner step: fit, evaluate the grid once, apply the
 stop rule, pick the argmin.  run_experiment is the interactive step/append
 loop with the oracle in the middle, so batch and interactive runs share one
 code path and an oracle miss on any point resumes with an append.  The
-read-only views (select_next, check_stop, candidate_scores, rc_score) share
-the same grid evaluation.
+read-only views (select_next, check_stop, candidate_scores, rc_score) and
+``krigplan report`` share its one grid evaluation (_evaluate).
 """
 from __future__ import annotations
 
@@ -38,7 +38,8 @@ from .grid import (
     ensure_unique_locations,
     offset_distances,
 )
-from .kriging import assemble_system, confidence_bounds, solve_grid, solve_lattice, z_quantile
+from .kriging import LatticePrediction, assemble_system, solve_grid, solve_lattice, z_quantile
+from .region import LABELS, UNCERTAIN, classify_cells
 from .variogram import FAMILIES, VariogramModel, empirical_variogram, eval_model, fit_model, select_model
 
 # Not called here, but the benchmark's tracer (perfbench/spans.py) wraps
@@ -176,52 +177,55 @@ class ExperimentState:
         return {m.location for m in self.measurements}
 
 
-def _straddles(lower, upper, threshold: float):
-    """The straddle rule of weight_indicator, elementwise on arrays."""
-    return np.logical_not((lower > threshold) | (upper <= threshold))
-
-
 def weight_indicator(prediction, threshold: float) -> int:
-    """1 while the CI straddles the threshold, 0 once it falls entirely on
-    one side (an upper bound exactly at the threshold counts as below)."""
-    return int(_straddles(prediction.ci_lower, prediction.ci_upper, threshold))
+    """1 while classify_cells labels the prediction uncertain (its CI
+    straddles the threshold), 0 once the CI falls entirely on one side (an
+    upper bound exactly at the threshold counts as below)."""
+    code = classify_cells(prediction.mean, prediction.ci_lower, prediction.ci_upper, threshold, [], [])
+    return int(code == LABELS.index(UNCERTAIN))
 
 
 @dataclass
 class _Evaluation:
-    """One fit's view of the grid: the lattice solve (columns indexed by flat
-    grid index) plus the straddle indicators of the unmeasured points."""
+    """One fit's view of the grid: the lattice solve (columns indexed by flat grid
+    index), its prediction and classify_cells codes, and the uncertain unmeasured points."""
 
     model: VariogramModel
-    spec: GridSpec
-    variances: np.ndarray  # (P,)
+    prediction: LatticePrediction
+    codes: np.ndarray      # (m_count, k_count), indices into region.LABELS
     rhs: np.ndarray        # (n+1, P)
     solution: np.ndarray   # (n+1, P)
     unmeasured_idx: np.ndarray
     indicators: np.ndarray  # bool, aligned with unmeasured_idx
 
     @property
+    def variances(self) -> np.ndarray:  # (P,)
+        return self.prediction.variance.reshape(-1)
+
+    @property
     def n_uncertain(self) -> int:
         return int(self.indicators.sum())
 
     def candidate(self, pos: int) -> Combination:
-        return self.spec.point(int(self.unmeasured_idx[pos]))
+        return self.prediction.spec.point(int(self.unmeasured_idx[pos]))
 
 
-def _evaluate(state: ExperimentState, model: VariogramModel) -> _Evaluation:
+def _evaluate(state: ExperimentState, model: VariogramModel, alpha: float | None = None) -> _Evaluation:
+    """Krig and classify every grid point under model; intervals at alpha, or the config's."""
     spec = state.config.grid
+    z = z_quantile(state.config.alpha if alpha is None else alpha)
     means, variances, rhs, solution, measured = solve_lattice(
         assemble_system(state.measurements, model, spec))
-    keep = np.ones(spec.point_count, dtype=bool)
-    keep[measured] = False
-    unmeasured_idx = np.flatnonzero(keep)
-    lower, upper = confidence_bounds(means[unmeasured_idx], variances[unmeasured_idx],
-                                     z_quantile(state.config.alpha))
-    indicators = _straddles(lower, upper, state.config.threshold)
-    return _Evaluation(model, spec, variances, rhs, solution, unmeasured_idx, indicators)
+    prediction = LatticePrediction.from_flat(spec, means, variances, z)
+    # solve_lattice gives every measured point its observed response as mean.
+    codes = classify_cells(prediction.mean, prediction.ci_lower, prediction.ci_upper,
+                           state.config.threshold, measured, means[measured])
+    unmeasured_idx = np.delete(np.arange(spec.point_count), measured)
+    indicators = codes.reshape(-1)[unmeasured_idx] == LABELS.index(UNCERTAIN)
+    return _Evaluation(model, prediction, codes, rhs, solution, unmeasured_idx, indicators)
 
 
-def _fit(state: ExperimentState) -> _Evaluation:
+def _fit(state: ExperimentState, alpha: float | None = None) -> _Evaluation:
     """Fit the current measurements and evaluate the grid under the
     lowest-MSE family whose lattice solve raises no NumericalFailureError,
     exact MSE ties broken by FAMILIES order as in select_model.
@@ -229,35 +233,30 @@ def _fit(state: ExperimentState) -> _Evaluation:
     select_model's pick is evaluated first; the other families are fitted
     (fit_model) only when its solve fails, which a bounded-linear fit, valid
     only in 1-D, can do on larger layouts.  When no family qualifies, the
-    first failure is raised.
+    first failure is raised.  alpha is passed on to _evaluate.
     """
     empirical = empirical_variogram(state.measurements, state.config.grid)
     model = select_model(empirical)
     try:
-        return _evaluate(state, model)
+        return _evaluate(state, model, alpha)
     except NumericalFailureError as exc:
         failure = exc
     others = [fit_model(empirical, family) for family in FAMILIES if family != model.family]
     for other in sorted(others, key=lambda m: (m.fit_mse, FAMILIES.index(m.family))):
         try:
-            return _evaluate(state, other)
+            return _evaluate(state, other, alpha)
         except NumericalFailureError:
             pass
     raise failure
 
 
-def _current_evaluation(state: ExperimentState) -> _Evaluation:
+def _current_evaluation(state: ExperimentState, alpha: float | None = None) -> _Evaluation:
     """The evaluation under the state's model (the fit of the current
     measurements; fitted here by _fit if it has none yet), for the read-only
-    views.  Nothing is scored or fitted while the initial design is
-    incomplete."""
-    point = _next_design_point(state)
-    if point is not None:
-        raise InsufficientDataError(
-            f"initial design point ({point.m}, {point.k}) is not measured yet; "
-            "candidates are scored once the whole initial design is measured"
-        )
-    return _evaluate(state, state.model) if state.model is not None else _fit(state)
+    views and the report.  alpha is passed on to _evaluate."""
+    if state.model is not None:
+        return _evaluate(state, state.model, alpha)
+    return _fit(state, alpha)
 
 
 def _next_design_point(state: ExperimentState) -> Combination | None:
@@ -267,7 +266,7 @@ def _next_design_point(state: ExperimentState) -> Combination | None:
 
 
 def _stop_reason(state: ExperimentState, ev: _Evaluation) -> str | None:
-    """STOP_NATURAL once nothing unmeasured straddles the threshold (checked
+    """STOP_NATURAL once no unmeasured point is uncertain (checked
     first), STOP_BUDGET once the adaptive budget is spent, else None."""
     if ev.n_uncertain == 0:
         return STOP_NATURAL
@@ -313,7 +312,7 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     cols = np.flatnonzero(indicators)
     XT = ev.solution[:, idx].T
     D = ev.rhs[:, idx[cols]]
-    spec = ev.spec
+    spec = state.config.grid
     table = eval_model(ev.model, offset_distances(spec))
     gamma = table.ravel()
     width = 2 * spec.k_count - 1
@@ -494,38 +493,45 @@ def rc_score(candidate: Combination, state: ExperimentState, indicators=None) ->
     row-major order) is supplied.  Raises InsufficientDataError while the
     initial design is incomplete.
     """
-    ev = _current_evaluation(state)
-    i = ev.spec.flat_index(candidate)
+    ev, ind = _scoring_view(state, indicators)
+    i = state.config.grid.flat_index(candidate)
     pos = int(np.searchsorted(ev.unmeasured_idx, -1 if i is None else i))
     if i is None or pos == len(ev.unmeasured_idx) or ev.unmeasured_idx[pos] != i:
         raise ConfigurationError(
             f"candidate ({candidate.m}, {candidate.k}) is measured or off-grid"
         )
-    return _score_by_reassembly(state, ev, _indicators(ev, indicators), pos)
+    return _score_by_reassembly(state, ev, ind, pos)
 
 
-def _indicators(ev: _Evaluation, indicators) -> np.ndarray:
-    """ev's straddle set, or the caller's explicit one once its length is checked."""
+def _scoring_view(state: ExperimentState, indicators) -> tuple[_Evaluation, np.ndarray]:
+    """The current evaluation and its uncertain set, or the caller's explicit one once its
+    length is checked.  Nothing is scored while the initial design is incomplete."""
+    point = _next_design_point(state)
+    if point is not None:
+        raise InsufficientDataError(
+            f"initial design point ({point.m}, {point.k}) is not measured yet; "
+            "candidates are scored once the whole initial design is measured"
+        )
+    ev = _current_evaluation(state)
     if indicators is None:
-        return ev.indicators
+        return ev, ev.indicators
     ind = np.asarray(indicators, dtype=bool)
     if ind.shape != ev.indicators.shape:
         raise ConfigurationError(
             f"indicator array of shape {ind.shape} does not match {len(ev.indicators)} unmeasured points"
         )
-    return ind
+    return ev, ind
 
 
 def candidate_scores(state: ExperimentState, indicators=None):
     """(candidates, scores) for every unmeasured grid point, row-major.
 
-    indicators defaults to the straddle set of the current fit; tests pass
+    indicators defaults to the uncertain set of the current fit; tests pass
     explicit arrays (e.g. all ones) to probe the pure variance objective.
     Raises InsufficientDataError while the initial design is incomplete.
     """
-    ev = _current_evaluation(state)
-    ind = _indicators(ev, indicators)
-    return [ev.spec.point(i) for i in ev.unmeasured_idx.tolist()], _fast_scores(state, ev, ind)
+    ev, ind = _scoring_view(state, indicators)
+    return [state.config.grid.point(i) for i in ev.unmeasured_idx.tolist()], _fast_scores(state, ev, ind)
 
 
 def _argmin_tied(scores: np.ndarray) -> int:

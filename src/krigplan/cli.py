@@ -5,7 +5,8 @@ drives the measure-fit-select loop against the configured response source;
 ``step``/``append`` run the same loop interactively, one suggestion at a
 time, for responses produced offline; ``report`` rebuilds the derived
 artifacts (predictions, labels, region, contour, audit log) from whatever
-is measured so far.
+is measured so far, from the planner's own grid evaluation, so the cells
+labelled uncertain are the cells the planner targets.
 
 Exit codes: 0 success (including a clean stop), 2 configuration/validation
 problems, 3 missing oracle value, 4 numerical failure.
@@ -25,7 +26,7 @@ from . import experiment_io as eio
 from .adaptive import (
     ExperimentConfig,
     ExperimentState,
-    _fit,
+    _current_evaluation,
     record_appended_measurement,
     run_experiment,
     suggest_next,
@@ -37,9 +38,8 @@ from .errors import (
     OracleMissError,
 )
 from .grid import Measurement
-from .kriging import predict_lattice
 from .oracle import REPLAY_KIND, SYNTHETIC_KIND, build_oracle
-from .region import classify_cells, contour_lines, largest_region
+from .region import LatticeRegion, contour_lines, largest_region
 
 # Not called here, but the benchmark's tracer (perfbench/spans.py) wraps
 # these names on this module, so they must stay importable from it.
@@ -93,49 +93,35 @@ def _load_config(path: str) -> tuple[ExperimentConfig, dict, str]:
     return config, oracle_spec, name
 
 
-def _write_artifacts(state: ExperimentState, out_dir: str, alpha: float | None = None) -> dict:
-    """Recompute and write every derived artifact; returns a small summary."""
+def _write_artifacts(state: ExperimentState, out_dir: str, alpha: float | None = None) -> LatticeRegion:
+    """Write every derived artifact from the evaluation under the state's model (fitted and kept
+    if it has none), intervals at alpha or the config's; returns the reliable region."""
     if not state.measurements:
         raise ConfigurationError("no measurements yet; nothing to report")
-    config = state.config
-    if alpha is None:
-        alpha = config.alpha
-    model = state.model
-    if model is None:
-        model = state.model = _fit(state).model
-    spec = config.grid
-    prediction = predict_lattice(state.measurements, model, spec, alpha=alpha)
-    rows, flat = spec.flat_indices(m.location for m in state.measurements)
-    codes = classify_cells(prediction.mean, prediction.ci_lower, prediction.ci_upper, config.threshold,
-                           flat, [state.measurements[row].response for row in rows])
+    ev = _current_evaluation(state, alpha)
+    state.model = ev.model
+    spec = state.config.grid
     m_axis, k_axis = spec.m_values(), spec.k_values()
-    region = largest_region(codes, m_axis, k_axis)
-    contour = contour_lines(m_axis, k_axis, prediction.mean, config.threshold)
+    region = largest_region(ev.codes, m_axis, k_axis)
+    contour = contour_lines(m_axis, k_axis, ev.prediction.mean, state.config.threshold)
 
-    eio.atomic_write_text(os.path.join(out_dir, "predictions.csv"), eio.predictions_csv_text(prediction))
-    eio.atomic_write_text(os.path.join(out_dir, "labels.csv"), eio.labels_csv_text(spec, codes))
+    eio.atomic_write_text(os.path.join(out_dir, "predictions.csv"), eio.predictions_csv_text(ev.prediction))
+    eio.atomic_write_text(os.path.join(out_dir, "labels.csv"), eio.labels_csv_text(spec, ev.codes))
     eio.atomic_write_text(os.path.join(out_dir, "region.json"), eio.region_json_text(region))
     eio.atomic_write_text(os.path.join(out_dir, "contour.csv"), eio.contour_csv_text(contour))
     eio.atomic_write_text(os.path.join(out_dir, "audit.ndjson"), eio.audit_log_text(state.history))
     eio.atomic_write_text(os.path.join(out_dir, "measurements.csv"),
                           eio.measurements_csv_text(state.measurements))
-    return {
-        "measurements": len(state.measurements),
-        "iterations": state.iteration,
-        "region_cells": region.cell_count,
-        "region": region,
-        "model": model,
-    }
+    return region
 
 
-def _print_summary(state: ExperimentState, summary: dict) -> None:
-    model = summary["model"]
-    print(f"measurements: {summary['measurements']} (adaptive iterations: {summary['iterations']})")
+def _print_summary(state: ExperimentState, region: LatticeRegion) -> None:
+    model = state.model
+    print(f"measurements: {len(state.measurements)} (adaptive iterations: {state.iteration})")
     if state.stop_reason:
         print(f"stop: {state.stop_reason}")
     print(f"model: {model.family} nugget={eio.format_float(model.nugget)} "
           f"range={eio.format_float(model.range)} sill={eio.format_float(model.sill)}")
-    region = summary["region"]
     if region.cell_count:
         m_min, m_max, k_min, k_max = (eio.format_float(v) for v in region.bbox())
         print(f"reliable region: {region.cell_count} cells, "
@@ -190,8 +176,7 @@ def cmd_run(args) -> int:
         return 3
 
     # run_experiment saved the final state through persist at the stop.
-    summary = _write_artifacts(state, out_dir)
-    _print_summary(state, summary)
+    _print_summary(state, _write_artifacts(state, out_dir))
     return 0
 
 
@@ -223,10 +208,10 @@ def cmd_append(args) -> int:
 def cmd_report(args) -> int:
     state, oracle_spec = eio.load_state(args.experiment)
     fitted = state.model is None
-    summary = _write_artifacts(state, _out_dir(args.experiment), alpha=args.alpha)
+    region = _write_artifacts(state, _out_dir(args.experiment), alpha=args.alpha)
     if fitted:  # persist the model _write_artifacts fitted
         eio.save_state(state, oracle_spec, args.experiment)
-    _print_summary(state, summary)
+    _print_summary(state, region)
     return 0
 
 

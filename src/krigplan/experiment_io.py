@@ -244,7 +244,7 @@ def state_from_dict(data: dict) -> tuple[ExperimentState, dict]:
             stop_reason=stop_reason,
             pending=None if pend is None else _pending_from_dict(pend, grid),
         )
-        oracle_spec = data["oracle"]
+        oracle_spec = _as_object(data["oracle"], "oracle")
     except PARSE_ERRORS as exc:
         raise SchemaError(f"experiment file is missing or mistypes a field: {exc!r}") from None
     return state, oracle_spec

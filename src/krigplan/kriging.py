@@ -300,15 +300,20 @@ class LatticePrediction:
     ci_lower: np.ndarray
     ci_upper: np.ndarray
 
+    @classmethod
+    def from_flat(cls, spec: GridSpec, means, variances, z: float) -> "LatticePrediction":
+        """From solve_lattice's flat means and variances, intervals mean -/+ z * sqrt(variance)."""
+        lower, upper = confidence_bounds(means, variances, z)
+        shape = (spec.m_count, spec.k_count)
+        return cls(spec, *(v.reshape(shape) for v in (means, variances, lower, upper)))
+
 
 def predict_lattice(measurements, model: VariogramModel, spec: GridSpec,
                     alpha: float = 0.1) -> LatticePrediction:
     """predict_grid over the whole grid, as arrays, from one solve_lattice."""
     z = z_quantile(alpha)
     means, variances, _, _, _ = solve_lattice(assemble_system(measurements, model, spec))
-    lower, upper = confidence_bounds(means, variances, z)
-    shape = (spec.m_count, spec.k_count)
-    return LatticePrediction(spec, *(v.reshape(shape) for v in (means, variances, lower, upper)))
+    return LatticePrediction.from_flat(spec, means, variances, z)
 
 
 def predict(measurements, model: VariogramModel, spec: GridSpec, target: Combination,

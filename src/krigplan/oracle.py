@@ -51,6 +51,9 @@ class ResponseRecord:
     per_event_maxima: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.response) or self.response < 0:
+            raise SchemaError(f"response at ({self.location.m}, {self.location.k}) must be finite and >= 0, "
+                              f"got {self.response}")
         if self.per_event_maxima is not None:
             reduced = reduce_event_maxima(self.per_event_maxima)
             if reduced != self.response:
@@ -190,18 +193,14 @@ def load_response_table(path, spec: GridSpec) -> list[ResponseRecord]:
             raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         try:
             numbers = [float(v) for v in row]
-        except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from None
-        try:
             location = spec.snap(numbers[0], numbers[1])
-        except ConfigurationError as exc:
+            if reduced:
+                maxima = tuple(numbers[2:])
+                records.append(ResponseRecord(location, reduce_event_maxima(maxima), maxima))
+            else:
+                records.append(ResponseRecord(location, numbers[2]))
+        except (ValueError, ConfigurationError, SchemaError) as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from None
-        if reduced:
-            maxima = tuple(numbers[2:])
-            record = ResponseRecord(location, reduce_event_maxima(maxima), maxima)
-        else:
-            record = ResponseRecord(location, numbers[2])
-        records.append(record)
     return records
 
 

@@ -6,6 +6,9 @@ when its prediction is below threshold AND the interval upper bound is
 too.  The deliverable region is the largest 4-connected component of
 reliable and measured-passing cells, reported with its bounding box.
 
+classify_cells is the one rule for which cells are uncertain: the planner
+targets the unmeasured cells it labels UNCERTAIN, and labels.csv holds its codes.
+
 The work is done on the (m, k) lattice as arrays: classify_cells gives each
 cell a code indexing LABELS, largest_region labels the components of an
 (m_count, k_count) code array, and contour_lines traces the level set of a

@@ -760,9 +760,9 @@ def _spy_evaluate(monkeypatch):
     calls = []
     evaluate = adaptive._evaluate
 
-    def spy(state, model):
+    def spy(state, model, alpha=None):
         try:
-            ev = evaluate(state, model)
+            ev = evaluate(state, model, alpha)
         except NumericalFailureError as exc:
             calls.append((model, exc))
             raise
@@ -777,10 +777,10 @@ def refuse_family(monkeypatch, family):
     """Make every lattice solve under `family` raise NumericalFailureError."""
     evaluate = adaptive._evaluate
 
-    def refuse(state, model):
+    def refuse(state, model, alpha=None):
         if model.family == family:
             raise NumericalFailureError(f"{family} refused")
-        return evaluate(state, model)
+        return evaluate(state, model, alpha)
 
     monkeypatch.setattr(adaptive, "_evaluate", refuse)
 

@@ -1,9 +1,10 @@
 """Mutation fuzz of the CLI's file edges.
 
-Each example replaces one leaf of a valid config file (for ``init``) or of a
-valid finished experiment file (for ``step``, ``run`` and ``report``) with a
-malformed value.  Whatever the value, ``main`` must return one of the
-documented exit codes instead of raising.
+Each example replaces one value of a valid config file (for ``init``) or of
+a valid finished experiment file (for ``step``, ``run``, ``run --seed 1`` and
+``report``) with a malformed value: a leaf, or as often a whole object or
+list.  Whatever the value, ``main`` must return one of the documented exit
+codes instead of raising.
 """
 import contextlib
 import io
@@ -32,15 +33,27 @@ VALUES = st.one_of(
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=80)
 
 
-def leaf_paths(node, prefix=()):
-    """Key paths of every scalar or empty container in a JSON document."""
+def key_paths(node, prefix=()):
+    """(leaves, containers): the key paths of every scalar or empty container
+    in a JSON document, and of every non-empty object or list below its root."""
     if isinstance(node, dict) and node:
         children = node.items()
     elif isinstance(node, list) and node:
         children = enumerate(node)
     else:
-        return [prefix]
-    return [path for key, child in children for path in leaf_paths(child, prefix + (key,))]
+        return [prefix], []
+    leaves, containers = [], [prefix] if prefix else []
+    for key, child in children:
+        below = key_paths(child, prefix + (key,))
+        leaves += below[0]
+        containers += below[1]
+    return leaves, containers
+
+
+def targets(document):
+    """The key path to replace: a leaf, or as often a whole object or list."""
+    leaves, containers = key_paths(document)
+    return st.one_of(st.sampled_from(leaves), st.sampled_from(containers))
 
 
 def mutated(document, path, value):
@@ -73,11 +86,11 @@ def finished_experiment(tmp_path_factory):
     return json.loads(experiment.read_text())
 
 
-CONFIG_LEAVES = leaf_paths(CONFIG)
+COMMANDS = [["step"], ["run"], ["run", "--seed", "1"], ["report"]]
 
 
 @FUZZ
-@given(path=st.sampled_from(CONFIG_LEAVES), value=VALUES)
+@given(path=targets(CONFIG), value=VALUES)
 def test_init_survives_one_malformed_config_leaf(workdir, path, value):
     config_path = workdir / "fuzz-config.json"
     config_path.write_text(json.dumps(mutated(CONFIG, path, value)))
@@ -85,10 +98,10 @@ def test_init_survives_one_malformed_config_leaf(workdir, path, value):
 
 
 @FUZZ
-@given(data=st.data(), command=st.sampled_from(["step", "run", "report"]), value=VALUES)
+@given(data=st.data(), command=st.sampled_from(COMMANDS), value=VALUES)
 def test_commands_survive_one_malformed_experiment_leaf(workdir, finished_experiment,
                                                        data, command, value):
-    path = data.draw(st.sampled_from(leaf_paths(finished_experiment)))
+    path = data.draw(targets(finished_experiment))
     experiment = workdir / "fuzz-experiment.json"
     experiment.write_text(json.dumps(mutated(finished_experiment, path, value)))
-    assert quiet_main([command, str(experiment)]) in EXIT_CODES
+    assert quiet_main([command[0], str(experiment), *command[1:]]) in EXIT_CODES

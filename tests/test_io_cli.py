@@ -311,6 +311,9 @@ def test_load_rejects_missing_field(tmp_path):
     pytest.param(("measurements", 0, "m"), 10**400, id="m-overflow"),
     pytest.param(("pending_suggestion", "phase"), "adaptive", id="pending-adaptive-unscored"),
     pytest.param(("pending_suggestion", "phase"), "later", id="pending-unknown-phase"),
+    pytest.param(("oracle",), [], id="oracle-list"),
+    pytest.param(("oracle",), "x", id="oracle-str"),
+    pytest.param(("oracle",), None, id="oracle-null"),
 ])
 def test_load_rejects_mistyped_field(path, value):
     payload = state_to_dict(finished_state(), {"kind": "synthetic_logistic"})
@@ -667,6 +670,88 @@ def test_cli_report_persists_the_model_it_fits(tmp_path, capsys):
     assert main(["report", exp_path]) == 0
     assert load_state(exp_path)[0].model is not None
     assert Path(exp_path).read_bytes() == fitted
+
+
+def test_cli_report_on_a_partial_initial_design(tmp_path, capsys):
+    """With 3 of the 2x3 design's points appended, report fits what is
+    measured and writes every artifact."""
+    config_path = write_config(tmp_path)
+    main(["init", "--config", str(config_path)])
+    exp_path = capsys.readouterr().out.strip()
+    for point in load_state(exp_path)[0].config.initial_design[:3]:
+        assert main(["append", exp_path, "--m", str(point.m), "--k", str(point.k),
+                     "--response", "3.5"]) == 0
+    assert main(["report", exp_path]) == 0
+    assert "measurements: 3 (adaptive iterations: 0)" in capsys.readouterr().out
+    for name in ARTIFACTS:
+        assert (tmp_path / name).exists()
+    assert load_state(exp_path)[0].model is not None
+
+
+def test_cli_report_without_a_model_solves_the_lattice_once(tmp_path, capsys, monkeypatch):
+    """report on a state with no model krigs the grid once: the artifacts come
+    from the evaluation that fitted the model."""
+    from krigplan import adaptive, kriging
+
+    config_path = write_config(tmp_path, {"max_iterations": 2})
+    main(["init", "--config", str(config_path)])
+    exp_path = capsys.readouterr().out.strip()
+    assert main(["run", exp_path]) == 0
+    data = json.loads(Path(exp_path).read_text())
+    data["model"] = None
+    Path(exp_path).write_text(json.dumps(data))
+
+    calls = []
+
+    def counting(solve):
+        def wrapped(system):
+            calls.append(system)
+            return solve(system)
+        return wrapped
+
+    for module in (adaptive, kriging):
+        monkeypatch.setattr(module, "solve_lattice", counting(module.solve_lattice))
+    assert main(["report", exp_path]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_step_and_report_agree_on_the_uncertain_cells(tmp_path, capsys):
+    """Mid-campaign on the criterion 8 config, the step's n_uncertain is the
+    number of cells report labels uncertain at the config's alpha: both come
+    from one classification."""
+    from krigplan import build_oracle, record_appended_measurement, suggest_next
+
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(CRITERION_8))
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = capsys.readouterr().out.strip()
+    state, oracle_spec = load_state(exp_path)
+    oracle = build_oracle(oracle_spec, state.config.grid, default_seed=state.config.seed)
+    for _ in range(len(state.config.initial_design) + 5):
+        suggestion, stop = suggest_next(state)
+        assert stop is None
+        record_appended_measurement(state, Measurement(suggestion.location,
+                                                       oracle.evaluate(suggestion.location)))
+    save_state(state, oracle_spec, exp_path)
+
+    assert main(["step", exp_path]) == 0
+    pending = load_state(exp_path)[0].pending
+    assert pending.phase == "adaptive" and pending.n_uncertain > 0
+    assert main(["report", exp_path]) == 0
+    labels = (tmp_path / "labels.csv").read_text().splitlines()[1:]
+    assert sum(line.endswith(",uncertain") for line in labels) == pending.n_uncertain
+
+
+@pytest.mark.parametrize("oracle", [[], "x", None])
+def test_cli_run_seed_rejects_a_non_object_oracle(tmp_path, capsys, oracle):
+    config_path = write_config(tmp_path)
+    main(["init", "--config", str(config_path)])
+    exp_path = capsys.readouterr().out.strip()
+    data = json.loads(Path(exp_path).read_text())
+    data["oracle"] = oracle
+    Path(exp_path).write_text(json.dumps(data))
+    assert main(["run", exp_path, "--seed", "1"]) == 2
+    assert "oracle must be an object" in capsys.readouterr().err
 
 
 def test_cli_init_refuses_overwrite(tmp_path, capsys):

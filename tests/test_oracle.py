@@ -244,6 +244,19 @@ def test_load_rejects_off_grid_location(tmp_path, grid):
             load_response_table(path, grid)
 
 
+def test_load_rejects_bad_response_with_line_number(tmp_path, grid):
+    """A replay table's response must be finite and >= 0, like a measurement's;
+    the loader names the file and line instead of the run failing later."""
+    path = tmp_path / "bad.csv"
+    for value in ("nan", "inf", "-inf", "-1.0"):
+        path.write_text(f"m,k,response\n1.0,3,2.5\n2.0,9,{value}\n")
+        with pytest.raises(SchemaError, match="must be finite and >= 0") as exc:
+            load_response_table(path, grid)
+        assert f"{path}:3:" in str(exc.value)
+    with pytest.raises(SchemaError, match="must be finite and >= 0"):
+        ResponseRecord(Combination(1.0, 3.0), -1.0)
+
+
 def test_load_rejects_missing_file(tmp_path, grid):
     path = tmp_path / "absent.csv"
     with pytest.raises(SchemaError) as exc:
