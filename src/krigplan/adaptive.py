@@ -31,16 +31,10 @@ from .errors import (
     NumericalFailureError,
     OracleMissError,
 )
-from .grid import (
-    Combination,
-    GridSpec,
-    Measurement,
-    ensure_unique_locations,
-    offset_distances,
-)
+from .grid import Combination, GridSpec, Measurement, ensure_unique_locations
 from .kriging import LatticePrediction, assemble_system, solve_grid, solve_lattice, z_quantile
 from .region import LABELS, UNCERTAIN, classify_cells
-from .variogram import FAMILIES, VariogramModel, empirical_variogram, eval_model, fit_model, select_model
+from .variogram import FAMILIES, VariogramModel, empirical_variogram, fit_model, select_model
 
 # Not called here, but the benchmark's tracer (perfbench/spans.py) wraps
 # this name on this module, so it must stay importable from it.
@@ -187,10 +181,12 @@ def weight_indicator(prediction, threshold: float) -> int:
 
 @dataclass
 class _Evaluation:
-    """One fit's view of the grid: the lattice solve (columns indexed by flat grid
-    index), its prediction and classify_cells codes, and the uncertain unmeasured points."""
+    """One fit's view of the grid: the system's semivariance table, the lattice solve
+    (columns indexed by flat grid index), its prediction and classify_cells codes, and
+    the uncertain unmeasured points."""
 
     model: VariogramModel
+    table: np.ndarray      # KrigingSystem.table, gamma by grid index offset
     prediction: LatticePrediction
     codes: np.ndarray      # (m_count, k_count), indices into region.LABELS
     rhs: np.ndarray        # (n+1, P)
@@ -214,15 +210,15 @@ def _evaluate(state: ExperimentState, model: VariogramModel, alpha: float | None
     """Krig and classify every grid point under model; intervals at alpha, or the config's."""
     spec = state.config.grid
     z = z_quantile(state.config.alpha if alpha is None else alpha)
-    means, variances, rhs, solution, measured = solve_lattice(
-        assemble_system(state.measurements, model, spec))
+    system = assemble_system(state.measurements, model, spec)
+    means, variances, rhs, solution, measured = solve_lattice(system)
     prediction = LatticePrediction.from_flat(spec, means, variances, z)
     # solve_lattice gives every measured point its observed response as mean.
     codes = classify_cells(prediction.mean, prediction.ci_lower, prediction.ci_upper,
                            state.config.threshold, measured, means[measured])
     unmeasured_idx = np.delete(np.arange(spec.point_count), measured)
     indicators = codes.reshape(-1)[unmeasured_idx] == LABELS.index(UNCERTAIN)
-    return _Evaluation(model, prediction, codes, rhs, solution, unmeasured_idx, indicators)
+    return _Evaluation(model, system.table, prediction, codes, rhs, solution, unmeasured_idx, indicators)
 
 
 def _fit(state: ExperimentState, alpha: float | None = None) -> _Evaluation:
@@ -296,9 +292,10 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     leaves no variance to reduce, so every score is zero.
 
     Candidates and targets are lattice nodes, so g depends only on their
-    index offset: gamma is evaluated once per call over offset_distances,
-    and each block gathers g from that table at center - pos(x) + pos(t),
-    pos being a node's flat index in the table.
+    index offset: each block gathers g from the system's table of gamma over
+    grid.offset_distances (ev.table, evaluated once per fit, with the
+    lattice solve) at center - pos(x) + pos(t), pos being a node's flat
+    index in the table.
 
     With screen, an iteration of at least _SCREEN_MIN_BLOCKS blocks scores
     only the blocks that _screen_scores cannot rule out of the tied argmin
@@ -313,8 +310,7 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     XT = ev.solution[:, idx].T
     D = ev.rhs[:, idx[cols]]
     spec = state.config.grid
-    table = eval_model(ev.model, offset_distances(spec))
-    gamma = table.ravel()
+    gamma = ev.table.ravel()
     width = 2 * spec.k_count - 1
     row, col = np.divmod(idx, spec.k_count)
     pos = row * width + col
@@ -346,7 +342,7 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
         scores[block] = updated @ ones
 
     if screen and len(starts) >= _SCREEN_MIN_BLOCKS and safe.any():
-        estimate, bound = _screen_scores(spec, idx, cols, XT, D, variances, denom, table)
+        estimate, bound = _screen_scores(spec, idx, cols, XT, D, variances, denom, ev.table)
         # Blocks are scored whole, at the walk's offsets, so each BLAS call
         # and each score is bit for bit the walk's.
         best = int(np.argmin(np.where(safe, estimate, np.inf)))

@@ -215,7 +215,9 @@ def offset_distances(spec: GridSpec) -> np.ndarray:
     (2 * m_count - 1, 2 * k_count - 1) array, symmetric under reversal of
     both axes.  It agrees with the distance of the two points' lattice_coords
     to within a few ulps of the largest coordinate: the coordinates round,
-    the offsets do not.
+    the offsets do not.  Where every scaled coordinate is an integer the two
+    are equal.  Each kriging.KrigingSystem evaluates its variogram over this
+    table once and gathers every semivariance it needs from it.
     """
     dm = np.arange(1 - spec.m_count, spec.m_count) * spec.m_stride
     dk = np.arange(1 - spec.k_count, spec.k_count) * spec.k_stride * spec.k_scale

@@ -12,6 +12,12 @@ location reproduces its response exactly and has zero variance, nugget or
 not.  The prediction variance is the dot product of the right-hand side
 with the solution vector.
 
+Measurements and targets are grid points.  Under a stationary variogram the
+semivariance of two grid points depends only on their index offset, so each
+system evaluates the model once over grid.offset_distances and gathers Gamma
+and every right-hand side from that table: a measurement's right-hand sides
+over the whole lattice are one contiguous window of it.
+
 Each system is LU-factorized once, and the factors give its inverse once,
 made exactly symmetric like the matrix.  Every batch of targets is then
 solved by one matrix product (GEMM) with that inverse.  A product with a
@@ -30,14 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.spatial.distance import cdist
 
 from .errors import (
     ConfigurationError,
     InsufficientDataError,
     NumericalFailureError,
 )
-from .grid import Combination, GridSpec, ensure_unique_locations, lattice_coords, scaled_coords
+from .grid import Combination, GridSpec, ensure_unique_locations, offset_distances
 from .variogram import VariogramModel, eval_model
 
 # Two-sided normal quantiles for the supported confidence levels
@@ -91,6 +96,12 @@ class Prediction:
 class KrigingSystem:
     """Bordered semivariance system for a fixed measurement set and model.
 
+    Every measurement must be a grid point of spec (ConfigurationError names
+    the first that is not).  The model is evaluated once, over
+    offset_distances(spec), into table: the semivariance of any two grid
+    points is its entry at their index offset, so the matrix and every
+    target's right-hand side are gathered from it.
+
     The condition estimate and the inverse, built from one LU factorization,
     are each computed once, on first use; every target solved against this
     system is then one product with the cached inverse, refined on
@@ -107,15 +118,15 @@ class KrigingSystem:
         self.spec = spec
         self.locations = [m.location for m in measurements]
         self.values = np.array([m.response for m in measurements], dtype=float)
-        self.points = scaled_coords(self.locations, spec)
+        self.flat = _grid_indices(spec, self.locations, "measurement")
+        self.table = eval_model(model, offset_distances(spec))
 
         n = len(measurements)
-        gam = eval_model(model, cdist(self.points, self.points))
-        np.fill_diagonal(gam, 0.0)
-        mat = np.zeros((n + 1, n + 1), dtype=float)
-        mat[:n, :n] = gam
-        mat[n, :n] = 1.0
-        mat[:n, n] = 1.0
+        mat = np.ones((n + 1, n + 1), dtype=float)
+        # Each measurement's column is its right-hand side; the zero offset's
+        # entry, gamma(0) = 0 exactly, is the diagonal.
+        mat[:, :n] = self.rhs(self.flat)
+        mat[n, n] = 0.0
         self.matrix = mat
         self._inverse = None
         self._cond = None
@@ -129,8 +140,19 @@ class KrigingSystem:
             self._cond = float(np.linalg.cond(self.matrix))
         return self._cond
 
+    def _table_index(self, flat: np.ndarray) -> np.ndarray:
+        """(n, P) positions in the ravelled offset table (self.table, or
+        offset_distances(spec)) of each measurement's index offset to the
+        grid points at row-major indices flat."""
+        k = self.spec.k_count
+        # Node (i, j) sits at i (2k - 1) + j = flat + i (k - 1) of the
+        # ravelled table, and the zero offset where the last node does.
+        pos, own = flat + flat // k * (k - 1), self.flat + self.flat // k * (k - 1)
+        zero = (self.spec.m_count - 1) * (2 * k - 1) + k - 1
+        return (zero - own)[:, None] + pos
+
     def _closest_pair(self) -> tuple[Combination, Combination]:
-        d = cdist(self.points, self.points)
+        d = offset_distances(self.spec).ravel()[self._table_index(self.flat)]
         np.fill_diagonal(d, np.inf)
         i, j = np.unravel_index(np.argmin(d), d.shape)
         return self.locations[i], self.locations[j]
@@ -155,11 +177,24 @@ class KrigingSystem:
                 f"nearest locations are ({a.m}, {a.k}) and ({b.m}, {b.k})"
             ) from exc
 
-    def rhs(self, coords: np.ndarray) -> np.ndarray:
-        """(n+1, P) right-hand sides for a (P, 2) array of scaled target coordinates."""
-        gam = eval_model(self.model, cdist(self.points, coords))
-        out = np.ones((self.n + 1, len(coords)), dtype=float)
-        out[: self.n, :] = gam
+    def rhs(self, flat: np.ndarray) -> np.ndarray:
+        """(n+1, P) right-hand sides for the grid points at row-major indices
+        flat, gathered from the table by one take."""
+        out = np.ones((self.n + 1, len(flat)), dtype=float)
+        # Every index is in range; mode "clip" writes straight into out,
+        # where the default mode buffers the whole result first.
+        np.take(self.table, self._table_index(flat), out=out[: self.n], mode="clip")
+        return out
+
+    def lattice_rhs(self) -> np.ndarray:
+        """rhs of every grid point in row-major order.  A measurement's row
+        is one (m_count, k_count) window of the table, copied as a slice."""
+        m, k = self.spec.m_count, self.spec.k_count
+        out = np.empty((self.n + 1, m * k), dtype=float)
+        out[self.n] = 1.0
+        for row, node in zip(out, self.flat.tolist()):
+            i, j = divmod(node, k)
+            row.reshape(m, k)[...] = self.table[m - 1 - i:2 * m - 1 - i, k - 1 - j:2 * k - 1 - j]
         return out
 
     def solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
@@ -229,24 +264,39 @@ class GridSolution:
     solution: np.ndarray   # (n+1, P), system solved against rhs
 
 
-def _solve_coords(system: KrigingSystem, coords: np.ndarray, measured_pos, measured_rows, point_at):
-    """(means, variances, rhs, solution) at the (P, 2) target coordinates,
-    the solve behind solve_grid and solve_lattice.  Target measured_pos[i]
-    sits on measurement measured_rows[i]; point_at names a target by its
-    position in error messages.
+def _grid_indices(spec: GridSpec, locations, what: str) -> np.ndarray:
+    """Row-major indices of locations on spec's grid; ConfigurationError,
+    naming the first, when any location is not a grid point."""
+    rows, flat = spec.flat_indices(locations)
+    if len(rows) < len(locations):
+        # rows lists the on-grid positions in order: the first position
+        # missing from it is the first off-grid location.
+        missing = np.flatnonzero(rows != np.arange(len(rows)))
+        c = locations[int(missing[0]) if missing.size else len(rows)]
+        raise ConfigurationError(f"{what} ({c.m}, {c.k}) is not a point of the grid")
+    return flat
+
+
+def _solve_targets(system: KrigingSystem, count: int, gather, measured_pos, measured_rows, point_at):
+    """(means, variances, rhs, solution) at count targets, the solve behind
+    solve_grid and solve_lattice.  gather() gives the targets' (n+1, count)
+    right-hand sides; target measured_pos[i] sits on measurement
+    measured_rows[i]; point_at names a target by its position in error
+    messages.
 
     A measured target's right-hand side is its measurement's column of the
-    matrix, so its solution column is set to that unit vector exactly: the
-    product with the inverse leaves roundoff there that grows with the
-    semivariance scale and could trip VARIANCE_FLOOR at a zero variance."""
-    if system.model.is_degenerate or not len(coords):
-        shape = (system.n + 1, len(coords))
+    matrix, gathered from the same table entries, so its solution column is
+    set to that unit vector exactly: the product with the inverse leaves
+    roundoff there that grows with the semivariance scale and could trip
+    VARIANCE_FLOOR at a zero variance."""
+    if system.model.is_degenerate or not count:
+        shape = (system.n + 1, count)
         rhs, sol = np.zeros(shape), np.zeros(shape)
-        means = np.full(len(coords), system.values.mean())
-        variances = np.zeros(len(coords))
+        means = np.full(count, system.values.mean())
+        variances = np.zeros(count)
     else:
         system.check_conditioning()
-        rhs = system.rhs(coords)
+        rhs = gather()
         sol = system.solve_rhs(rhs)
         sol[:, measured_pos] = 0.0
         sol[measured_rows, measured_pos] = 1.0
@@ -258,29 +308,33 @@ def _solve_coords(system: KrigingSystem, coords: np.ndarray, measured_pos, measu
 
 
 def solve_grid(system: KrigingSystem, targets) -> GridSolution:
-    """Means and variances at every target; measured targets reproduce their
-    observations exactly with zero variance.
+    """Means and variances at every target, each a point of the system's
+    grid (ConfigurationError names the first that is not); measured targets
+    reproduce their observations exactly with zero variance.
 
     A degenerate model (zero nugget and sill, i.e. no observed variability)
     predicts the common response everywhere with zero variance rather than
     failing on its singular system; its rhs and solution are zero.
     """
     targets = list(targets)
-    row_of = {loc: row for row, loc in enumerate(system.locations)}
-    pos = [p for p, t in enumerate(targets) if t in row_of]
-    means, variances, rhs, sol = _solve_coords(system, scaled_coords(targets, system.spec), pos,
-                                               [row_of[targets[p]] for p in pos], targets.__getitem__)
+    flat = _grid_indices(system.spec, targets, "kriging target")
+    row_at = np.full(system.spec.point_count, -1)
+    row_at[system.flat] = np.arange(system.n)
+    rows = row_at[flat]
+    pos = np.flatnonzero(rows >= 0)
+    means, variances, rhs, sol = _solve_targets(system, len(targets), lambda: system.rhs(flat),
+                                                pos, rows[pos], targets.__getitem__)
     return GridSolution(tuple(targets), means, variances, rhs, sol)
 
 
 def solve_lattice(system: KrigingSystem):
     """(means, variances, rhs, solution, measured): the system solved on
-    every grid point of system.spec in row-major order (lattice_coords), and
-    the flat indices of the measurements that are grid points.  Measured
-    points take their observations with zero variance, as in solve_grid."""
+    every grid point of system.spec in row-major order, and the flat indices
+    of the measurements.  Measured points take their observations with zero
+    variance, as in solve_grid."""
     spec = system.spec
-    rows, flat = spec.flat_indices(system.locations)
-    return (*_solve_coords(system, lattice_coords(spec), flat, rows, spec.point), flat)
+    return (*_solve_targets(system, spec.point_count, system.lattice_rhs, system.flat,
+                            np.arange(system.n), spec.point), system.flat)
 
 
 def confidence_bounds(means, variances, z: float):

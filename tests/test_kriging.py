@@ -1,5 +1,5 @@
 import math
-
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
+from scipy.spatial.distance import cdist
 
 from krigplan import (
     Combination,
@@ -42,8 +43,10 @@ from conftest import (
     random_measurements,
     semivariance_matrices,
 )
+from test_grid import OFFSET_ULPS
 
 SPH = VariogramModel("spherical", 0.025, 2.0, 0.5)
+EPS = np.finfo(float).eps
 
 
 def unit_grid(n=8):
@@ -118,6 +121,120 @@ def test_ill_conditioned_system_raises():
     with pytest.raises(NumericalFailureError) as exc:
         solve(system, Combination(2.0, 10.0))
     assert "ill-conditioned" in str(exc.value)
+    assert "nearest locations are (1.0, 3.0) and (1.0, 4.0)" in str(exc.value)
+
+
+OFF_GRID = [Combination(1.25, 3.0), Combination(7.0, 3.0), Combination(2.0, 2.5)]
+
+
+@pytest.mark.parametrize("point", OFF_GRID, ids=["between-nodes", "outside", "off-k"])
+def test_off_grid_measurement_is_rejected(study_grid, point):
+    """Kriging reads semivariances by grid index offset, so a measurement off
+    the grid is a configuration error, named, through every entry point."""
+    ms = [Measurement(Combination(1.0, 3.0), 2.0), Measurement(point, 2.5),
+          Measurement(Combination(9.0, 3.0), 3.0)]
+    message = f"measurement ({point.m}, {point.k}) is not a point of the grid"
+    calls = (lambda: assemble_system(ms, SPH, study_grid),
+             lambda: predict(ms, SPH, study_grid, Combination(2.0, 10.0)),
+             lambda: predict_lattice(ms, SPH, study_grid))
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            call()
+
+
+@pytest.mark.parametrize("point", OFF_GRID, ids=["between-nodes", "outside", "off-k"])
+def test_off_grid_target_is_rejected(study_grid, point):
+    """The same for a target, named, even under a degenerate model, whose
+    solve gathers nothing."""
+    ms = [Measurement(Combination(1.0, 3.0), 2.0), Measurement(Combination(3.0, 20.0), 5.0)]
+    system = assemble_system(ms, SPH, study_grid)
+    targets = [Combination(2.0, 10.0), point, Combination(0.0, 10.0)]
+    message = f"kriging target ({point.m}, {point.k}) is not a point of the grid"
+    calls = (lambda: solve_grid(system, targets),
+             lambda: solve(system, point),
+             lambda: predict(ms, SPH, study_grid, point),
+             lambda: predict_grid(ms, VariogramModel("spherical", 0.0, 1.0, 0.0), study_grid, targets))
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            call()
+
+
+# --- the semivariance table --------------------------------------------------
+
+def table_layout(data, integer_coords):
+    """(spec, measurements, model) on a drawn lattice layout; with
+    integer_coords every scaled coordinate is an integer."""
+    n_m, n_k = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 12))
+    if integer_coords:
+        m_stride, k_stride = data.draw(st.sampled_from([1.0, 2.0])), data.draw(st.sampled_from([1.0, 3.0]))
+        k_scale = data.draw(st.sampled_from([1.0, 2.0]))
+        m_min, k_min = 1.0, 1.0
+    else:
+        m_stride, k_stride = data.draw(st.sampled_from([0.1, 0.5, 0.3])), data.draw(st.sampled_from([1.0, 0.2, 3.0]))
+        k_scale = data.draw(st.sampled_from([0.1, 1.0, 0.37]))
+        m_min, k_min = 0.5, 1.0
+    spec = GridSpec(m_min, m_min + (n_m - 1) * m_stride, m_stride,
+                    k_min, k_min + (n_k - 1) * k_stride, k_stride, k_scale=k_scale)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    ms = random_measurements(rng, spec, data.draw(st.integers(1, min(15, spec.point_count))))
+    model = VariogramModel(data.draw(st.sampled_from(FAMILIES)), data.draw(st.floats(0.0, 0.5)),
+                           data.draw(st.floats(0.1, 8.0)), data.draw(st.floats(0.0, 3.0)))
+    return spec, ms, model
+
+
+def coordinate_semivariances(system):
+    """(Gamma, lattice right-hand sides) from eval_model over cdist of the
+    scaled coordinates, the assembly the table replaces."""
+    coords = lattice_coords(system.spec)
+    points = coords[system.flat]
+    return eval_model(system.model, cdist(points, points)), eval_model(system.model, cdist(points, coords))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(data=st.data())
+def test_table_gathers_are_symmetric_and_consistent(data):
+    """The matrix is exactly symmetric with the border of ones; a measured
+    node's lattice right-hand side equals its matrix column bit for bit; and
+    rhs at any flat indices equals those lattice columns."""
+    spec, ms, model = table_layout(data, integer_coords=data.draw(st.booleans()))
+    system = assemble_system(ms, model, spec)
+    n, mat = system.n, system.matrix
+    assert np.array_equal(mat, mat.T)
+    assert np.array_equal(np.diag(mat), np.zeros(n + 1))
+    assert np.array_equal(mat[n, :n], np.ones(n))
+    lattice = system.lattice_rhs()
+    assert lattice.shape == (n + 1, spec.point_count)
+    assert np.array_equal(lattice[:, system.flat], mat[:, :n])
+    flat = np.random.default_rng(0).integers(0, spec.point_count, size=7)
+    assert np.array_equal(system.rhs(flat), lattice[:, flat])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(data=st.data())
+def test_table_equals_coordinate_semivariances_on_integer_coordinates(data):
+    """With integer scaled coordinates both distances are exact, so the
+    gathered Gamma and right-hand sides equal eval_model over cdist exactly
+    (criterion 5's grids are of this kind)."""
+    spec, ms, model = table_layout(data, integer_coords=True)
+    system = assemble_system(ms, model, spec)
+    gamma, rhs = coordinate_semivariances(system)
+    assert np.array_equal(system.matrix[: system.n, : system.n], gamma)
+    assert np.array_equal(system.lattice_rhs()[: system.n], rhs)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(data=st.data())
+def test_table_matches_coordinate_semivariances_within_the_slope_bound(data):
+    """Elsewhere the table's distances are a few ulps from the coordinates'
+    (test_grid's OFFSET_ULPS), so each semivariance moves by at most the
+    steepest slope (1.5 sill / range) times that, plus its own rounding."""
+    spec, ms, model = table_layout(data, integer_coords=False)
+    system = assemble_system(ms, model, spec)
+    gamma, rhs = coordinate_semivariances(system)
+    ulp = EPS * np.abs(lattice_coords(spec)).max()
+    atol = 1.5 * model.sill / model.range * OFFSET_ULPS * ulp + OFFSET_ULPS * EPS * (model.nugget + model.sill)
+    np.testing.assert_allclose(system.matrix[: system.n, : system.n], gamma, rtol=0, atol=atol)
+    np.testing.assert_allclose(system.lattice_rhs()[: system.n], rhs, rtol=0, atol=atol)
 
 
 # --- optimality against independent references -------------------------------
@@ -335,14 +452,12 @@ def test_negative_variance_names_its_cell_on_both_paths(study_grid):
 
 # --- the solve through the cached inverse ------------------------------------
 
-EPS = np.finfo(float).eps
-
 
 def refined_lu_lattice(system):
     """(means, variances, condition) of the lattice solved by LU plus one
     step of iterative refinement, measured cells set as solve_lattice does."""
     spec, mat = system.spec, system.matrix
-    rhs = system.rhs(lattice_coords(spec))
+    rhs = system.lattice_rhs()
     lu = lu_factor(mat)
     x = lu_solve(lu, rhs)
     x += lu_solve(lu, rhs - mat @ x)

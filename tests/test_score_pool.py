@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import krigplan.adaptive as adaptive
+import krigplan.kriging as kriging
 from krigplan import (
     ExperimentConfig,
     ExperimentState,
@@ -106,25 +107,22 @@ def test_unforced_screen_matches_the_public_walk():
             state, Measurement(suggestion.location, oracle.evaluate(suggestion.location)))
 
 
-def test_scoring_evaluates_the_variogram_once_per_call():
-    """One semivariance table per call, however many blocks, walked or
-    screened."""
+def test_one_semivariance_table_per_fit_and_pick():
+    """The fit's system evaluates the variogram once, into its table, and
+    the pick reads that table, however many blocks, walked or screened."""
     state = study_state()
     ones = np.ones(708, dtype=bool)
-    for block in (16 * 708, 2**16):
+    for block, screened in ((16 * 708, False), (2**16, False), (2**16, True)):
         with mock.patch.object(adaptive, "_SCORE_BLOCK_ELEMENTS", block), \
-                mock.patch.object(adaptive, "eval_model", wraps=adaptive.eval_model) as spy:
-            candidate_scores(state, indicators=ones)
+                mock.patch.object(adaptive, "_SCREEN_MIN_BLOCKS", 0 if screened else 10**9), \
+                mock.patch.object(adaptive, "_screen_scores",
+                                  wraps=adaptive._screen_scores) as screen, \
+                mock.patch.object(kriging, "eval_model", wraps=kriging.eval_model) as spy:
+            ev = adaptive._fit(state)
+            ev.indicators = ones
+            adaptive._pick(state, ev)
+        assert screen.call_count == int(screened)
         assert spy.call_count == 1
-    ev = adaptive._evaluate(state, SPH)
-    ev.indicators = ones
-    with mock.patch.object(adaptive, "_SCREEN_MIN_BLOCKS", 0), \
-            mock.patch.object(adaptive, "_screen_scores",
-                              wraps=adaptive._screen_scores) as screen, \
-            mock.patch.object(adaptive, "eval_model", wraps=adaptive.eval_model) as spy:
-        adaptive._pick(state, ev)
-    assert screen.call_count == 1
-    assert spy.call_count == 1
 
 
 def _cli_campaign(directory, capsys, seed, iterations):
