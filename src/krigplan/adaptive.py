@@ -9,6 +9,12 @@ set (variogram held fixed).  The candidate minimizing that score is
 measured next.  The run stops naturally once no point is uncertain, or on
 budget after max_iterations adaptive measurements.
 
+The scores come from one rule, _fast_scores, which the pick and
+candidate_scores share: every candidate in closed form, from lattice FFT
+convolutions, when the uncertain points are many against the measurements,
+and target by target in candidate blocks otherwise.  rc_score re-assembles
+the augmented system for one candidate and is the reference for both.
+
 suggest_next is one planner step: fit, evaluate the grid once, apply the
 stop rule, pick the argmin.  run_experiment is the interactive step/append
 loop with the oracle in the middle, so batch and interactive runs share one
@@ -32,7 +38,7 @@ from .errors import (
     OracleMissError,
 )
 from .grid import Combination, GridSpec, Measurement, ensure_unique_locations
-from .kriging import LatticePrediction, assemble_system, solve_grid, solve_lattice, z_quantile
+from .kriging import EPS, LatticePrediction, assemble_system, solve_grid, solve_lattice, z_quantile
 from .region import LABELS, UNCERTAIN, classify_cells
 from .variogram import FAMILIES, VariogramModel, empirical_variogram, fit_model, select_model
 
@@ -51,26 +57,44 @@ TIE_TOL = 1e-12
 # such candidates are rescored by full re-assembly instead.
 FAST_PATH_VARIANCE_MIN = 1e-10
 
-# Candidate/target entries per scoring block (float64, 512 KB).  A block is
-# the unit of scoring work: its candidate rows are scored by one BLAS product
-# against the targets and one row sum.  Bounds the scoring's working memory
-# whatever the grid and uncertain-set sizes, and keeps each block's
-# temporaries in cache: on the 5,600-cell grid, on a 2-core x86-64 host with
-# single-threaded OpenBLAS, 2**16 scored about twice as fast as 2**20.
+# Candidate/target entries per scoring block of the walk (float64, 512 KB).
+# A block is the unit of the walk's work: its candidate rows are scored by
+# one BLAS product against the targets and one row sum.  Bounds the walk's
+# working memory whatever the grid and uncertain-set sizes, and keeps each
+# block's temporaries in cache: on the 5,600-cell grid, on a 2-core x86-64
+# host with single-threaded OpenBLAS, 2**16 scored about twice as fast as
+# 2**20.
 _SCORE_BLOCK_ELEMENTS = 2 ** 16
 
-# _pick screens an iteration with at least this many scoring blocks (see
-# _screen_scores) and walks every block below it.  The screen's cost follows
-# the grid size, the walk's the block count, so the crossover moves with the
-# grid.  Milliseconds per call, walk / screen, for grid cells: blocks, on a
-# 2-core x86-64 host with single-threaded OpenBLAS:
-#     720: 3 blocks 2.3 / 2.4, 4: 4.2 / 3.5, 9: 6.0 / 3.9
-#   1,380: 5 blocks 5.4 / 6.5, 8: 7.6 / 6.6, 15: 11.2 / 7.0
-#   2,700: 12 blocks 11.2 / 13.2, 17: 12.9 / 12.0, 28: 18.8 / 13.6
-#   5,600: 15 blocks 13.7 / 21.0, 30: 21.0 / 21.0, 59: 42.0 / 21.9
-# 16 sits between the crossovers, about 4 to 30 blocks, and above the
-# 720-cell study grid's most (708^2 / 2^16, about 7.6), which the walk keeps.
-_SCREEN_MIN_BLOCKS = 16
+# _fast_scores takes the closed form when the flagged targets number at
+# least this many per row of the solved system, U >= 10 (n + 1) with n
+# measurements, and walks the blocks below it.  Per candidate, the walk
+# costs about U (n + 1) and the closed form about (n + 1)^2 plus the n + 2
+# transforms' (n + 2) log P, so the grid size all but drops out.  Both timed
+# at every pick of the campaigns of study_run seeds 1 and 7 (100 picks) and
+# large_grid seeds 1, 7 and 11 (24 picks), on a 2-core x86-64 host with
+# single-threaded OpenBLAS; milliseconds of scoring per set of campaigns, by
+# multiplier:
+#               walk only     4    6    8   10   12   14   16   20  closed only
+#   study_run      242      207  198  196  198  201  205  213  217     286
+#   large_grid    1896      175  175  175  175  175  175  178  183     175
+# The best choice pick by pick gave 195 and 175: 6 to 12 are all within 3%.
+_CLOSED_FORM_TARGETS_PER_ROW = 10
+
+# A closed-form candidate x is rescored by re-assembly when the rounding of
+# its S(x) / v(x), about eps (|Q| + 2 |R| + |H|) / v(x), exceeds this share of
+# the summed target variance (see _closed_form_scores).
+_CLOSED_FORM_RTOL = 1e-6
+
+# The closed form transforms its n + 2 planes this many at a time, reusing
+# one padded input and one spectra array from batch to batch.  All at once,
+# the spectra of the 5,600-cell grid take about 4 MB per pick, and the page
+# faults of that fresh memory cost about as much as the transforms.
+# Closed-form CPU time per pick, median of four runs of ten large_grid and
+# four study_run campaigns (seed 7) on a 2-core x86-64 host, all at once /
+# four at a time: 9.7 / 7.2 ms with 2,028 / 779 page faults on the
+# 5,600-cell grid, 1.35 / 1.08 ms with 213 / 18 on the 720-cell grid.
+_FFT_PLANES = 4
 
 
 @dataclass(frozen=True)
@@ -271,8 +295,7 @@ def _stop_reason(state: ExperimentState, ev: _Evaluation) -> str | None:
     return None
 
 
-def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray,
-                 screen: bool = False) -> np.ndarray:
+def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray) -> np.ndarray:
     """Scores for every unmeasured candidate via the bordered-system identity.
 
     Appending candidate x to the measurement set extends the solved system by
@@ -283,24 +306,18 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
         var(t | S + x) = var(t | S) - (q - g)^2 / var(x | S)
 
     with q the cross-solve term rhs(x) . solve(rhs(t)) and g = gamma(x, t).
-    Everything needed is already in the batch grid solution.  Only the
-    flagged targets carry weight, so q, g and the updated variances are built
-    for those U columns alone, and the P candidates are walked in row blocks
-    of about _SCORE_BLOCK_ELEMENTS entries each: the working memory is
-    bounded by the block, not by P^2.  Candidates with vanishing current
-    variance fall back to full re-assembly (rc_score).  A degenerate model
-    leaves no variance to reduce, so every score is zero.
-
-    Candidates and targets are lattice nodes, so g depends only on their
-    index offset: each block gathers g from the system's table of gamma over
-    grid.offset_distances (ev.table, evaluated once per fit, with the
-    lattice solve) at center - pos(x) + pos(t), pos being a node's flat
-    index in the table.
-
-    With screen, an iteration of at least _SCREEN_MIN_BLOCKS blocks scores
-    only the blocks that _screen_scores cannot rule out of the tied argmin
-    and leaves +inf for every other fast-path candidate: the result then
-    serves _argmin_tied alone, with the same pick and score bits.
+    Everything needed is already in the lattice solution, and only the U
+    flagged targets carry weight.  With U at least
+    _CLOSED_FORM_TARGETS_PER_ROW times the n + 1 rows of the solution, every
+    candidate's sum over the targets is taken in closed form, by lattice
+    convolutions (_closed_form_scores); below it the P candidates are walked
+    in row blocks of about _SCORE_BLOCK_ELEMENTS entries each (_walk_scores),
+    so the working memory is bounded by the block, not by P^2.  The two
+    agree to rounding: the closed form's scores move in the last bits
+    against the walk's.  Candidates with vanishing current variance, and
+    closed-form candidates the cancellation guard flags, are rescored by full
+    re-assembly (rc_score).  A degenerate model leaves no variance to
+    reduce, so every score is zero.
     """
     idx = ev.unmeasured_idx
     if ev.model.is_degenerate or len(idx) == 0:
@@ -309,8 +326,32 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     cols = np.flatnonzero(indicators)
     XT = ev.solution[:, idx].T
     D = ev.rhs[:, idx[cols]]
-    spec = state.config.grid
-    gamma = ev.table.ravel()
+    safe = variances >= FAST_PATH_VARIANCE_MIN
+    denom = np.where(safe, variances, 1.0)
+    if len(cols) >= _CLOSED_FORM_TARGETS_PER_ROW * len(D):
+        scores, unsure = _closed_form_scores(state.config.grid, idx, indicators, XT, D,
+                                             variances, denom, ev.table)
+        rescore = ~safe | unsure
+    else:
+        scores = _walk_scores(state.config.grid, idx, indicators, XT, D, variances, denom, ev.table)
+        rescore = ~safe
+    for pos in np.flatnonzero(rescore):
+        scores[pos] = _score_by_reassembly(state, ev, indicators, int(pos))
+    return scores
+
+
+def _walk_scores(spec: GridSpec, idx, indicators, XT, D, variances, denom, table) -> np.ndarray:
+    """Every candidate's score, target by target, in blocks of candidate rows.
+
+    Candidates and targets are lattice nodes, so g depends only on their
+    index offset: each block gathers g from the system's table of gamma over
+    grid.offset_distances (evaluated once per fit, with the lattice solve)
+    at center - pos(x) + pos(t), pos being a node's flat index in the table.
+    Each conditional variance is clamped at 0, and the candidate itself is
+    not one of its targets.
+    """
+    cols = np.flatnonzero(indicators)
+    gamma = table.ravel()
     width = 2 * spec.k_count - 1
     row, col = np.divmod(idx, spec.k_count)
     pos = row * width + col
@@ -318,14 +359,9 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     target_pos = pos[cols]
     target_var = variances[cols]
     ones = np.ones(len(cols))
-
-    safe = variances >= FAST_PATH_VARIANCE_MIN
-    denom = np.where(safe, variances, 1.0)
     rows = max(1, _SCORE_BLOCK_ELEMENTS // max(1, len(cols)))
-    starts = range(0, len(idx), rows)
-    scores = np.full(len(idx), np.inf)
-
-    def score_block(start):
+    scores = np.empty(len(idx))
+    for start in range(0, len(idx), rows):
         block = slice(start, start + rows)
         # (row, column) of each candidate in this block that is also a target
         self_rows = np.flatnonzero(indicators[block])
@@ -340,129 +376,72 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
         np.maximum(updated, 0.0, out=updated)
         updated[self_rows, self_cols] = 0.0  # the candidate itself is not a target
         scores[block] = updated @ ones
-
-    if screen and len(starts) >= _SCREEN_MIN_BLOCKS and safe.any():
-        estimate, bound = _screen_scores(spec, idx, cols, XT, D, variances, denom, ev.table)
-        # Blocks are scored whole, at the walk's offsets, so each BLAS call
-        # and each score is bit for bit the walk's.
-        best = int(np.argmin(np.where(safe, estimate, np.inf)))
-        first = best - best % rows
-        score_block(first)
-        block = slice(first, first + rows)
-        e_best = float(scores[block][safe[block]].min())
-        # estimate - bound is at most a candidate's score, so no candidate
-        # left out can be within the tie tolerance of the minimum; a NaN
-        # bound or e_best keeps every candidate.
-        kept = safe & ~(estimate - bound > e_best + TIE_TOL * max(1.0, e_best))
-        starts = np.unique(np.flatnonzero(kept) // rows * rows)
-        starts = starts[starts != first].tolist()
-    for start in starts:
-        score_block(start)
-    for pos in np.nonzero(~safe)[0]:
-        scores[pos] = _score_by_reassembly(state, ev, indicators, int(pos))
     return scores
 
 
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+def _closed_form_scores(spec: GridSpec, idx, indicators, XT, D, variances, denom, table):
+    """(scores, unsure): every candidate's score in closed form, and which
+    of them the cancellation guard leaves to re-assembly.
 
-
-def _gamma_k(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64:
-    the relative error bound of a k-term dot product or k roundings."""
-    u = _UNIT_ROUNDOFF
-    return k * u / (1 - k * u)
-
-
-def _screen_scores(spec: GridSpec, idx, cols, XT, D, variances, denom, table):
-    """(estimate, bound) of every candidate's block-kernel score, such that
-    estimate - bound is at most the score the kernel computes.
-
-    In exact arithmetic and without its clamp, the kernel's score of
-    candidate x is F(x) = V(x) - S(x) / v(x), with V the summed variance
-    of the targets other than x and S = sum over those targets of
-    (q - g)^2.  Summed over all targets t instead,
-    S = X Gram X' - 2 sum_t q g + sum_t g^2 - q(x, x)^2, the last term only
-    when x is a target (g(x, x) = 0), with X the candidate's solution row
-    and Gram = D D'.  The two middle sums
+    Without the walk's per-target clamp, the score of candidate x is
+    F(x) = V(x) - S(x) / v(x), with V the summed variance of the targets
+    other than x and S = sum over those targets of (q - g)^2.  Summed over
+    all targets t instead, S = Q - 2 R + H - q(x, x)^2, the last term only
+    when x is a target (g(x, x) = 0), with Q = X Gram X' (X the candidate's
+    solution row, Gram = D D'), R = sum_t q g and H = sum_t g^2.  R and H
     are lattice correlations of the n+1 rows of D, and of the target
     indicator, with the offset table and its square; the table is symmetric
     under reversal of both axes, so they are convolutions (Dietrich &
-    Newsam 1997, circulant embedding).  One batched real FFT of
-    next_fast_len(2m-1) x next_fast_len(2k-1), at least the table's size,
-    gives all n+2 of them with no offset wrapping onto another.  The clamp
-    max(0, .) only raises a term, so the kernel's exact score is at least
-    F; bound covers the rounding between each computed value and the exact
-    one (see the parts below), doubled for second-order terms and the
-    rounding of the bound itself.
+    Newsam 1997, circulant embedding).  Real FFTs of next_fast_len(2m-1) x
+    next_fast_len(2k-1), at least the table's size, give all n+2 of them
+    with no offset wrapping onto another.  The score is F clamped at 0.
+
+    S / v(x) cancels against V when v(x) is small: its rounding is about
+    eps (|Q| + 2 |R| + |H|) / v(x).  Candidates where that exceeds
+    _CLOSED_FORM_RTOL of the summed target variance are flagged unsure.
+    This is a first-order guard on the cancellation, not a bound on the
+    error: the clamp could otherwise report that such a candidate removes
+    all the uncertainty.
     """
     m, k = spec.m_count, spec.k_count
-    n1, n_targets = D.shape
-    is_target = np.zeros(len(idx), dtype=bool)
-    is_target[cols] = True
-
+    n1 = len(D)
+    cols = np.flatnonzero(indicators)
     shape = (fft.next_fast_len(2 * m - 1, real=True), fft.next_fast_len(2 * k - 1, real=True))
-    planes = np.zeros((n1 + 1, m * k))
-    planes[:n1, idx[cols]] = D
-    planes[n1, idx[cols]] = 1.0
-    table_sq = table * table
+    kernels = fft.rfft2(np.stack([table, table * table]), s=shape)
+    targets = np.divmod(idx[cols], k)
+    row, col = np.divmod(idx, k)
+    values = np.vstack([D, np.ones(len(cols))])
+    conv = np.empty((n1 + 1, len(idx)))
     # rfft2 and irfft2 one axis at a time, so that the k-axis transforms
     # skip the rows that are padding on the way in and unused on the way out.
-    spectra = fft.fft(fft.rfft(planes.reshape(n1 + 1, m, k), n=shape[1]), n=shape[0], axis=1)
-    kernels = fft.rfft2(np.stack([table, table_sq]), s=shape)
-    spectra[:n1] *= kernels[0]
-    spectra[n1] *= kernels[1]
-    conv = fft.irfft(fft.ifft(spectra, axis=1)[:, m - 1:2 * m - 1], n=shape[1])
-    conv = conv[:, :, k - 1:2 * k - 1].reshape(n1 + 1, m * k)[:, idx]
+    # Each batch reuses the same zero-padded input and spectra, the m-axis
+    # transforms in place: only the target nodes of the input are written,
+    # and the spectra rows past m are zeroed for each batch.
+    planes = np.zeros((min(_FFT_PLANES, n1 + 1), m, shape[1]))
+    spectra = np.empty((len(planes), shape[0], shape[1] // 2 + 1), dtype=complex)
+    for start in range(0, n1 + 1, _FFT_PLANES):
+        batch = values[start:start + _FFT_PLANES]
+        b = len(batch)
+        planes[:b, targets[0], targets[1]] = batch
+        spectra[:b, :m] = fft.rfft(planes[:b])
+        spectra[:b, m:] = 0.0
+        s = fft.fft(spectra[:b], axis=1, overwrite_x=True)
+        s[:n1 - start] *= kernels[0]  # rows of D
+        s[n1 - start:] *= kernels[1]  # the target indicator, in the last batch
+        s = fft.ifft(s, axis=1, overwrite_x=True)
+        conv[start:start + b] = fft.irfft(s[:, m - 1:2 * m - 1], n=shape[1])[:, row, col + k - 1]
     C, H = conv[:n1], conv[n1]
-
-    absX, absD = np.abs(XT), np.abs(D)
-    Q = np.einsum("pi,pi->p", XT @ (D @ D.T), XT)
-    A = np.einsum("pi,pi->p", absX @ (absD @ absD.T), absX)  # sum_t |X||D_t| squared
     R = np.einsum("pi,ip->p", XT, C)
+    Q = np.einsum("pi,pi->p", XT @ (D @ D.T), XT)
     q_self = np.zeros(len(idx))
     q_self[cols] = np.einsum("ti,it->t", XT[cols], D)
     target_var_sum = float(variances[cols].sum())
-    V = target_var_sum - np.where(is_target, variances, 0.0)
+    V = target_var_sum - np.where(indicators, variances, 0.0)
     S = Q - 2 * R + H - q_self * q_self
-    estimate = V - S / denom
-
-    # FFT convolution, Higham (2002) section 24.1 (Thm 24.2): a computed
-    # length-N transform is within eps_f of the exact one in the 2-norm,
-    # eps_f = log2(N) eta / (1 - log2(N) eta), eta = u + gamma_4 (sqrt2 + u)
-    # for twiddle factors correct to u.  Transforming a and b, their product
-    # and its inverse then leave every entry of a * b within
-    # 3 eps_f (|a|_1 |b|_2 + |a|_2 |b|_1).  The theorem is for radix 2.
-    # next_fast_len(real=True) lengths factor into 2, 3 and 5, which
-    # scipy.fft's pocketfft runs as radix-2, 3, 4 and 5 passes; this assumes
-    # a radix-r pass errs no more than the log2(r) radix-2 passes it stands
-    # for, so log2(N) passes in all, with N = N1 N2 for the two axes.
-    u = _UNIT_ROUNDOFF
-    log_n = math.log2(shape[0] * shape[1])
-    eta = u + _gamma_k(4) * (math.sqrt(2.0) + u)
-    eps_f = log_n * eta / (1 - log_n * eta)
-    norms = [(np.abs(t).sum(), math.sqrt(float((t * t).sum()))) for t in (table, table_sq)]
-    err_C = 3 * eps_f * (absD.sum(1) * norms[0][1] + np.sqrt((D * D).sum(1)) * norms[0][0])
-    err_H = (3 * eps_f * (n_targets * norms[1][1] + math.sqrt(n_targets) * norms[1][0])
-             + 2 * u * np.abs(H))
-    # Gram and dot products: inner dimensions U, then n+1 twice.
-    err_Q = _gamma_k(n_targets + 2 * n1) * A
-    err_R = absX @ err_C + _gamma_k(n1) * np.einsum("pi,ip->p", absX, np.abs(C) + err_C[:, None])
-    # The self term q(x, x)^2.
-    err_q = np.zeros(len(idx))
-    err_q[cols] = _gamma_k(n1) * np.einsum("ti,it->t", absX[cols], absD)
-    err_self = (2 * np.abs(q_self) + err_q) * err_q + u * q_self * q_self
-    err_S = (err_Q + 2 * err_R + err_H + err_self
-             + _gamma_k(3) * (np.abs(Q) + 2 * np.abs(R) + np.abs(H) + q_self * q_self))
-    err_F = (_gamma_k(n_targets + 1) * target_var_sum + err_S / denom
-             + _gamma_k(2) * (np.abs(V) + np.abs(S) / denom))
-    # The kernel's own rounding: q by BLAS within gamma_{n+1} sum |X||D_t|
-    # (whose squares sum to A), the update's four roundings (subtract,
-    # square, divide, subtract from v_t) and the summing over the targets.
-    S_up = np.maximum(S, 0.0) + err_S
-    err_kernel = ((2 * _gamma_k(n1) * np.sqrt(S_up * A) + _gamma_k(n1) ** 2 * A
-                   + _gamma_k(4) * S_up) / denom
-                  + _gamma_k(n_targets + 1) * (np.abs(V) + S_up / denom))
-    return estimate, 2 * (err_F + err_kernel)
+    scores = np.maximum(V - S / denom, 0.0)
+    rounding = EPS * (np.abs(Q) + 2 * np.abs(R) + np.abs(H))
+    unsure = rounding > _CLOSED_FORM_RTOL * denom * target_var_sum
+    return scores, unsure
 
 
 def _score_by_reassembly(state: ExperimentState, ev: _Evaluation,
@@ -538,7 +517,7 @@ def _argmin_tied(scores: np.ndarray) -> int:
 
 def _pick(state: ExperimentState, ev: _Evaluation) -> tuple[int, float]:
     """(position among the unmeasured points, score) of the next measurement."""
-    scores = _fast_scores(state, ev, ev.indicators, screen=True)
+    scores = _fast_scores(state, ev, ev.indicators)
     pos = _argmin_tied(scores)
     return pos, float(scores[pos])
 

@@ -125,7 +125,7 @@ class KrigingSystem:
         mat = np.ones((n + 1, n + 1), dtype=float)
         # Each measurement's column is its right-hand side; the zero offset's
         # entry, gamma(0) = 0 exactly, is the diagonal.
-        mat[:, :n] = self.rhs(self.flat)
+        mat[:n, :n] = np.take(self.table, self._table_index(self.flat))
         mat[n, n] = 0.0
         self.matrix = mat
         self._inverse = None
@@ -140,16 +140,23 @@ class KrigingSystem:
             self._cond = float(np.linalg.cond(self.matrix))
         return self._cond
 
-    def _table_index(self, flat: np.ndarray) -> np.ndarray:
-        """(n, P) positions in the ravelled offset table (self.table, or
-        offset_distances(spec)) of each measurement's index offset to the
-        grid points at row-major indices flat."""
+    def _table_positions(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, pos): the entry of each measurement's index offset to
+        the grid points at row-major indices flat sits at starts[i] + pos[p]
+        of the ravelled offset table (self.table, or offset_distances(spec))."""
         k = self.spec.k_count
         # Node (i, j) sits at i (2k - 1) + j = flat + i (k - 1) of the
         # ravelled table, and the zero offset where the last node does.
         pos, own = flat + flat // k * (k - 1), self.flat + self.flat // k * (k - 1)
         zero = (self.spec.m_count - 1) * (2 * k - 1) + k - 1
-        return (zero - own)[:, None] + pos
+        return zero - own, pos
+
+    def _table_index(self, flat: np.ndarray) -> np.ndarray:
+        """(n, P) positions in the ravelled offset table of each
+        measurement's index offset to the grid points at row-major indices
+        flat."""
+        starts, pos = self._table_positions(flat)
+        return starts[:, None] + pos
 
     def _closest_pair(self) -> tuple[Combination, Combination]:
         d = offset_distances(self.spec).ravel()[self._table_index(self.flat)]
@@ -179,11 +186,18 @@ class KrigingSystem:
 
     def rhs(self, flat: np.ndarray) -> np.ndarray:
         """(n+1, P) right-hand sides for the grid points at row-major indices
-        flat, gathered from the table by one take."""
+        flat, gathered from the table one measurement's row at a time through
+        one reused P-length index: an (n, P) index array would cost more in
+        first-touch page faults than the gather itself."""
         out = np.ones((self.n + 1, len(flat)), dtype=float)
-        # Every index is in range; mode "clip" writes straight into out,
-        # where the default mode buffers the whole result first.
-        np.take(self.table, self._table_index(flat), out=out[: self.n], mode="clip")
+        starts, pos = self._table_positions(flat)
+        index = np.empty_like(pos)
+        table = self.table.ravel()
+        for row, start in zip(out, starts.tolist()):
+            np.add(pos, start, out=index)
+            # Every index is in range; mode "clip" writes straight into row,
+            # where the default mode buffers the result first.
+            np.take(table, index, out=row, mode="clip")
         return out
 
     def lattice_rhs(self) -> np.ndarray:

@@ -205,10 +205,11 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples
 @given(data=st.data())
 def test_fast_scores_match_brute_force_on_partial_indicators(data):
     """Flagged-column scoring agrees with full re-assembly for any indicator
-    set, at every block size, and agrees when some candidates take the
-    re-assembly path.  Strides of 0.5 and 0.1 and a k_scale of 0.1 make the
-    offset-table distances differ from the coordinate distances that the
-    re-assembly uses in the last bits."""
+    set, walked at every block size and in closed form, and agrees when some
+    candidates take the re-assembly path, by their variance or, with the
+    cancellation guard at 0, every closed-form candidate.  Strides of 0.5 and
+    0.1 and a k_scale of 0.1 make the offset-table distances differ from the
+    coordinate distances that the re-assembly uses in the last bits."""
     nm, nk = data.draw(st.integers(3, 8)), data.draw(st.integers(3, 10))
     m_stride, k_stride = (data.draw(st.sampled_from([1.0, 0.5, 0.1])) for _ in range(2))
     grid = GridSpec(1.0, 1.0 + (nm - 1) * m_stride, m_stride,
@@ -233,133 +234,93 @@ def test_fast_scores_match_brute_force_on_partial_indicators(data):
         variance_min = float(np.median(current))
     rescored = int(np.sum(current < variance_min))
 
-    with mock.patch.object(adaptive, "FAST_PATH_VARIANCE_MIN", variance_min):
-        # blocks of 16 and 32 candidate rows, so the candidates span several
-        # blocks, then the production size
-        n_targets = max(1, int(indicators.sum()))
-        for block in (16 * n_targets, 32 * n_targets, 2**16):
-            with mock.patch.object(adaptive, "_SCORE_BLOCK_ELEMENTS", block), \
-                    mock.patch.object(adaptive, "_score_by_reassembly",
-                                      wraps=adaptive._score_by_reassembly) as spy:
-                got_candidates, scores = candidate_scores(state, indicators=indicators)
-            assert spy.call_count == rescored
-            assert got_candidates == candidates
-            np.testing.assert_allclose(scores, expected, atol=1e-10)
+    walk, closed = 10**9, 0  # _CLOSED_FORM_TARGETS_PER_ROW forcing either path
+    n_targets = max(1, int(indicators.sum()))
+    # (targets per row, block, guard, re-assembled): walked in blocks of 16
+    # and 32 candidate rows, so the candidates span several blocks, and at the
+    # production size; then in closed form, guarded as in production and with
+    # a guard that sends every closed-form candidate to re-assembly (but for
+    # no flagged target, where there is nothing to cancel)
+    ways = [(walk, block, adaptive._CLOSED_FORM_RTOL, rescored)
+            for block in (16 * n_targets, 32 * n_targets, 2**16)]
+    ways += [(closed, 2**16, adaptive._CLOSED_FORM_RTOL, rescored),
+             (closed, 2**16, 0.0, n_candidates if indicators.any() else rescored)]
+    for per_row, block, guard, reassembled in ways:
+        with mock.patch.multiple(adaptive, FAST_PATH_VARIANCE_MIN=variance_min,
+                                 _CLOSED_FORM_TARGETS_PER_ROW=per_row,
+                                 _SCORE_BLOCK_ELEMENTS=block, _CLOSED_FORM_RTOL=guard), \
+                mock.patch.object(adaptive, "_score_by_reassembly",
+                                  wraps=adaptive._score_by_reassembly) as spy:
+            got_candidates, scores = candidate_scores(state, indicators=indicators)
+        assert spy.call_count == reassembled
+        assert got_candidates == candidates
+        np.testing.assert_allclose(scores, expected, atol=1e-10)
 
 
-class _Returns:
-    """Wraps a function and keeps what each call returned."""
-
-    def __init__(self, fn):
-        self.fn, self.values = fn, []
-
-    def __call__(self, *args):
-        self.values.append(self.fn(*args))
-        return self.values[-1]
+def grid_campaign_start(grid):
+    """The 3x4 design on grid, measured on the noiseless synthetic surface."""
+    design = evenly_spaced_design(grid, 3, 4)
+    oracle = SyntheticLogisticOracle(noise_std=0.0)
+    config = ExperimentConfig(grid=grid, threshold=4.0, initial_design=tuple(design))
+    return ExperimentState(config, [Measurement(c, oracle.evaluate(c)) for c in design]), oracle
 
 
-@PROPERTY
-@given(data=st.data())
-def test_screened_pick_matches_the_full_argmin(data):
-    """The screen forced on: _pick returns the position and the score bits of
-    the tied argmin of every block scored, raises where scoring every block
-    raises, and its lower bound (estimate - bound) never exceeds a fast-path
-    candidate's score.  Half the layouts are point-symmetric with every
-    candidate flagged, so mirror candidates tie to the last bits; a screen
-    with no slack at all must pick the same."""
-    nm, nk = data.draw(st.integers(3, 10)), data.draw(st.integers(3, 16))
-    grid = GridSpec(1.0, float(nm), 1.0, 1.0, float(nk), 1.0,
-                    k_scale=data.draw(st.sampled_from([1.0, 0.5])))
-    points = build_grid(grid)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    n_meas = min(data.draw(st.integers(2, 6)), (len(points) - 1) // 2)
-    chosen = set(rng.choice(len(points), size=n_meas, replace=False).tolist())
-    symmetric = data.draw(st.booleans())
-    if symmetric:
-        chosen |= {len(points) - 1 - i for i in chosen}
-    ms = [Measurement(points[i], float(rng.uniform(0.5, 9.0))) for i in sorted(chosen)]
-    config = ExperimentConfig(grid=grid, threshold=4.0,
-                              initial_design=tuple(m.location for m in ms))
-    model = data.draw(st.sampled_from(SCORE_MODELS))
-    state = ExperimentState(config=config, measurements=ms, model=model)
-    try:
-        ev = adaptive._evaluate(state, model)
-    except NumericalFailureError:
-        return  # the model is unusable on this layout before any scoring
-    n_candidates = len(ev.unmeasured_idx)
-    if not symmetric:
-        ev.indicators = np.array(data.draw(st.lists(st.booleans(), min_size=n_candidates,
-                                                    max_size=n_candidates)))
-    else:
-        ev.indicators = np.ones(n_candidates, dtype=bool)
-    variance_min = adaptive.FAST_PATH_VARIANCE_MIN
-    reassemble = adaptive._score_by_reassembly
-    if data.draw(st.booleans()):
-        variance_min = float(np.quantile(ev.variances[ev.unmeasured_idx],
-                                         data.draw(st.sampled_from([0.1, 0.5]))))
-        if data.draw(st.booleans()):
-            # re-assembly fails, as a bounded-linear fit can on larger designs
-            reassemble = mock.Mock(side_effect=NumericalFailureError("not usable"))
+LARGE_GRID = GridSpec(0.5, 6.0, 0.1, 1.0, 100.0, 1.0, k_scale=0.1)
 
-    screen = _Returns(adaptive._screen_scores)
-    with mock.patch.multiple(adaptive, FAST_PATH_VARIANCE_MIN=variance_min,
-                             _score_by_reassembly=reassemble):
-        try:
-            full = adaptive._fast_scores(state, ev, ev.indicators)
-        except NumericalFailureError:
-            with mock.patch.object(adaptive, "_SCREEN_MIN_BLOCKS", 0), \
-                    pytest.raises(NumericalFailureError):
-                adaptive._pick(state, ev)
-            return
-        with mock.patch.object(adaptive, "_SCREEN_MIN_BLOCKS", 0), \
-                mock.patch.object(adaptive, "_screen_scores", screen):
+
+def test_screened_pick_matches_the_full_argmin():
+    """On the 5,600-cell grid and on the study grid, over three picks each,
+    _pick returns the position and the score repr of the tied argmin of
+    candidate_scores, which follows the same rule; forcing the closed form
+    or the walk on every candidate picks the same position, with scores
+    within 1e-11 relative of each other."""
+    for grid in (LARGE_GRID, study_config().grid):
+        state, oracle = grid_campaign_start(grid)
+        for _ in range(3):
+            ev = adaptive._fit(state)
+            state.model = ev.model
             pos, score = adaptive._pick(state, ev)
-        # The tightest screen there is, the kernel's own scores and no
-        # bound: the rescoring rule alone must still find every tie.
-        with mock.patch.object(adaptive, "_SCREEN_MIN_BLOCKS", 0), \
-                mock.patch.object(adaptive, "_screen_scores",
-                                  return_value=(full, np.zeros_like(full))):
-            tight = adaptive._pick(state, ev)
-
-    expected = adaptive._argmin_tied(full)
-    assert (pos, repr(score)) == (expected, repr(float(full[expected])))
-    assert (tight[0], repr(tight[1])) == (expected, repr(float(full[expected])))
-    safe = ev.variances[ev.unmeasured_idx] >= variance_min
-    assert len(screen.values) == int(safe.any())
-    if safe.any():
-        estimate, bound = screen.values[0]
-        assert np.all(bound >= 0)
-        assert np.all((estimate - bound)[safe] <= full[safe])
+            _, scores = candidate_scores(state)
+            best = adaptive._argmin_tied(scores)
+            assert (pos, repr(score)) == (best, repr(float(scores[best])))
+            forced = []
+            for per_row in (0, 10**9):
+                with mock.patch.object(adaptive, "_CLOSED_FORM_TARGETS_PER_ROW", per_row):
+                    forced.append(adaptive._pick(state, ev))
+            assert forced[0][0] == forced[1][0] == pos
+            assert forced[0][1] == pytest.approx(forced[1][1], rel=1e-11, abs=0)
+            location = ev.candidate(pos)
+            state.pending = PendingSuggestion(location, "adaptive", score, ev.model, ev.n_uncertain)
+            record_appended_measurement(state, Measurement(location, oracle.evaluate(location)))
 
 
 def test_scoring_memory_stays_below_one_candidate_matrix():
-    """Scoring 3,348 candidates against all of them as targets never holds a
-    P x P float64 matrix, and neither does a screened pick on the 5,600-cell
-    grid: the screen's memory is linear in the grid."""
-    oracle = SyntheticLogisticOracle(noise_std=0.0)
-    for grid, screen in ((GridSpec(0.5, 6.0, 0.1, 1.0, 60.0, 1.0), False),
-                         (GridSpec(0.5, 6.0, 0.1, 1.0, 100.0, 1.0, k_scale=0.1), True)):
-        design = evenly_spaced_design(grid, 3, 4)
-        ms = [Measurement(c, oracle.evaluate(c)) for c in design]
-        config = ExperimentConfig(grid=grid, threshold=4.0, initial_design=tuple(design))
-        state = ExperimentState(config=config, measurements=ms, model=SPH)
-        n_candidates = grid.point_count - len(ms)
+    """Walking 3,348 candidates against all of them as targets never holds a
+    P x P float64 matrix, and neither does the closed form on the 5,600-cell
+    grid: its memory is linear in the grid."""
+    for grid, per_row in ((GridSpec(0.5, 6.0, 0.1, 1.0, 60.0, 1.0), 10**9),
+                          (LARGE_GRID, adaptive._CLOSED_FORM_TARGETS_PER_ROW)):
+        state, _ = grid_campaign_start(grid)
+        state.model = SPH
+        n_candidates = grid.point_count - len(state.measurements)
         ev = adaptive._evaluate(state, SPH)
         ev.indicators = np.ones(n_candidates, dtype=bool)
         tracemalloc.start()
         try:
-            with mock.patch.object(adaptive, "_screen_scores",
-                                   wraps=adaptive._screen_scores) as spy:
-                adaptive._fast_scores(state, ev, ev.indicators, screen=screen)
+            with mock.patch.object(adaptive, "_CLOSED_FORM_TARGETS_PER_ROW", per_row), \
+                    mock.patch.object(adaptive, "_closed_form_scores",
+                                      wraps=adaptive._closed_form_scores) as spy:
+                adaptive._fast_scores(state, ev, ev.indicators)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert spy.call_count == screen
+        closed_form = per_row < 10**9
+        assert spy.call_count == closed_form
         assert peak < 8 * n_candidates ** 2  # 85.5 MB, 250 MB
-        if screen:
+        if closed_form:
             # eight float64 per cell of each of the n + 2 planes, padded to
             # about four times the grid
-            assert peak < 64 * (len(ms) + 2) * 4 * grid.point_count
+            assert peak < 64 * (len(state.measurements) + 2) * 4 * grid.point_count
 
 
 def test_rc_score_matches_batch(unit_grid_5x5):

@@ -209,6 +209,20 @@ def test_table_gathers_are_symmetric_and_consistent(data):
     assert np.array_equal(system.rhs(flat), lattice[:, flat])
 
 
+def test_row_by_row_rhs_equals_one_gather():
+    """rhs, gathered one measurement's row at a time, equals one take of the
+    whole (n, P) index bit for bit: on the 5,600-cell grid with the 8x10
+    design, at every grid point and at a shuffled subset with repeats."""
+    spec = GridSpec(0.5, 6.0, 0.1, 1.0, 100.0, 1.0, k_scale=0.1)
+    ms = [Measurement(c, 1.0) for c in evenly_spaced_design(spec, 8, 10)]
+    system = assemble_system(ms, SPH, spec)
+    rng = np.random.default_rng(1)
+    for flat in (np.arange(spec.point_count), rng.integers(0, spec.point_count, size=999)):
+        rhs = system.rhs(flat)
+        assert np.array_equal(rhs[: system.n], np.take(system.table, system._table_index(flat)))
+        assert np.array_equal(rhs[system.n], np.ones(len(flat)))
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
 @given(data=st.data())
 def test_table_equals_coordinate_semivariances_on_integer_coordinates(data):

@@ -1,9 +1,12 @@
-"""Candidate scoring in the calling thread.
+"""Candidate scoring in the calling thread, and where it takes the closed form.
 
-Scoring starts no thread and no pool.  On iterations with many scoring
-blocks, _pick screens the candidates with lattice FFT convolutions and scores
-only the blocks that can hold the argmin; that must change no bit of any
-pick, score or artifact, and the 720-cell study grid never takes the screen.
+Scoring starts no thread and no pool.  _fast_scores scores every candidate in
+closed form, by lattice FFT convolutions, when the flagged targets number at
+least _CLOSED_FORM_TARGETS_PER_ROW per row of the solved system, and walks
+the candidate blocks below that: criterion 6's campaign takes the closed form
+early and the walk late.  The closed form moves scores in the last bits
+only: forced on every iteration it must give the same picks and the same
+recorded artifacts.
 """
 import hashlib
 import json
@@ -18,22 +21,11 @@ import pytest
 
 import krigplan.adaptive as adaptive
 import krigplan.kriging as kriging
-from krigplan import (
-    ExperimentConfig,
-    ExperimentState,
-    GridSpec,
-    Measurement,
-    SyntheticLogisticOracle,
-    candidate_scores,
-    evenly_spaced_design,
-    record_appended_measurement,
-    run_experiment,
-    suggest_next,
-)
+from krigplan import ExperimentState, Measurement, SyntheticLogisticOracle, run_experiment
 from krigplan.cli import main
 from krigplan.experiment_io import load_state
 
-from test_acceptance import study_config
+from test_acceptance import NOISE_STD, study_config
 from test_adaptive import SPH
 from test_byte_identity import EXPECTED, STUDY_GRID
 
@@ -49,7 +41,7 @@ def study_state():
 
 
 def test_import_starts_no_thread():
-    """Neither the import nor a screened pick on the 5,600-cell grid."""
+    """Neither the import nor a closed-form pick on the 5,600-cell grid."""
     script = """
 import threading
 before = threading.active_count()
@@ -63,65 +55,76 @@ design = evenly_spaced_design(grid, 3, 4)
 oracle = SyntheticLogisticOracle(noise_std=0.0)
 config = ExperimentConfig(grid=grid, threshold=4.0, initial_design=tuple(design))
 state = ExperimentState(config, [Measurement(c, oracle.evaluate(c)) for c in design])
-screened = []
-screen = adaptive._screen_scores
-adaptive._screen_scores = lambda *args: screened.append(1) or screen(*args)
+closed = []
+closed_form = adaptive._closed_form_scores
+adaptive._closed_form_scores = lambda *args: closed.append(1) or closed_form(*args)
 suggestion, _ = suggest_next(state)
-assert suggestion is not None and screened == [1]
+assert suggestion is not None and closed == [1]
 assert threading.active_count() == before, threading.enumerate()
 """
     subprocess.run([sys.executable, "-c", script], check=True, cwd=SRC)
 
 
 def test_study_run_scores_in_the_calling_thread():
-    """Criterion 6's campaign has too few blocks per iteration for the
-    screen: every pick walks every block, and no thread starts."""
+    """Criterion 6's campaign, closed-form and walked picks alike, starts no
+    thread."""
     before = threading.active_count()
-    with mock.patch.object(adaptive, "_screen_scores", wraps=adaptive._screen_scores) as screen:
-        state = run_experiment(study_config(), SyntheticLogisticOracle(noise_std=0.0))
-    assert screen.call_count == 0
+    state = run_experiment(study_config(), SyntheticLogisticOracle(noise_std=0.0))
     assert state.iteration > 0
     assert threading.active_count() == before
 
 
-def test_unforced_screen_matches_the_public_walk():
-    """On the 5,600-cell grid after the 3x4 design the screen fires by
-    itself, and each of three picks of suggest_next has the location and the
-    score repr of the tied argmin of candidate_scores, which walks every
-    block."""
-    grid = GridSpec(0.5, 6.0, 0.1, 1.0, 100.0, 1.0, k_scale=0.1)
-    design = evenly_spaced_design(grid, 3, 4)
-    oracle = SyntheticLogisticOracle(noise_std=0.0)
-    config = ExperimentConfig(grid=grid, threshold=4.0, initial_design=tuple(design))
-    state = ExperimentState(config, [Measurement(c, oracle.evaluate(c)) for c in design])
-    for _ in range(3):
-        with mock.patch.object(adaptive, "_screen_scores",
-                               wraps=adaptive._screen_scores) as screen:
-            suggestion, _ = suggest_next(state)
-        assert screen.call_count == 1
-        candidates, scores = candidate_scores(state)
-        best = adaptive._argmin_tied(scores)
-        assert (suggestion.location, repr(suggestion.rc_score)) == \
-            (candidates[best], repr(float(scores[best])))
-        record_appended_measurement(
-            state, Measurement(suggestion.location, oracle.evaluate(suggestion.location)))
+def test_criterion_6_takes_the_closed_form_early_and_the_walk_late():
+    """Criterion 6's campaign flags many targets early and few late: each
+    pick takes the closed form exactly when its U flagged targets number at
+    least 10 (n + 1), which is 16 of its 50 picks, the first 12 among them,
+    and the walk on the other 34, the last 30 among them.  On its 12-point
+    design, 130 flagged targets take the closed form and 129 the walk."""
+    config = study_config(seed=7)
+    paths = []
+
+    def spy(name):
+        scorer = getattr(adaptive, name)
+        return lambda *args: paths.append(name) or scorer(*args)
+
+    with mock.patch.multiple(adaptive, _closed_form_scores=spy("_closed_form_scores"),
+                             _walk_scores=spy("_walk_scores")):
+        state = run_experiment(config, SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7))
+    assert state.iteration == 50
+    closed = [path == "_closed_form_scores" for path in paths]
+    n0 = len(config.initial_design)
+    assert closed == [record.n_uncertain >= 10 * (n0 + i + 1)
+                      for i, record in enumerate(state.history)]
+    assert sum(closed) == 16 and all(closed[:12])
+    assert not any(closed[-30:])
+
+    state = study_state()
+    ev = adaptive._evaluate(state, SPH)
+    for flagged, path in ((130, "_closed_form_scores"), (129, "_walk_scores")):
+        paths.clear()
+        ev.indicators = np.arange(len(ev.unmeasured_idx)) < flagged
+        with mock.patch.multiple(adaptive, _closed_form_scores=spy("_closed_form_scores"),
+                                 _walk_scores=spy("_walk_scores")):
+            adaptive._pick(state, ev)
+        assert paths == [path]
 
 
 def test_one_semivariance_table_per_fit_and_pick():
     """The fit's system evaluates the variogram once, into its table, and
-    the pick reads that table, however many blocks, walked or screened."""
+    the pick reads that table, however many blocks it walks, or in closed
+    form."""
     state = study_state()
     ones = np.ones(708, dtype=bool)
-    for block, screened in ((16 * 708, False), (2**16, False), (2**16, True)):
-        with mock.patch.object(adaptive, "_SCORE_BLOCK_ELEMENTS", block), \
-                mock.patch.object(adaptive, "_SCREEN_MIN_BLOCKS", 0 if screened else 10**9), \
-                mock.patch.object(adaptive, "_screen_scores",
-                                  wraps=adaptive._screen_scores) as screen, \
+    for block, per_row in ((16 * 708, 10**9), (2**16, 10**9), (2**16, 0)):
+        with mock.patch.multiple(adaptive, _SCORE_BLOCK_ELEMENTS=block,
+                                 _CLOSED_FORM_TARGETS_PER_ROW=per_row), \
+                mock.patch.object(adaptive, "_closed_form_scores",
+                                  wraps=adaptive._closed_form_scores) as closed, \
                 mock.patch.object(kriging, "eval_model", wraps=kriging.eval_model) as spy:
             ev = adaptive._fit(state)
             ev.indicators = ones
             adaptive._pick(state, ev)
-        assert screen.call_count == int(screened)
+        assert closed.call_count == int(per_row == 0)
         assert spy.call_count == 1
 
 
@@ -150,17 +153,23 @@ def _cli_campaign(directory, capsys, seed, iterations):
 
 
 @pytest.mark.parametrize("seed, iterations", sorted(EXPECTED))
-def test_screen_on_every_iteration_reproduces_the_recorded_artifacts(
+def test_closed_form_on_every_iteration_reproduces_the_recorded_artifacts(
         tmp_path, capsys, seed, iterations):
-    walked = _cli_campaign(tmp_path / "walked", capsys, seed, iterations)
-    with mock.patch.object(adaptive, "_SCREEN_MIN_BLOCKS", 0), \
-            mock.patch.object(adaptive, "_screen_scores", wraps=adaptive._screen_scores) as spy:
-        screened = _cli_campaign(tmp_path / "screened", capsys, seed, iterations)
-    assert spy.call_count >= iterations  # at least one screen per pick
-    digests = {name: hashlib.sha256((tmp_path / "screened" / name).read_bytes()).hexdigest()
-               for name in EXPECTED[seed, iterations]}
-    assert digests == EXPECTED[seed, iterations]
-    walked_scores = [repr(rec.rc_score) for rec in load_state(walked)[0].history]
-    screened_scores = [repr(rec.rc_score) for rec in load_state(screened)[0].history]
-    assert len(screened_scores) == iterations
-    assert screened_scores == walked_scores
+    """The closed form forced on every pick, and the walk forced on every
+    pick, each give the recorded artifacts, the same locations, and scores
+    within 1e-11 relative of each other."""
+    runs = {}
+    for name, per_row in (("walked", 10**9), ("closed", 0)):
+        with mock.patch.object(adaptive, "_CLOSED_FORM_TARGETS_PER_ROW", per_row), \
+                mock.patch.object(adaptive, "_closed_form_scores",
+                                  wraps=adaptive._closed_form_scores) as spy:
+            path = _cli_campaign(tmp_path / name, capsys, seed, iterations)
+        assert spy.call_count == (iterations if per_row == 0 else 0)
+        digests = {artifact: hashlib.sha256((tmp_path / name / artifact).read_bytes()).hexdigest()
+                   for artifact in EXPECTED[seed, iterations]}
+        assert digests == EXPECTED[seed, iterations]
+        runs[name] = load_state(path)[0].history
+    assert len(runs["closed"]) == iterations
+    assert [r.location for r in runs["closed"]] == [r.location for r in runs["walked"]]
+    np.testing.assert_allclose([r.rc_score for r in runs["closed"]],
+                               [r.rc_score for r in runs["walked"]], rtol=1e-11, atol=0)
