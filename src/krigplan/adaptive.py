@@ -132,6 +132,10 @@ class ExperimentConfig:
         if len(seen) < len(design):
             c = design[len(seen)]
             raise ConfigurationError(f"initial design point ({c.m}, {c.k}) is not on the grid")
+        # The first fit's empirical variogram needs two measurements; a
+        # smaller design would spend an oracle call before failing on it.
+        if len(design) < 2:
+            raise ConfigurationError(f"initial design needs at least 2 points, got {len(design)}")
 
 
 def _check_score(score: float) -> None:
@@ -213,7 +217,7 @@ class _Evaluation:
     table: np.ndarray      # KrigingSystem.table, gamma by grid index offset
     prediction: LatticePrediction
     codes: np.ndarray      # (m_count, k_count), indices into region.LABELS
-    rhs: np.ndarray        # (n+1, P)
+    rhs: np.ndarray        # (n+1, P), KrigingSystem.lattice (read-only)
     solution: np.ndarray   # (n+1, P)
     unmeasured_idx: np.ndarray
     indicators: np.ndarray  # bool, aligned with unmeasured_idx
@@ -235,14 +239,16 @@ def _evaluate(state: ExperimentState, model: VariogramModel, alpha: float | None
     spec = state.config.grid
     z = z_quantile(state.config.alpha if alpha is None else alpha)
     system = assemble_system(state.measurements, model, spec)
-    means, variances, rhs, solution, measured = solve_lattice(system)
+    means, variances, solution = solve_lattice(system)
+    measured = system.flat
     prediction = LatticePrediction.from_flat(spec, means, variances, z)
     # solve_lattice gives every measured point its observed response as mean.
     codes = classify_cells(prediction.mean, prediction.ci_lower, prediction.ci_upper,
                            state.config.threshold, measured, means[measured])
     unmeasured_idx = np.delete(np.arange(spec.point_count), measured)
     indicators = codes.reshape(-1)[unmeasured_idx] == LABELS.index(UNCERTAIN)
-    return _Evaluation(model, system.table, prediction, codes, rhs, solution, unmeasured_idx, indicators)
+    return _Evaluation(model, system.table, prediction, codes, system.lattice, solution,
+                       unmeasured_idx, indicators)
 
 
 def _fit(state: ExperimentState, alpha: float | None = None) -> _Evaluation:

@@ -14,9 +14,10 @@ with the solution vector.
 
 Measurements and targets are grid points.  Under a stationary variogram the
 semivariance of two grid points depends only on their index offset, so each
-system evaluates the model once over grid.offset_distances and gathers Gamma
-and every right-hand side from that table: a measurement's right-hand sides
-over the whole lattice are one contiguous window of it.
+system evaluates the model once over grid.offset_distances.  A measurement's
+right-hand sides over the whole lattice are one contiguous window of that
+table; the system copies each window once, and Gamma and every target's
+right-hand side are columns of the copy.
 
 Each system is LU-factorized once, and the factors give its inverse once,
 made exactly symmetric like the matrix.  Every batch of targets is then
@@ -26,8 +27,7 @@ about EPS * cond**2 of the largest variance, where a triangular (LU) solve
 reaches about EPS * cond.  Where the first could exceed
 INVERSE_VARIANCE_RTOL (near-singular systems, such as zero-nugget Gaussian
 fits), the product is refined twice against the matrix, which brings it to
-the LU solve's accuracy.  Measured targets are solved exactly (see
-_solve_coords).
+the LU solve's accuracy.  Measured targets are solved exactly (see _solve).
 """
 from __future__ import annotations
 
@@ -99,8 +99,11 @@ class KrigingSystem:
     Every measurement must be a grid point of spec (ConfigurationError names
     the first that is not).  The model is evaluated once, over
     offset_distances(spec), into table: the semivariance of any two grid
-    points is its entry at their index offset, so the matrix and every
-    target's right-hand side are gathered from it.
+    points is its entry at their index offset.  lattice holds the (n+1, P)
+    right-hand sides of every grid point in row-major order, each
+    measurement's row one window of table and the last row the border of
+    ones.  It is copied once, here, and is read-only; the matrix and every
+    target's right-hand side are columns of it.
 
     The condition estimate and the inverse, built from one LU factorization,
     are each computed once, on first use; every target solved against this
@@ -122,10 +125,14 @@ class KrigingSystem:
         self.table = eval_model(model, offset_distances(spec))
 
         n = len(measurements)
+        # np.empty: every entry is written, and a fill would cost as much as the copy.
+        self.lattice = self._windows(self.table, np.empty((n + 1, spec.point_count)))
+        self.lattice[n] = 1.0
+        self.lattice.flags.writeable = False
         mat = np.ones((n + 1, n + 1), dtype=float)
         # Each measurement's column is its right-hand side; the zero offset's
         # entry, gamma(0) = 0 exactly, is the diagonal.
-        mat[:n, :n] = np.take(self.table, self._table_index(self.flat))
+        mat[:, :n] = self.lattice[:, self.flat]
         mat[n, n] = 0.0
         self.matrix = mat
         self._inverse = None
@@ -140,26 +147,19 @@ class KrigingSystem:
             self._cond = float(np.linalg.cond(self.matrix))
         return self._cond
 
-    def _table_positions(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(starts, pos): the entry of each measurement's index offset to
-        the grid points at row-major indices flat sits at starts[i] + pos[p]
-        of the ravelled offset table (self.table, or offset_distances(spec))."""
-        k = self.spec.k_count
-        # Node (i, j) sits at i (2k - 1) + j = flat + i (k - 1) of the
-        # ravelled table, and the zero offset where the last node does.
-        pos, own = flat + flat // k * (k - 1), self.flat + self.flat // k * (k - 1)
-        zero = (self.spec.m_count - 1) * (2 * k - 1) + k - 1
-        return zero - own, pos
-
-    def _table_index(self, flat: np.ndarray) -> np.ndarray:
-        """(n, P) positions in the ravelled offset table of each
-        measurement's index offset to the grid points at row-major indices
-        flat."""
-        starts, pos = self._table_positions(flat)
-        return starts[:, None] + pos
+    def _windows(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out with row r set to the (m_count, k_count) window of an offset
+        table (like offset_distances(spec)) at measurement r: its entries at
+        the index offsets to every grid point, in row-major order."""
+        m, k = self.spec.m_count, self.spec.k_count
+        for row, node in zip(out, self.flat.tolist()):
+            i, j = divmod(node, k)
+            row.reshape(m, k)[...] = table[m - 1 - i:2 * m - 1 - i, k - 1 - j:2 * k - 1 - j]
+        return out
 
     def _closest_pair(self) -> tuple[Combination, Combination]:
-        d = offset_distances(self.spec).ravel()[self._table_index(self.flat)]
+        d = self._windows(offset_distances(self.spec), np.empty((self.n, self.spec.point_count)))
+        d = d[:, self.flat]
         np.fill_diagonal(d, np.inf)
         i, j = np.unravel_index(np.argmin(d), d.shape)
         return self.locations[i], self.locations[j]
@@ -184,33 +184,6 @@ class KrigingSystem:
                 f"nearest locations are ({a.m}, {a.k}) and ({b.m}, {b.k})"
             ) from exc
 
-    def rhs(self, flat: np.ndarray) -> np.ndarray:
-        """(n+1, P) right-hand sides for the grid points at row-major indices
-        flat, gathered from the table one measurement's row at a time through
-        one reused P-length index: an (n, P) index array would cost more in
-        first-touch page faults than the gather itself."""
-        out = np.ones((self.n + 1, len(flat)), dtype=float)
-        starts, pos = self._table_positions(flat)
-        index = np.empty_like(pos)
-        table = self.table.ravel()
-        for row, start in zip(out, starts.tolist()):
-            np.add(pos, start, out=index)
-            # Every index is in range; mode "clip" writes straight into row,
-            # where the default mode buffers the result first.
-            np.take(table, index, out=row, mode="clip")
-        return out
-
-    def lattice_rhs(self) -> np.ndarray:
-        """rhs of every grid point in row-major order.  A measurement's row
-        is one (m_count, k_count) window of the table, copied as a slice."""
-        m, k = self.spec.m_count, self.spec.k_count
-        out = np.empty((self.n + 1, m * k), dtype=float)
-        out[self.n] = 1.0
-        for row, node in zip(out, self.flat.tolist()):
-            i, j = divmod(node, k)
-            row.reshape(m, k)[...] = self.table[m - 1 - i:2 * m - 1 - i, k - 1 - j:2 * k - 1 - j]
-        return out
-
     def solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
         """The system solved against rhs ((n+1,) or (n+1, P)) by one product
         with the inverse.
@@ -233,20 +206,6 @@ class KrigingSystem:
 
 def assemble_system(measurements, model: VariogramModel, spec: GridSpec) -> KrigingSystem:
     return KrigingSystem(measurements, model, spec)
-
-
-def _checked_variances(variances: np.ndarray, point_at) -> np.ndarray:
-    """Clamp roundoff below zero to 0; raise, naming the first offending
-    target (point_at maps a target's position to its Combination), for any
-    variance below VARIANCE_FLOOR."""
-    bad = np.flatnonzero(variances < VARIANCE_FLOOR)
-    if bad.size:
-        target = point_at(int(bad[0]))
-        raise NumericalFailureError(
-            f"kriging variance {float(variances[bad[0]])} at ({target.m}, {target.k}) is negative "
-            "beyond roundoff; the fitted model is not usable on this layout"
-        )
-    return np.maximum(variances, 0.0)
 
 
 def solve(system: KrigingSystem, target: Combination):
@@ -291,64 +250,69 @@ def _grid_indices(spec: GridSpec, locations, what: str) -> np.ndarray:
     return flat
 
 
-def _solve_targets(system: KrigingSystem, count: int, gather, measured_pos, measured_rows, point_at):
-    """(means, variances, rhs, solution) at count targets, the solve behind
-    solve_grid and solve_lattice.  gather() gives the targets' (n+1, count)
-    right-hand sides; target measured_pos[i] sits on measurement
-    measured_rows[i]; point_at names a target by its position in error
-    messages.
+def _solve(system: KrigingSystem, flat: np.ndarray, rhs: np.ndarray):
+    """(means, variances, solution) at the grid points at row-major indices
+    flat, whose right-hand sides rhs are system.lattice[:, flat]: the solve
+    behind solve_grid and solve_lattice.  A variance below VARIANCE_FLOOR
+    raises NumericalFailureError naming the first such point; roundoff
+    below zero clamps to 0.
 
     A measured target's right-hand side is its measurement's column of the
-    matrix, gathered from the same table entries, so its solution column is
-    set to that unit vector exactly: the product with the inverse leaves
-    roundoff there that grows with the semivariance scale and could trip
-    VARIANCE_FLOOR at a zero variance."""
-    if system.model.is_degenerate or not count:
-        shape = (system.n + 1, count)
-        rhs, sol = np.zeros(shape), np.zeros(shape)
-        means = np.full(count, system.values.mean())
-        variances = np.zeros(count)
+    matrix, so its solution column is set to that unit vector exactly: the
+    product with the inverse leaves roundoff there that grows with the
+    semivariance scale and could trip VARIANCE_FLOOR at a zero variance."""
+    row_at = np.full(system.spec.point_count, -1)
+    row_at[system.flat] = np.arange(system.n)
+    rows = row_at[flat]
+    pos = np.flatnonzero(rows >= 0)
+    rows = rows[pos]
+    if system.model.is_degenerate or not len(flat):
+        sol = np.zeros(rhs.shape)
+        means = np.full(len(flat), system.values.mean())
+        variances = np.zeros(len(flat))
     else:
         system.check_conditioning()
-        rhs = gather()
         sol = system.solve_rhs(rhs)
-        sol[:, measured_pos] = 0.0
-        sol[measured_rows, measured_pos] = 1.0
+        sol[:, pos] = 0.0
+        sol[rows, pos] = 1.0
         means = system.values @ sol[: system.n, :]
-        variances = _checked_variances(np.einsum("ip,ip->p", rhs, sol), point_at)
-    means[measured_pos] = system.values[measured_rows]
-    variances[measured_pos] = 0.0
-    return means, variances, rhs, sol
+        variances = np.einsum("ip,ip->p", rhs, sol)
+        bad = np.flatnonzero(variances < VARIANCE_FLOOR)
+        if bad.size:
+            target = system.spec.point(int(flat[bad[0]]))
+            raise NumericalFailureError(
+                f"kriging variance {float(variances[bad[0]])} at ({target.m}, {target.k}) is negative "
+                "beyond roundoff; the fitted model is not usable on this layout"
+            )
+        variances = np.maximum(variances, 0.0)
+    means[pos] = system.values[rows]
+    variances[pos] = 0.0
+    return means, variances, sol
 
 
 def solve_grid(system: KrigingSystem, targets) -> GridSolution:
     """Means and variances at every target, each a point of the system's
     grid (ConfigurationError names the first that is not); measured targets
-    reproduce their observations exactly with zero variance.
+    reproduce their observations exactly with zero variance.  rhs is a copy
+    of the targets' columns of system.lattice.
 
     A degenerate model (zero nugget and sill, i.e. no observed variability)
     predicts the common response everywhere with zero variance rather than
-    failing on its singular system; its rhs and solution are zero.
+    failing on its singular system; its solution is zero.
     """
     targets = list(targets)
     flat = _grid_indices(system.spec, targets, "kriging target")
-    row_at = np.full(system.spec.point_count, -1)
-    row_at[system.flat] = np.arange(system.n)
-    rows = row_at[flat]
-    pos = np.flatnonzero(rows >= 0)
-    means, variances, rhs, sol = _solve_targets(system, len(targets), lambda: system.rhs(flat),
-                                                pos, rows[pos], targets.__getitem__)
+    rhs = np.take(system.lattice, flat, axis=1)  # C-ordered, like the lattice; [:, flat] is not
+    means, variances, sol = _solve(system, flat, rhs)
     return GridSolution(tuple(targets), means, variances, rhs, sol)
 
 
 def solve_lattice(system: KrigingSystem):
-    """(means, variances, rhs, solution, measured): the system solved on
-    every grid point of system.spec in row-major order, and the flat indices
-    of the measurements.  Measured points take their observations with zero
-    variance, as in solve_grid."""
-    spec = system.spec
-    return (*_solve_targets(system, spec.point_count, system.lattice_rhs, system.flat,
-                            np.arange(system.n), spec.point), system.flat)
+    """(means, variances, solution): the system solved against
+    system.lattice, on every grid point of system.spec in row-major order.
+    Measured points take their observations with zero variance, as in
+    solve_grid."""
+    return _solve(system, np.arange(system.spec.point_count), system.lattice)
 
 
 def confidence_bounds(means, variances, z: float):
@@ -380,7 +344,7 @@ def predict_lattice(measurements, model: VariogramModel, spec: GridSpec,
                     alpha: float = 0.1) -> LatticePrediction:
     """predict_grid over the whole grid, as arrays, from one solve_lattice."""
     z = z_quantile(alpha)
-    means, variances, _, _, _ = solve_lattice(assemble_system(measurements, model, spec))
+    means, variances, _ = solve_lattice(assemble_system(measurements, model, spec))
     return LatticePrediction.from_flat(spec, means, variances, z)
 
 

@@ -102,6 +102,9 @@ def test_config_validation():
     with pytest.raises(DuplicateLocationError):
         ExperimentConfig(grid=grid, threshold=4.0,
                          initial_design=(design[0], design[0]))  # duplicate
+    for small in (design[:1], ()):
+        with pytest.raises(ConfigurationError, match="at least 2 points"):
+            ExperimentConfig(grid=grid, threshold=4.0, initial_design=small)
 
 
 def reference_design_error(grid, design):
@@ -392,15 +395,19 @@ def test_score_targets_indicator_cluster():
 
 
 def test_select_next_breaks_ties_row_major():
-    grid = GridSpec(1.0, 3.0, 1.0, 1.0, 1.0, 1.0, k_scale=1.0)
-    config = ExperimentConfig(grid=grid, threshold=4.0,
-                              initial_design=(Combination(2.0, 1.0),))
+    """On the 3 x 2 grid measured along m = 2, the four candidates mirror
+    each other across both axes: they straddle and score identically by
+    symmetry, so the row-major first, (1, 1), wins."""
+    grid = GridSpec(1.0, 3.0, 1.0, 1.0, 2.0, 1.0, k_scale=1.0)
+    design = (Combination(2.0, 1.0), Combination(2.0, 2.0))
+    config = ExperimentConfig(grid=grid, threshold=4.0, initial_design=design)
     state = ExperimentState(
         config=config,
-        measurements=[Measurement(Combination(2.0, 1.0), 4.0)],
+        measurements=[Measurement(c, 4.0) for c in design],
         model=SPH,
     )
-    # both flanking points straddle and score identically by symmetry
+    candidates, scores = candidate_scores(state)
+    assert len(candidates) == 4 and len(set(scores.tolist())) == 1
     assert select_next(state) == Combination(1.0, 1.0)
 
 

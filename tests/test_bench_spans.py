@@ -1,8 +1,9 @@
 """The benchmark's tracer against the package it wraps.
 
 perfbench/spans.py wraps public entry points by name on ``krigplan.adaptive``,
-``krigplan.cli`` and ``krigplan.experiment_io``.  Removing or renaming one of
-those names makes every traced benchmark run fail, and the benchmark's own
+``krigplan.cli`` and ``krigplan.experiment_io``, and the ``lu`` and
+``condition_estimate`` methods of ``KrigingSystem``.  Removing or renaming one
+of those names makes every traced benchmark run fail, and the benchmark's own
 tests are too slow for the default suite, so this checks the wrapping here.
 """
 import json
@@ -56,3 +57,4 @@ def test_tracer_wraps_and_restores_every_entry_point(spans, tmp_path, capsys):
     assert counts["experiment_io.format.calls"] == 12  # six artifacts, twice
     assert counts["variogram.select.calls"] >= 2
     assert "kriging.lu.ms" in times
+    assert "kriging.condition.ms" in times

@@ -139,7 +139,7 @@ def experiment_states(draw):
     points = [grid.point(i) for i in range(grid.point_count)]
     positions = st.integers(0, grid.point_count - 1)
     order = draw(st.permutations(range(grid.point_count)))
-    design = order[:draw(st.integers(1, len(order)))]
+    design = order[:draw(st.integers(2, len(order)))]
     measured = order[:draw(st.integers(0, len(order)))]
     config = ExperimentConfig(
         grid=grid,
@@ -919,6 +919,17 @@ def test_cli_exit_code_2_on_bad_config(tmp_path, capsys):
         path = write_config(tmp_path, malformed, name="malformed.json")
         assert main(["init", "--config", str(path)]) == 2, malformed
     assert "initial_design must be a list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("design", [[[0.5, 1.0]], []])
+def test_cli_init_rejects_a_design_of_fewer_than_two_points(tmp_path, capsys, design):
+    """The first fit needs two measurements: init refuses a smaller design
+    and writes nothing, rather than leave run to spend an oracle call first."""
+    config_path = write_config(tmp_path, {"initial_design": design})
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["init", "--config", str(config_path)]) == 2
+    assert f"initial design needs at least 2 points, got {len(design)}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_cli_exit_code_2_on_bad_experiment_file(tmp_path, capsys):

@@ -27,6 +27,7 @@ from krigplan import (
     solve,
     solve_grid,
 )
+from krigplan import kriging
 from krigplan.grid import lattice_coords
 from krigplan.kriging import (
     CONDITION_LIMIT,
@@ -193,34 +194,85 @@ def coordinate_semivariances(system):
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(data=st.data())
 def test_table_gathers_are_symmetric_and_consistent(data):
-    """The matrix is exactly symmetric with the border of ones; a measured
-    node's lattice right-hand side equals its matrix column bit for bit; and
-    rhs at any flat indices equals those lattice columns."""
+    """The lattice holds each measurement's table entry at its index offset
+    to every grid point, with the border of ones; the matrix is exactly
+    symmetric and equals the lattice columns of the measurements bit for bit;
+    and solve_grid solves, at any flat indices (repeats and measured points
+    among them), against those lattice columns."""
     spec, ms, model = table_layout(data, integer_coords=data.draw(st.booleans()))
     system = assemble_system(ms, model, spec)
-    n, mat = system.n, system.matrix
+    n, mat, lattice = system.n, system.matrix, system.lattice
+    assert lattice.shape == (n + 1, spec.point_count)
+    i, j = np.divmod(system.flat[:, None], spec.k_count)
+    ip, jp = np.divmod(np.arange(spec.point_count), spec.k_count)
+    expected = system.table[spec.m_count - 1 + ip - i, spec.k_count - 1 + jp - j]
+    assert np.array_equal(lattice[:n], expected)
+    assert np.array_equal(lattice[n], np.ones(spec.point_count))
     assert np.array_equal(mat, mat.T)
     assert np.array_equal(np.diag(mat), np.zeros(n + 1))
-    assert np.array_equal(mat[n, :n], np.ones(n))
-    lattice = system.lattice_rhs()
-    assert lattice.shape == (n + 1, spec.point_count)
-    assert np.array_equal(lattice[:, system.flat], mat[:, :n])
-    flat = np.random.default_rng(0).integers(0, spec.point_count, size=7)
-    assert np.array_equal(system.rhs(flat), lattice[:, flat])
+    assert np.array_equal(mat[:, :n], lattice[:, system.flat])
+    assert mat[n, n] == 0.0
+
+    rng = np.random.default_rng(0)
+    flat = np.concatenate([rng.integers(0, spec.point_count, size=7), system.flat, system.flat[:1]])
+    with mock.patch("krigplan.kriging._solve", wraps=kriging._solve) as solve_spy:
+        try:
+            solution = solve_grid(system, [spec.point(int(f)) for f in flat])
+        except NumericalFailureError:  # ill-conditioned, or a bounded-linear fit in 2-D
+            solution = None
+    _, solved_flat, rhs = solve_spy.call_args.args
+    assert np.array_equal(solved_flat, flat)
+    assert np.array_equal(rhs, lattice[:, flat])
+    assert solution is None or solution.rhs is rhs
 
 
-def test_row_by_row_rhs_equals_one_gather():
-    """rhs, gathered one measurement's row at a time, equals one take of the
-    whole (n, P) index bit for bit: on the 5,600-cell grid with the 8x10
-    design, at every grid point and at a shuffled subset with repeats."""
+def test_lattice_is_read_only(study_grid):
+    """The system's lattice is the planner's right-hand sides: a write to
+    it raises instead of corrupting a later solve on the same system."""
+    ms = [Measurement(Combination(1.0, 3.0), 2.0), Measurement(Combination(3.0, 20.0), 5.0)]
+    system = assemble_system(ms, SPH, study_grid)
+    before = solve_lattice(system)
+    with pytest.raises(ValueError, match="read-only"):
+        system.lattice[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        system.lattice[:, system.flat] *= 2.0
+    for first, again in zip(before, solve_lattice(system)):
+        assert np.array_equal(first, again)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(data=st.data())
+def test_solve_grid_on_the_whole_grid_equals_solve_lattice(data):
+    """solve_grid on build_grid(spec), the call the benchmark set-up makes,
+    equals solve_lattice bit for bit in means, variances and solution, or
+    both raise the same NumericalFailureError."""
+    spec, ms, model = table_layout(data, integer_coords=data.draw(st.booleans()))
+    check_whole_grid_solve(assemble_system(ms, model, spec))
+
+
+def test_solve_grid_on_the_large_grid_equals_solve_lattice():
+    """The same on the 5,600-cell grid with the 8x10 design."""
     spec = GridSpec(0.5, 6.0, 0.1, 1.0, 100.0, 1.0, k_scale=0.1)
-    ms = [Measurement(c, 1.0) for c in evenly_spaced_design(spec, 8, 10)]
-    system = assemble_system(ms, SPH, spec)
-    rng = np.random.default_rng(1)
-    for flat in (np.arange(spec.point_count), rng.integers(0, spec.point_count, size=999)):
-        rhs = system.rhs(flat)
-        assert np.array_equal(rhs[: system.n], np.take(system.table, system._table_index(flat)))
-        assert np.array_equal(rhs[system.n], np.ones(len(flat)))
+    ms = [Measurement(c, float(i % 7)) for i, c in enumerate(evenly_spaced_design(spec, 8, 10))]
+    check_whole_grid_solve(assemble_system(ms, SPH, spec))
+
+
+def check_whole_grid_solve(system):
+    results = []
+    for call in (lambda: solve_lattice(system), lambda: solve_grid(system, build_grid(system.spec))):
+        try:
+            results.append(call())
+        except NumericalFailureError as exc:
+            results.append(str(exc))
+    lattice, grid = results
+    if isinstance(lattice, str):
+        assert grid == lattice
+        return
+    means, variances, solution = lattice
+    assert np.array_equal(grid.means, means)
+    assert np.array_equal(grid.variances, variances)
+    assert np.array_equal(grid.solution, solution)
+    assert np.array_equal(grid.rhs, system.lattice)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -233,7 +285,7 @@ def test_table_equals_coordinate_semivariances_on_integer_coordinates(data):
     system = assemble_system(ms, model, spec)
     gamma, rhs = coordinate_semivariances(system)
     assert np.array_equal(system.matrix[: system.n, : system.n], gamma)
-    assert np.array_equal(system.lattice_rhs()[: system.n], rhs)
+    assert np.array_equal(system.lattice[: system.n], rhs)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -248,7 +300,7 @@ def test_table_matches_coordinate_semivariances_within_the_slope_bound(data):
     ulp = EPS * np.abs(lattice_coords(spec)).max()
     atol = 1.5 * model.sill / model.range * OFFSET_ULPS * ulp + OFFSET_ULPS * EPS * (model.nugget + model.sill)
     np.testing.assert_allclose(system.matrix[: system.n, : system.n], gamma, rtol=0, atol=atol)
-    np.testing.assert_allclose(system.lattice_rhs()[: system.n], rhs, rtol=0, atol=atol)
+    np.testing.assert_allclose(system.lattice[: system.n], rhs, rtol=0, atol=atol)
 
 
 # --- optimality against independent references -------------------------------
@@ -471,7 +523,7 @@ def refined_lu_lattice(system):
     """(means, variances, condition) of the lattice solved by LU plus one
     step of iterative refinement, measured cells set as solve_lattice does."""
     spec, mat = system.spec, system.matrix
-    rhs = system.lattice_rhs()
+    rhs = system.lattice
     lu = lu_factor(mat)
     x = lu_solve(lu, rhs)
     x += lu_solve(lu, rhs - mat @ x)
@@ -523,9 +575,9 @@ def test_lattice_solve_matches_refined_lu(data):
     tol = lattice_tolerance(condition)
     with mock.patch("krigplan.kriging.lu_factor", wraps=lu_factor) as factor, \
             mock.patch("krigplan.kriging.lu_solve", wraps=lu_solve) as inverse:
-        means, variances, rhs, _, _ = solve_lattice(system)
+        means, variances, _ = solve_lattice(system)
         for _ in range(3):
-            system.solve_rhs(rhs)
+            system.solve_rhs(system.lattice)
     assert np.all(np.abs(means - ref_means) <= tol * np.abs(system.values).max())
     assert np.all(np.abs(variances - ref_variances) <= tol * ref_variances.max())
     assert factor.call_count == 1
@@ -541,7 +593,7 @@ def test_near_singular_gaussian_lattice_matches_refined_lu():
     system = assemble_system(ms, VariogramModel("gaussian", 0.0, 4.051, 1.402), spec)
     ref_means, ref_variances, condition = refined_lu_lattice(system)
     assert 1e11 < condition < CONDITION_LIMIT
-    means, variances, _, _, _ = solve_lattice(system)
+    means, variances, _ = solve_lattice(system)
     tol = lattice_tolerance(condition)
     assert np.all(np.abs(means - ref_means) <= tol * np.abs(system.values).max())
     assert np.all(np.abs(variances - ref_variances) <= tol * ref_variances.max())
@@ -555,7 +607,8 @@ def test_measured_targets_solve_exactly_at_large_semivariance(study_grid):
     rng = np.random.default_rng(5)
     ms = random_measurements(rng, study_grid, 22)
     system = assemble_system(ms, VariogramModel("spherical", 0.0, 8.0, 2.0**17), study_grid)
-    _, variances, _, solution, measured = solve_lattice(system)
+    _, variances, solution = solve_lattice(system)
+    measured = system.flat
     rows, flat = study_grid.flat_indices(system.locations)
     np.testing.assert_array_equal(solution[:, flat], np.eye(system.n + 1)[:, rows])
     assert np.all(variances[measured] == 0.0)
