@@ -112,26 +112,21 @@ class ExperimentConfig:
         if not 0 < self.alpha < 1:
             raise ConfigurationError(f"alpha must be in (0, 1), got {self.alpha}")
         z_quantile(self.alpha)
-        if self.max_iterations < 0:
-            raise ConfigurationError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        # The experiment file reads integers back in the signed 64-bit range
+        # (experiment_io.as_int), so a value outside it could not be loaded.
+        if not 0 <= self.max_iterations < 2**63:
+            raise ConfigurationError(f"max_iterations must be in [0, 2**63), got {self.max_iterations}")
+        if not -2**63 <= self.seed < 2**63:
+            raise ConfigurationError(f"seed must be in [-2**63, 2**63), got {self.seed}")
         design = tuple(self.initial_design)
         object.__setattr__(self, "initial_design", design)
-        # One flat_indices call checks every point: rows lists the on-grid
-        # positions in order, so the first position missing from it is the
-        # first off-grid point.  Points before it are checked for duplicates
-        # by grid index, as a point-by-point walk would meet them.
-        rows, flat = self.grid.flat_indices(design)
         seen = set()
-        for position, (row, index) in enumerate(zip(rows.tolist(), flat.tolist())):
-            if row != position:
-                break
+        for c, index in zip(design, self.grid.flat_indices(design).tolist()):
+            if index < 0:
+                raise ConfigurationError(f"initial design point ({c.m}, {c.k}) is not on the grid")
             if index in seen:
-                c = design[position]
                 raise DuplicateLocationError(f"duplicate initial design point ({c.m}, {c.k})")
             seen.add(index)
-        if len(seen) < len(design):
-            c = design[len(seen)]
-            raise ConfigurationError(f"initial design point ({c.m}, {c.k}) is not on the grid")
         # The first fit's empirical variogram needs two measurements; a
         # smaller design would spend an oracle call before failing on it.
         if len(design) < 2:
@@ -234,10 +229,10 @@ class _Evaluation:
         return self.prediction.spec.point(int(self.unmeasured_idx[pos]))
 
 
-def _evaluate(state: ExperimentState, model: VariogramModel, alpha: float | None = None) -> _Evaluation:
-    """Krig and classify every grid point under model; intervals at alpha, or the config's."""
+def _evaluate(state: ExperimentState, model: VariogramModel) -> _Evaluation:
+    """Krig and classify every grid point under model, intervals at the config's alpha."""
     spec = state.config.grid
-    z = z_quantile(state.config.alpha if alpha is None else alpha)
+    z = z_quantile(state.config.alpha)
     system = assemble_system(state.measurements, model, spec)
     means, variances, solution = solve_lattice(system)
     measured = system.flat
@@ -251,7 +246,7 @@ def _evaluate(state: ExperimentState, model: VariogramModel, alpha: float | None
                        unmeasured_idx, indicators)
 
 
-def _fit(state: ExperimentState, alpha: float | None = None) -> _Evaluation:
+def _fit(state: ExperimentState) -> _Evaluation:
     """Fit the current measurements and evaluate the grid under the
     lowest-MSE family whose lattice solve raises no NumericalFailureError,
     exact MSE ties broken by FAMILIES order as in select_model.
@@ -259,30 +254,30 @@ def _fit(state: ExperimentState, alpha: float | None = None) -> _Evaluation:
     select_model's pick is evaluated first; the other families are fitted
     (fit_model) only when its solve fails, which a bounded-linear fit, valid
     only in 1-D, can do on larger layouts.  When no family qualifies, the
-    first failure is raised.  alpha is passed on to _evaluate.
+    first failure is raised.
     """
     empirical = empirical_variogram(state.measurements, state.config.grid)
     model = select_model(empirical)
     try:
-        return _evaluate(state, model, alpha)
+        return _evaluate(state, model)
     except NumericalFailureError as exc:
         failure = exc
     others = [fit_model(empirical, family) for family in FAMILIES if family != model.family]
     for other in sorted(others, key=lambda m: (m.fit_mse, FAMILIES.index(m.family))):
         try:
-            return _evaluate(state, other, alpha)
+            return _evaluate(state, other)
         except NumericalFailureError:
             pass
     raise failure
 
 
-def _current_evaluation(state: ExperimentState, alpha: float | None = None) -> _Evaluation:
+def _current_evaluation(state: ExperimentState) -> _Evaluation:
     """The evaluation under the state's model (the fit of the current
     measurements; fitted here by _fit if it has none yet), for the read-only
-    views and the report.  alpha is passed on to _evaluate."""
+    views and the report."""
     if state.model is not None:
-        return _evaluate(state, state.model, alpha)
-    return _fit(state, alpha)
+        return _evaluate(state, state.model)
+    return _fit(state)
 
 
 def _next_design_point(state: ExperimentState) -> Combination | None:
@@ -475,9 +470,9 @@ def rc_score(candidate: Combination, state: ExperimentState, indicators=None) ->
     initial design is incomplete.
     """
     ev, ind = _scoring_view(state, indicators)
-    i = state.config.grid.flat_index(candidate)
-    pos = int(np.searchsorted(ev.unmeasured_idx, -1 if i is None else i))
-    if i is None or pos == len(ev.unmeasured_idx) or ev.unmeasured_idx[pos] != i:
+    i = int(state.config.grid.flat_indices([candidate])[0])  # -1 off the grid, never unmeasured
+    pos = int(np.searchsorted(ev.unmeasured_idx, i))
+    if pos == len(ev.unmeasured_idx) or ev.unmeasured_idx[pos] != i:
         raise ConfigurationError(
             f"candidate ({candidate.m}, {candidate.k}) is measured or off-grid"
         )

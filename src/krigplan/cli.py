@@ -93,12 +93,12 @@ def _load_config(path: str) -> tuple[ExperimentConfig, dict, str]:
     return config, oracle_spec, name
 
 
-def _write_artifacts(state: ExperimentState, out_dir: str, alpha: float | None = None) -> LatticeRegion:
+def _write_artifacts(state: ExperimentState, out_dir: str) -> LatticeRegion:
     """Write every derived artifact from the evaluation under the state's model (fitted and kept
-    if it has none), intervals at alpha or the config's; returns the reliable region."""
+    if it has none), intervals at the config's alpha; returns the reliable region."""
     if not state.measurements:
         raise ConfigurationError("no measurements yet; nothing to report")
-    ev = _current_evaluation(state, alpha)
+    ev = _current_evaluation(state)
     state.model = ev.model
     spec = state.config.grid
     m_axis, k_axis = spec.m_values(), spec.k_values()
@@ -207,9 +207,12 @@ def cmd_append(args) -> int:
 
 def cmd_report(args) -> int:
     state, oracle_spec = eio.load_state(args.experiment)
-    fitted = state.model is None
-    region = _write_artifacts(state, _out_dir(args.experiment), alpha=args.alpha)
+    config, fitted = state.config, state.model is None
+    if args.alpha is not None:  # for the artifacts only; the file keeps its alpha
+        state.config = replace(config, alpha=args.alpha)
+    region = _write_artifacts(state, _out_dir(args.experiment))
     if fitted:  # persist the model _write_artifacts fitted
+        state.config = config
         eio.save_state(state, oracle_spec, args.experiment)
     _print_summary(state, region)
     return 0

@@ -135,24 +135,25 @@ class GridSpec:
             raise ConfigurationError(f"point ({m}, {k}) is not on the measurement grid")
         return Combination(sm, sk)
 
-    def flat_indices(self, locations) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, flat) for the locations that are exactly grid points: their
-        positions in locations and their row-major indices (see point)."""
-        mk = np.array([(c.m, c.k) for c in locations], dtype=float).reshape(-1, 2)
-        lo, stride = np.array([self.m_min, self.k_min]), np.array([self.m_stride, self.k_stride])
+    def flat_indices(self, locations) -> np.ndarray:
+        """Row-major index (see point) of each location, an int64 array
+        aligned with locations: -1 where a location is not exactly a grid point."""
+        m = np.fromiter((c.m for c in locations), float, len(locations))
+        k = np.fromiter((c.k for c in locations), float, len(locations))
+        flat = np.full(len(locations), -1, dtype=np.int64)
         with np.errstate(over="ignore"):
-            node = np.rint((mk - lo) / stride)
-        inside = np.all((node >= 0) & (node < (self.m_count, self.k_count)), axis=1)
-        rows = np.flatnonzero(inside)
-        rows = rows[np.all(lo + node[rows] * stride == mk[rows], axis=1)]
-        i, j = node[rows].astype(np.int64).T
-        return rows, i * self.k_count + j
+            i = np.rint((m - self.m_min) / self.m_stride)
+            j = np.rint((k - self.k_min) / self.k_stride)
+            on = ((0 <= i) & (i < self.m_count) & (self.m_min + i * self.m_stride == m)
+                  & (0 <= j) & (j < self.k_count) & (self.k_min + j * self.k_stride == k))
+        flat[on] = i[on].astype(np.int64) * self.k_count + j[on].astype(np.int64)
+        return flat
 
     def flat_index(self, c: Combination) -> int | None:
         """Row-major index of the grid point equal to c, or None when c is
         not exactly a grid point."""
-        _, flat = self.flat_indices([c])
-        return int(flat[0]) if len(flat) else None
+        index = int(self.flat_indices([c])[0])
+        return index if index >= 0 else None
 
     def point(self, index: int) -> Combination:
         """The grid point at row-major position index, the inverse of flat_index."""
@@ -160,7 +161,7 @@ class GridSpec:
         return Combination(self.m_value(i), self.k_value(j))
 
     def contains(self, c: Combination) -> bool:
-        return self.flat_index(c) is not None
+        return bool(self.flat_indices([c])[0] >= 0)
 
 
 @dataclass(frozen=True)
@@ -180,11 +181,8 @@ class Measurement:
 
 def build_grid(spec: GridSpec) -> list[Combination]:
     """All grid combinations in row-major order: m ascending, k inner."""
-    return [
-        Combination(spec.m_value(i), spec.k_value(j))
-        for i in range(spec.m_count)
-        for j in range(spec.k_count)
-    ]
+    k_axis = spec.k_values().tolist()
+    return [Combination(m, k) for m in spec.m_values().tolist() for k in k_axis]
 
 
 def distance(a: Combination, b: Combination, spec: GridSpec) -> float:

@@ -119,14 +119,17 @@ class KrigingSystem:
         self.measurements = measurements
         self.model = model
         self.spec = spec
-        self.locations = [m.location for m in measurements]
         self.values = np.array([m.response for m in measurements], dtype=float)
-        self.flat = _grid_indices(spec, self.locations, "measurement")
+        self.flat = _grid_indices(spec, [m.location for m in measurements], "measurement")
         self.table = eval_model(model, offset_distances(spec))
 
-        n = len(measurements)
+        n, m_count, k_count = len(measurements), spec.m_count, spec.k_count
         # np.empty: every entry is written, and a fill would cost as much as the copy.
-        self.lattice = self._windows(self.table, np.empty((n + 1, spec.point_count)))
+        self.lattice = np.empty((n + 1, spec.point_count))
+        for row, node in zip(self.lattice, self.flat.tolist()):
+            i, j = divmod(node, k_count)
+            row.reshape(m_count, k_count)[...] = self.table[m_count - 1 - i:2 * m_count - 1 - i,
+                                                            k_count - 1 - j:2 * k_count - 1 - j]
         self.lattice[n] = 1.0
         self.lattice.flags.writeable = False
         mat = np.ones((n + 1, n + 1), dtype=float)
@@ -140,29 +143,21 @@ class KrigingSystem:
 
     @property
     def n(self) -> int:
-        return len(self.locations)
+        return len(self.values)
 
     def condition_estimate(self) -> float:
         if self._cond is None:
             self._cond = float(np.linalg.cond(self.matrix))
         return self._cond
 
-    def _windows(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out with row r set to the (m_count, k_count) window of an offset
-        table (like offset_distances(spec)) at measurement r: its entries at
-        the index offsets to every grid point, in row-major order."""
-        m, k = self.spec.m_count, self.spec.k_count
-        for row, node in zip(out, self.flat.tolist()):
-            i, j = divmod(node, k)
-            row.reshape(m, k)[...] = table[m - 1 - i:2 * m - 1 - i, k - 1 - j:2 * k - 1 - j]
-        return out
-
     def _closest_pair(self) -> tuple[Combination, Combination]:
-        d = self._windows(offset_distances(self.spec), np.empty((self.n, self.spec.point_count)))
-        d = d[:, self.flat]
+        # d[r, c]: offset_distances at the index offset from measurement r to c.
+        spec = self.spec
+        i, j = np.divmod(self.flat, spec.k_count)
+        d = offset_distances(spec)[spec.m_count - 1 + i - i[:, None], spec.k_count - 1 + j - j[:, None]]
         np.fill_diagonal(d, np.inf)
         i, j = np.unravel_index(np.argmin(d), d.shape)
-        return self.locations[i], self.locations[j]
+        return spec.point(int(self.flat[i])), spec.point(int(self.flat[j]))
 
     def check_conditioning(self) -> None:
         cond = self.condition_estimate()
@@ -240,12 +235,10 @@ class GridSolution:
 def _grid_indices(spec: GridSpec, locations, what: str) -> np.ndarray:
     """Row-major indices of locations on spec's grid; ConfigurationError,
     naming the first, when any location is not a grid point."""
-    rows, flat = spec.flat_indices(locations)
-    if len(rows) < len(locations):
-        # rows lists the on-grid positions in order: the first position
-        # missing from it is the first off-grid location.
-        missing = np.flatnonzero(rows != np.arange(len(rows)))
-        c = locations[int(missing[0]) if missing.size else len(rows)]
+    flat = spec.flat_indices(locations)
+    off = np.flatnonzero(flat < 0)
+    if off.size:
+        c = locations[int(off[0])]
         raise ConfigurationError(f"{what} ({c.m}, {c.k}) is not a point of the grid")
     return flat
 

@@ -96,6 +96,13 @@ def test_config_validation():
         ExperimentConfig(grid=grid, threshold=4.0, initial_design=design, alpha=0.2)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(grid=grid, threshold=4.0, initial_design=design, max_iterations=-1)
+    # The experiment file reads integers back in the signed 64-bit range.
+    ExperimentConfig(grid=grid, threshold=4.0, initial_design=design,
+                     max_iterations=2**63 - 1, seed=-2**63)
+    ExperimentConfig(grid=grid, threshold=4.0, initial_design=design, seed=2**63 - 1)
+    for fields in ({"max_iterations": 2**63}, {"seed": 2**63}, {"seed": -2**63 - 1}):
+        with pytest.raises(ConfigurationError, match=next(iter(fields))):
+            ExperimentConfig(grid=grid, threshold=4.0, initial_design=design, **fields)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(grid=grid, threshold=4.0,
                          initial_design=(Combination(1.5, 1.0),))  # off grid
@@ -728,9 +735,9 @@ def _spy_evaluate(monkeypatch):
     calls = []
     evaluate = adaptive._evaluate
 
-    def spy(state, model, alpha=None):
+    def spy(state, model):
         try:
-            ev = evaluate(state, model, alpha)
+            ev = evaluate(state, model)
         except NumericalFailureError as exc:
             calls.append((model, exc))
             raise
@@ -745,10 +752,10 @@ def refuse_family(monkeypatch, family):
     """Make every lattice solve under `family` raise NumericalFailureError."""
     evaluate = adaptive._evaluate
 
-    def refuse(state, model, alpha=None):
+    def refuse(state, model):
         if model.family == family:
             raise NumericalFailureError(f"{family} refused")
-        return evaluate(state, model, alpha)
+        return evaluate(state, model)
 
     monkeypatch.setattr(adaptive, "_evaluate", refuse)
 

@@ -672,6 +672,32 @@ def test_cli_report_persists_the_model_it_fits(tmp_path, capsys):
     assert Path(exp_path).read_bytes() == fitted
 
 
+def test_cli_report_alpha_persists_the_model_under_the_files_alpha(tmp_path, capsys):
+    """`report --alpha 0.05` on a state with no model writes its intervals at
+    0.05 and persists the model it fits, the file keeping its alpha of 0.1."""
+    from krigplan import SyntheticLogisticOracle
+
+    config_path = write_config(tmp_path)
+    main(["init", "--config", str(config_path)])
+    exp_path = capsys.readouterr().out.strip()
+    config = load_state(exp_path)[0].config
+    oracle = SyntheticLogisticOracle(noise_std=0.0)
+    for point in config.initial_design:
+        assert main(["append", exp_path, "--m", str(point.m), "--k", str(point.k),
+                     "--response", repr(oracle.evaluate(point))]) == 0
+    assert load_state(exp_path)[0].model is None
+
+    assert main(["report", exp_path, "--alpha", "0.05"]) == 0
+    state, _ = load_state(exp_path)
+    assert state.model is not None
+    assert state.config == config and json.loads(Path(exp_path).read_text())["config"]["alpha"] == 0.1
+    at_alpha = (tmp_path / "predictions.csv").read_text()
+    assert main(["report", exp_path]) == 0
+    assert (tmp_path / "predictions.csv").read_text() != at_alpha
+    assert main(["report", exp_path, "--alpha", "0.05"]) == 0
+    assert (tmp_path / "predictions.csv").read_text() == at_alpha
+
+
 def test_cli_report_on_a_partial_initial_design(tmp_path, capsys):
     """With 3 of the 2x3 design's points appended, report fits what is
     measured and writes every artifact."""
@@ -740,6 +766,31 @@ def test_cli_step_and_report_agree_on_the_uncertain_cells(tmp_path, capsys):
     assert main(["report", exp_path]) == 0
     labels = (tmp_path / "labels.csv").read_text().splitlines()[1:]
     assert sum(line.endswith(",uncertain") for line in labels) == pending.n_uncertain
+
+
+@pytest.mark.parametrize("kind", ["synthetic_logistic", "table_replay"])
+@pytest.mark.parametrize("flag, value", [("--seed", 10**20), ("--seed", -2**63 - 1),
+                                         ("--max-iter", 2**63), ("--max-iter", 10**20)])
+def test_cli_run_rejects_an_override_the_experiment_file_cannot_hold(tmp_path, capsys, kind, flag, value):
+    """run exits 2 before writing on a --seed or --max-iter outside the signed
+    64-bit range the experiment file reads its integers back in."""
+    table_path = tmp_path / "table.csv"
+    table_path.write_text("m,k,response\n0.5,1.0,3.0\n0.5,2.0,4.0\n1.0,1.0,5.0\n1.0,2.0,6.0\n")
+    oracle = {"kind": kind, "path": str(table_path)} if kind == "table_replay" else {"kind": kind}
+    config_path = write_config(tmp_path, {
+        "grid": {"m_min": 0.5, "m_max": 1.0, "m_stride": 0.5,
+                 "k_min": 1.0, "k_max": 2.0, "k_stride": 1.0, "k_scale": 0.1},
+        "initial_design": {"lattice": [2, 2]}, "oracle": oracle})
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = capsys.readouterr().out.strip()
+    before = Path(exp_path).read_bytes()
+
+    assert main(["run", exp_path, flag, str(value)]) == 2
+    field = "seed" if flag == "--seed" else "max_iterations"
+    assert f"{field} must be in" in capsys.readouterr().err
+    assert Path(exp_path).read_bytes() == before
+    assert load_state(exp_path)[0].measurements == []
+    assert not (tmp_path / "predictions.csv").exists()
 
 
 @pytest.mark.parametrize("oracle", [[], "x", None])

@@ -522,14 +522,12 @@ def test_negative_variance_names_its_cell_on_both_paths(study_grid):
 def refined_lu_lattice(system):
     """(means, variances, condition) of the lattice solved by LU plus one
     step of iterative refinement, measured cells set as solve_lattice does."""
-    spec, mat = system.spec, system.matrix
-    rhs = system.lattice
+    mat, rhs = system.matrix, system.lattice
     lu = lu_factor(mat)
     x = lu_solve(lu, rhs)
     x += lu_solve(lu, rhs - mat @ x)
-    rows, flat = spec.flat_indices(system.locations)
     means, variances = system.values @ x[: system.n], np.einsum("ip,ip->p", rhs, x)
-    means[flat], variances[flat] = system.values[rows], 0.0
+    means[system.flat], variances[system.flat] = system.values, 0.0
     return means, np.maximum(variances, 0.0), np.linalg.cond(mat)
 
 
@@ -609,8 +607,7 @@ def test_measured_targets_solve_exactly_at_large_semivariance(study_grid):
     system = assemble_system(ms, VariogramModel("spherical", 0.0, 8.0, 2.0**17), study_grid)
     _, variances, solution = solve_lattice(system)
     measured = system.flat
-    rows, flat = study_grid.flat_indices(system.locations)
-    np.testing.assert_array_equal(solution[:, flat], np.eye(system.n + 1)[:, rows])
+    np.testing.assert_array_equal(solution[:, measured], np.eye(system.n + 1)[:, :system.n])
     assert np.all(variances[measured] == 0.0)
     for row, m in enumerate(ms):
         weights, sigma2 = solve(system, m.location)
