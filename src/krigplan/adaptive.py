@@ -18,9 +18,10 @@ the augmented system for one candidate and is the reference for both.
 suggest_next is one planner step: fit, evaluate the grid once, apply the
 stop rule, pick the argmin.  run_experiment is the interactive step/append
 loop with the oracle in the middle, so batch and interactive runs share one
-code path and an oracle miss on any point resumes with an append.  The
-read-only views (select_next, check_stop, candidate_scores, rc_score) and
-``krigplan report`` share its one grid evaluation (_evaluate).
+code path and an oracle miss on any point resumes with an append.  The views
+(select_next, check_stop, candidate_scores, rc_score) and ``krigplan
+report`` share its one route to the grid, _fit, and change nothing on the
+state but the fit that _fit caches there when the state has no model.
 """
 from __future__ import annotations
 
@@ -38,13 +39,14 @@ from .errors import (
     OracleMissError,
 )
 from .grid import Combination, GridSpec, Measurement, ensure_unique_locations
-from .kriging import EPS, LatticePrediction, assemble_system, solve_grid, solve_lattice, z_quantile
+from .kriging import EPS, KrigingSystem, LatticePrediction, _solve, assemble_system, solve_lattice, z_quantile
 from .region import LABELS, UNCERTAIN, classify_cells
 from .variogram import FAMILIES, VariogramModel, empirical_variogram, fit_model, select_model
 
 # Not called here, but the benchmark's tracer (perfbench/spans.py) wraps
-# this name on this module, so it must stay importable from it.
+# these names on this module, so they must stay importable from it.
 from .grid import build_grid  # noqa: F401
+from .kriging import solve_grid  # noqa: F401
 
 STOP_NATURAL = "natural"
 STOP_BUDGET = "budget"
@@ -133,10 +135,13 @@ class ExperimentConfig:
             raise ConfigurationError(f"initial design needs at least 2 points, got {len(design)}")
 
 
-def _check_score(score: float) -> None:
-    """A remaining-uncertainty score is a sum of variances: finite, nonnegative."""
-    if not (math.isfinite(score) and score >= 0):
+def _check_audit_values(score: float | None, n_uncertain: int | None) -> None:
+    """A remaining-uncertainty score is a sum of variances: finite, nonnegative.
+    The uncertain points it sums over are a count.  None, unscored, passes."""
+    if score is not None and not (math.isfinite(score) and score >= 0):
         raise ConfigurationError(f"rc_score must be finite and nonnegative, got {score}")
+    if n_uncertain is not None and n_uncertain < 0:
+        raise ConfigurationError(f"n_uncertain must be nonnegative, got {n_uncertain}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ class IterationRecord:
     n_uncertain: int
 
     def __post_init__(self):
-        _check_score(self.rc_score)
+        _check_audit_values(self.rc_score, self.n_uncertain)
 
 
 @dataclass(frozen=True)
@@ -164,8 +169,7 @@ class PendingSuggestion:
     n_uncertain: int | None = None
 
     def __post_init__(self):
-        if self.rc_score is not None:
-            _check_score(self.rc_score)
+        _check_audit_values(self.rc_score, self.n_uncertain)
 
 
 @dataclass
@@ -184,11 +188,16 @@ class ExperimentState:
             raise ConfigurationError(
                 f"history length {len(self.history)} does not match iteration {self.iteration}"
             )
+        unpicked = self.measured_locations()
         for number, record in enumerate(self.history, start=1):
             if record.iteration != number:
                 raise ConfigurationError(
                     f"history record {number} has iteration {record.iteration}, expected {number}"
                 )
+            if record.location not in unpicked:  # each pick is a distinct measured point
+                raise ConfigurationError(f"history record {number} chose ({record.location.m}, "
+                                         f"{record.location.k}), which is not measured or was chosen before")
+            unpicked.remove(record.location)
 
     def measured_locations(self) -> set[Combination]:
         return {m.location for m in self.measurements}
@@ -204,18 +213,20 @@ def weight_indicator(prediction, threshold: float) -> int:
 
 @dataclass
 class _Evaluation:
-    """One fit's view of the grid: the system's semivariance table, the lattice solve
-    (columns indexed by flat grid index), its prediction and classify_cells codes, and
-    the uncertain unmeasured points."""
+    """One model's view of the grid: its kriging system, the lattice solve
+    (columns indexed by flat grid index), its prediction and classify_cells
+    codes, and the uncertain unmeasured points."""
 
-    model: VariogramModel
-    table: np.ndarray      # KrigingSystem.table, gamma by grid index offset
+    system: KrigingSystem
     prediction: LatticePrediction
     codes: np.ndarray      # (m_count, k_count), indices into region.LABELS
-    rhs: np.ndarray        # (n+1, P), KrigingSystem.lattice (read-only)
-    solution: np.ndarray   # (n+1, P)
+    solution: np.ndarray   # (n+1, P), the system solved against system.lattice
     unmeasured_idx: np.ndarray
     indicators: np.ndarray  # bool, aligned with unmeasured_idx
+
+    @property
+    def model(self) -> VariogramModel:
+        return self.system.model
 
     @property
     def variances(self) -> np.ndarray:  # (P,)
@@ -242,11 +253,22 @@ def _evaluate(state: ExperimentState, model: VariogramModel) -> _Evaluation:
                            state.config.threshold, measured, means[measured])
     unmeasured_idx = np.delete(np.arange(spec.point_count), measured)
     indicators = codes.reshape(-1)[unmeasured_idx] == LABELS.index(UNCERTAIN)
-    return _Evaluation(model, system.table, prediction, codes, system.lattice, solution,
-                       unmeasured_idx, indicators)
+    return _Evaluation(system, prediction, codes, solution, unmeasured_idx, indicators)
 
 
 def _fit(state: ExperimentState) -> _Evaluation:
+    """The grid evaluation under state.model, the one route to the grid for
+    every planner step, view and report.  A state with no model is fitted
+    first (_admissible_fit) and the fit stored on it; when no family
+    qualifies, the failure is raised and nothing is stored."""
+    if state.model is not None:
+        return _evaluate(state, state.model)
+    ev = _admissible_fit(state)
+    state.model = ev.model
+    return ev
+
+
+def _admissible_fit(state: ExperimentState) -> _Evaluation:
     """Fit the current measurements and evaluate the grid under the
     lowest-MSE family whose lattice solve raises no NumericalFailureError,
     exact MSE ties broken by FAMILIES order as in select_model.
@@ -269,15 +291,6 @@ def _fit(state: ExperimentState) -> _Evaluation:
         except NumericalFailureError:
             pass
     raise failure
-
-
-def _current_evaluation(state: ExperimentState) -> _Evaluation:
-    """The evaluation under the state's model (the fit of the current
-    measurements; fitted here by _fit if it has none yet), for the read-only
-    views and the report."""
-    if state.model is not None:
-        return _evaluate(state, state.model)
-    return _fit(state)
 
 
 def _next_design_point(state: ExperimentState) -> Combination | None:
@@ -326,22 +339,21 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     variances = ev.variances[idx]
     cols = np.flatnonzero(indicators)
     XT = ev.solution[:, idx].T
-    D = ev.rhs[:, idx[cols]]
+    D = ev.system.lattice[:, idx[cols]]
     safe = variances >= FAST_PATH_VARIANCE_MIN
     denom = np.where(safe, variances, 1.0)
     if len(cols) >= _CLOSED_FORM_TARGETS_PER_ROW * len(D):
-        scores, unsure = _closed_form_scores(state.config.grid, idx, indicators, XT, D,
-                                             variances, denom, ev.table)
+        scores, unsure = _closed_form_scores(ev, indicators, XT, D, variances, denom)
         rescore = ~safe | unsure
     else:
-        scores = _walk_scores(state.config.grid, idx, indicators, XT, D, variances, denom, ev.table)
+        scores = _walk_scores(ev, indicators, XT, D, variances, denom)
         rescore = ~safe
     for pos in np.flatnonzero(rescore):
         scores[pos] = _score_by_reassembly(state, ev, indicators, int(pos))
     return scores
 
 
-def _walk_scores(spec: GridSpec, idx, indicators, XT, D, variances, denom, table) -> np.ndarray:
+def _walk_scores(ev: _Evaluation, indicators, XT, D, variances, denom) -> np.ndarray:
     """Every candidate's score, target by target, in blocks of candidate rows.
 
     Candidates and targets are lattice nodes, so g depends only on their
@@ -351,8 +363,9 @@ def _walk_scores(spec: GridSpec, idx, indicators, XT, D, variances, denom, table
     Each conditional variance is clamped at 0, and the candidate itself is
     not one of its targets.
     """
+    spec, idx = ev.system.spec, ev.unmeasured_idx
     cols = np.flatnonzero(indicators)
-    gamma = table.ravel()
+    gamma = ev.system.table.ravel()
     width = 2 * spec.k_count - 1
     row, col = np.divmod(idx, spec.k_count)
     pos = row * width + col
@@ -380,7 +393,7 @@ def _walk_scores(spec: GridSpec, idx, indicators, XT, D, variances, denom, table
     return scores
 
 
-def _closed_form_scores(spec: GridSpec, idx, indicators, XT, D, variances, denom, table):
+def _closed_form_scores(ev: _Evaluation, indicators, XT, D, variances, denom):
     """(scores, unsure): every candidate's score in closed form, and which
     of them the cancellation guard leaves to re-assembly.
 
@@ -404,7 +417,8 @@ def _closed_form_scores(spec: GridSpec, idx, indicators, XT, D, variances, denom
     error: the clamp could otherwise report that such a candidate removes
     all the uncertainty.
     """
-    m, k = spec.m_count, spec.k_count
+    table, idx = ev.system.table, ev.unmeasured_idx
+    m, k = ev.system.spec.m_count, ev.system.spec.k_count
     n1 = len(D)
     cols = np.flatnonzero(indicators)
     shape = (fft.next_fast_len(2 * m - 1, real=True), fft.next_fast_len(2 * k - 1, real=True))
@@ -447,16 +461,14 @@ def _closed_form_scores(spec: GridSpec, idx, indicators, XT, D, variances, denom
 
 def _score_by_reassembly(state: ExperimentState, ev: _Evaluation,
                          indicators: np.ndarray, pos: int) -> float:
-    """Reference score: rebuild the augmented system and solve it afresh."""
-    idx = ev.unmeasured_idx
-    target_pos = [p for p in range(len(idx)) if p != pos and indicators[p]]
-    if not target_pos:
+    """Reference score: the augmented system re-assembled and solved at the other flagged targets."""
+    targets = np.delete(ev.unmeasured_idx, pos)[np.delete(indicators, pos)]
+    if not len(targets):
         return 0.0
-    targets = [ev.candidate(p) for p in target_pos]
     hyp = list(state.measurements) + [Measurement(ev.candidate(pos), 0.0)]
     hyp_system = assemble_system(hyp, ev.model, state.config.grid)
-    hyp_sol = solve_grid(hyp_system, targets)
-    return float(hyp_sol.variances.sum())
+    _, variances, _ = _solve(hyp_system, targets, np.take(hyp_system.lattice, targets, axis=1))
+    return float(variances.sum())
 
 
 def rc_score(candidate: Combination, state: ExperimentState, indicators=None) -> float:
@@ -488,7 +500,7 @@ def _scoring_view(state: ExperimentState, indicators) -> tuple[_Evaluation, np.n
             f"initial design point ({point.m}, {point.k}) is not measured yet; "
             "candidates are scored once the whole initial design is measured"
         )
-    ev = _current_evaluation(state)
+    ev = _fit(state)
     if indicators is None:
         return ev, ev.indicators
     ind = np.asarray(indicators, dtype=bool)
@@ -535,7 +547,7 @@ def select_next(state: ExperimentState) -> Combination | None:
     point = _next_design_point(state)
     if point is not None:
         return point
-    ev = _current_evaluation(state)
+    ev = _fit(state)
     if _stop_reason(state, ev) == STOP_NATURAL:
         return None
     return ev.candidate(_pick(state, ev)[0])
@@ -550,7 +562,7 @@ def check_stop(state: ExperimentState) -> str | None:
     """
     if _next_design_point(state) is not None:
         return None
-    return _stop_reason(state, _current_evaluation(state))
+    return _stop_reason(state, _fit(state))
 
 
 def _notify(on_update, state: ExperimentState) -> None:
@@ -600,7 +612,8 @@ def suggest_next(state: ExperimentState) -> tuple[PendingSuggestion | None, str 
 
     Returns (suggestion, stop_reason); exactly one of the two is set.  While
     the initial design is incomplete the suggestion is its first unmeasured
-    point, after that it is the score argmin.  The suggestion is also stored
+    point, after that it is the score argmin under state.model, which _fit
+    fits and stores when the state has none.  The suggestion is also stored
     on state.pending so the completing append can record the audit entry.
     """
     point = _next_design_point(state)
@@ -609,7 +622,6 @@ def suggest_next(state: ExperimentState) -> tuple[PendingSuggestion | None, str 
         return state.pending, None
 
     ev = _fit(state)
-    model = state.model = ev.model
     state.stop_reason = _stop_reason(state, ev)
     if state.stop_reason is not None:
         state.pending = None
@@ -619,7 +631,7 @@ def suggest_next(state: ExperimentState) -> tuple[PendingSuggestion | None, str 
         location=ev.candidate(pos),
         phase="adaptive",
         rc_score=score,
-        model=model,
+        model=ev.model,
         n_uncertain=ev.n_uncertain,
     )
     return state.pending, None

@@ -26,7 +26,7 @@ from . import experiment_io as eio
 from .adaptive import (
     ExperimentConfig,
     ExperimentState,
-    _current_evaluation,
+    _fit,
     record_appended_measurement,
     run_experiment,
     suggest_next,
@@ -98,8 +98,7 @@ def _write_artifacts(state: ExperimentState, out_dir: str) -> LatticeRegion:
     if it has none), intervals at the config's alpha; returns the reliable region."""
     if not state.measurements:
         raise ConfigurationError("no measurements yet; nothing to report")
-    ev = _current_evaluation(state)
-    state.model = ev.model
+    ev = _fit(state)
     spec = state.config.grid
     m_axis, k_axis = spec.m_values(), spec.k_values()
     region = largest_region(ev.codes, m_axis, k_axis)

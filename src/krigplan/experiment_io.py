@@ -320,7 +320,8 @@ def save_state(state: ExperimentState, oracle_spec: dict, path) -> None:
 def read_json(path, error=SchemaError, what: str = "experiment file"):
     """The JSON document at path; `error` names the problem if it cannot be read."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: an editor or a spreadsheet export may start the file with a byte-order mark
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise error(f"{what} {path} does not exist") from None

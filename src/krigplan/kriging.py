@@ -246,9 +246,9 @@ def _grid_indices(spec: GridSpec, locations, what: str) -> np.ndarray:
 def _solve(system: KrigingSystem, flat: np.ndarray, rhs: np.ndarray):
     """(means, variances, solution) at the grid points at row-major indices
     flat, whose right-hand sides rhs are system.lattice[:, flat]: the solve
-    behind solve_grid and solve_lattice.  A variance below VARIANCE_FLOOR
-    raises NumericalFailureError naming the first such point; roundoff
-    below zero clamps to 0.
+    behind solve_grid, solve_lattice and the planner's re-assembly scoring.
+    A variance below VARIANCE_FLOOR raises NumericalFailureError naming the
+    first such point; roundoff below zero clamps to 0.
 
     A measured target's right-hand side is its measurement's column of the
     matrix, so its solution column is set to that unit vector exactly: the

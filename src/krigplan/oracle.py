@@ -168,7 +168,8 @@ _EVENT_COLUMNS = tuple(f"e{i}" for i in range(1, EVENT_COUNT + 1))
 def load_response_table(path, spec: GridSpec) -> list[ResponseRecord]:
     """Parse a measurement CSV: columns m,k,response or m,k,e1..e15."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig: a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise SchemaError(f"response table {path} does not exist") from None

@@ -288,7 +288,6 @@ def test_screened_pick_matches_the_full_argmin():
         state, oracle = grid_campaign_start(grid)
         for _ in range(3):
             ev = adaptive._fit(state)
-            state.model = ev.model
             pos, score = adaptive._pick(state, ev)
             _, scores = candidate_scores(state)
             best = adaptive._argmin_tied(scores)
@@ -525,21 +524,24 @@ def test_interrupted_run_resumes_identically():
 
 def test_planner_lists_no_grid_of_combinations():
     """A campaign plans on lattice indices: it never builds the grid as
-    Combinations, and solves Combination targets only to re-assemble the
-    candidates that fall back from the fast scores."""
+    Combinations and never solves Combination targets, not even to
+    re-assemble the candidates that fall back from the fast scores.  A
+    Combination is made only for each pick and for each re-assembled
+    candidate's hypothetical measurement, never for a target."""
     config = small_config(max_iterations=3)
     oracle = replay_oracle(config)
     # a cut of 3.0 sends the lowest-variance tenth or so of the candidates
     # to re-assembly on this grid
     with mock.patch.object(adaptive, "build_grid", side_effect=AssertionError("grid built")), \
             mock.patch.object(adaptive, "FAST_PATH_VARIANCE_MIN", 3.0), \
-            mock.patch.object(adaptive, "solve_grid", wraps=adaptive.solve_grid) as solves, \
+            mock.patch.object(adaptive, "solve_grid", side_effect=AssertionError("solve_grid")), \
+            mock.patch.object(GridSpec, "point", autospec=True, side_effect=GridSpec.point) as points, \
             mock.patch.object(adaptive, "_score_by_reassembly",
                               wraps=adaptive._score_by_reassembly) as rescored:
         state = run_experiment(config, oracle)
     assert state.iteration == 3
     assert rescored.call_count > 0
-    assert solves.call_count == rescored.call_count
+    assert points.call_count == state.iteration + rescored.call_count
 
 
 def test_oracle_miss_aborts_with_partial_state():
@@ -726,6 +728,30 @@ def test_views_follow_an_incomplete_initial_design(monkeypatch, n_measured):
     with pytest.raises(InsufficientDataError, match=named):
         rc_score(point, state)
     assert suggest_next(state) == (PendingSuggestion(point, "initial"), None)
+
+
+def test_every_entry_point_krigs_with_the_states_model(monkeypatch):
+    """The views and suggest_next reach the grid by one route: on a state
+    with no model the first of them fits once and stores the fit, and every
+    later one krigs with it; a model already on the state is used as it is."""
+    config = study_config()
+    oracle = SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7)
+    measurements = [Measurement(p, oracle.evaluate(p)) for p in config.initial_design]
+    fits = []
+    monkeypatch.setattr(adaptive, "empirical_variogram",
+                        lambda *args: fits.append(1) or empirical_variogram(*args))
+    state = ExperimentState(config=config, measurements=list(measurements))
+    assert check_stop(state) is None
+    fitted = state.model
+    assert fitted == select_model(empirical_variogram(measurements, config.grid))
+    candidates, _ = candidate_scores(state)
+    rc_score(candidates[0], state)
+    assert select_next(state) == suggest_next(state)[0].location
+    assert state.pending.model is state.model is fitted
+    assert len(fits) == 1
+    state = ExperimentState(config=config, measurements=list(measurements), model=SPH)
+    assert suggest_next(state)[0].model is state.model is SPH
+    assert len(fits) == 1
 
 
 # --- admissible variogram family ---------------------------------------------

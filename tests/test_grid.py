@@ -39,6 +39,12 @@ def test_build_grid_row_major(study_grid):
     assert grid[-1] == Combination(6.0, 60.0)
 
 
+@pytest.mark.parametrize("m, k", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, math.nan)])
+def test_combination_rejects_non_finite_coordinates(m, k):
+    with pytest.raises(ConfigurationError, match="combination coordinates must be finite"):
+        Combination(m, k)
+
+
 def test_distance_mixes_axes_by_k_scale(study_grid):
     # one m-step and ten k-steps contribute equally after scaling
     d = distance(Combination(0.0, 0.0), Combination(1.0, 10.0), study_grid)

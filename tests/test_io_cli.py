@@ -128,8 +128,9 @@ def variogram_models(draw):
 
 @st.composite
 def experiment_states(draw):
-    """Whole states on grids of up to 5 x 6 points: measurements, history,
-    model, a pending suggestion of either phase and either stop reason."""
+    """Whole states on grids of up to 5 x 6 points: measurements, history
+    (its locations distinct measured points), model, a pending suggestion of
+    either phase and either stop reason."""
     axes = []
     for _ in "mk":
         low = draw(st.sampled_from([-1.5, -0.0, 0.0, 0.5, 1.0]))
@@ -137,7 +138,6 @@ def experiment_states(draw):
         axes += [low, low + draw(st.integers(1, 5)) * stride, stride]
     grid = GridSpec(*axes, k_scale=draw(st.sampled_from([0.1, 1.0, 3.0])))
     points = [grid.point(i) for i in range(grid.point_count)]
-    positions = st.integers(0, grid.point_count - 1)
     order = draw(st.permutations(range(grid.point_count)))
     design = order[:draw(st.integers(2, len(order)))]
     measured = order[:draw(st.integers(0, len(order)))]
@@ -149,11 +149,12 @@ def experiment_states(draw):
         max_iterations=draw(st.integers(0, 2**63 - 1)),
         seed=draw(st.integers(-2**63, 2**63 - 1)),
     )
+    picks = draw(st.permutations(measured))[:draw(st.integers(0, 4))]
     history = [
-        IterationRecord(iteration=i + 1, location=points[draw(positions)],
+        IterationRecord(iteration=i + 1, location=points[pick],
                         rc_score=draw(NONNEGATIVE), model=draw(variogram_models()),
                         n_uncertain=draw(st.integers(0, grid.point_count)))
-        for i in range(draw(st.integers(0, 4)))
+        for i, pick in enumerate(picks)
     ]
     return ExperimentState(
         config=config,
@@ -387,6 +388,43 @@ def test_cli_rejects_out_of_range_values_in_the_experiment_file(tmp_path, capsys
     assert b"NaN" not in audit
 
 
+@pytest.mark.parametrize("fault", ["unmeasured-picks", "repeated-pick",
+                                   "n_uncertain-negative", "pending-n_uncertain-negative"])
+def test_cli_rejects_a_history_its_measurements_do_not_hold(tmp_path, capsys, fault):
+    """A finished 3-iteration run whose file is then edited: its measurements
+    cut back to the 6 design points, one pick recorded twice, or a negative
+    uncertain count.  Each command exits 2 and leaves every file as it was,
+    audit.ndjson included."""
+    config_path = write_config(tmp_path, {"max_iterations": 3})
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = tmp_path / "demo.json"
+    assert main(["run", str(exp_path)]) == 0
+    payload = json.loads(exp_path.read_text())
+    history = payload["history"]
+    assert len(history) == 3 and len(payload["measurements"]) == 9
+    if fault == "unmeasured-picks":
+        payload["measurements"] = payload["measurements"][:6]
+        payload["model"] = None
+        message = "history record 1 chose"
+    elif fault == "repeated-pick":
+        history[1].update(chosen_m=history[0]["chosen_m"], chosen_k=history[0]["chosen_k"])
+        message = "history record 2 chose"
+    elif fault == "n_uncertain-negative":
+        history[0]["n_uncertain"] = -7
+        message = "n_uncertain must be nonnegative, got -7"
+    else:
+        payload["pending_suggestion"] = {"m": 3.0, "k": 30.0, "phase": "adaptive", "rc_score": 1.0,
+                                         "model": history[0]["model"], "n_uncertain": -1}
+        message = "n_uncertain must be nonnegative, got -1"
+    exp_path.write_text(json.dumps(payload))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    for command in ("report", "step", "run"):
+        assert main([command, str(exp_path)]) == 2, command
+        assert message in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_load_reports_json_position(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text('{"version": 1,\n  broken\n}')
@@ -596,6 +634,15 @@ def test_cli_init_run_report(tmp_path, capsys):
 
     assert main(["report", exp_path]) == 0
     assert "reliable region" in capsys.readouterr().out
+
+
+def test_cli_summary_names_an_empty_region(tmp_path, capsys):
+    """A threshold below the surface's floor leaves no cell reliably below it."""
+    config_path = write_config(tmp_path, {"threshold": 0.5, "max_iterations": 2})
+    assert main(["init", "--config", str(config_path)]) == 0
+    assert main(["run", str(tmp_path / "demo.json")]) == 0
+    assert capsys.readouterr().out.endswith("\nreliable region: empty\n")
+    assert json.loads((tmp_path / "region.json").read_text())["cell_count"] == 0
 
 
 def test_cli_run_writes_the_experiment_file_once_per_append_and_once_at_the_stop(
@@ -1029,6 +1076,18 @@ def test_cli_exit_code_2_on_unusable_out_dir(tmp_path, capsys, monkeypatch, belo
         assert "KRIGPLAN_OUT_DIR" in capsys.readouterr().err
     assert Path(exp_path).read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["blocker", "config.json", "demo.json"]
+
+
+def test_cli_init_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):
+    """An editor or spreadsheet may start the config with a byte-order mark."""
+    config_path = write_config(tmp_path)
+    config_path.write_bytes(config_path.read_text().encode("utf-8-sig"))
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = tmp_path / "demo.json"
+    state, _ = load_state(exp_path)
+    assert state.config.grid == GridSpec(**CONFIG["grid"])
+    exp_path.write_bytes(exp_path.read_text().encode("utf-8-sig"))
+    assert load_state(exp_path)[0] == state
 
 
 def test_cli_init_rejects_oversized_grid(tmp_path, capsys):

@@ -125,6 +125,19 @@ def test_ill_conditioned_system_raises():
     assert "nearest locations are (1.0, 3.0) and (1.0, 4.0)" in str(exc.value)
 
 
+def test_failed_factorization_names_the_nearest_pair():
+    spec = GridSpec(0.5, 6.0, 0.5, 1.0, 60.0, 1.0, k_scale=0.1)
+    ms = [Measurement(Combination(1.0, 3.0), 2.0), Measurement(Combination(4.0, 50.0), 2.4),
+          Measurement(Combination(1.5, 5.0), 2.1)]
+    system = assemble_system(ms, SPH, spec)
+    with mock.patch.object(kriging, "lu_factor", side_effect=ValueError("singular matrix")), \
+            pytest.raises(NumericalFailureError) as exc:
+        solve_lattice(system)
+    assert str(exc.value) == ("kriging system factorization failed (singular matrix); "
+                              "nearest locations are (1.0, 3.0) and (1.5, 5.0)")
+    assert isinstance(exc.value.__cause__, ValueError)
+
+
 OFF_GRID = [Combination(1.25, 3.0), Combination(7.0, 3.0), Combination(2.0, 2.5)]
 
 

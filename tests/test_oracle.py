@@ -208,6 +208,20 @@ def test_load_skips_blank_lines(tmp_path, grid):
     ]
 
 
+@pytest.mark.parametrize("table", [
+    "m,k,response\r\n1.0,3,2.5\r\n2.0,9,4.25\r\n",
+    "m,k," + ",".join(f"e{i}" for i in range(1, 16)) + "\r\n1.0,3," + ",".join(map(str, range(15))) + "\r\n",
+], ids=["response", "events"])
+def test_load_skips_a_byte_order_mark(tmp_path, grid, table):
+    """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark (and
+    ends its lines with CRLF): it loads equal to the same table without one."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(table.encode())
+    marked.write_bytes(table.encode("utf-8-sig"))
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfm,k,")
+    assert load_response_table(marked, grid) == load_response_table(plain, grid)
+
+
 def test_load_event_table(tmp_path, grid):
     events = ",".join(str(v) for v in range(1, 16))
     path = tmp_path / "events.csv"

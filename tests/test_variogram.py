@@ -125,6 +125,13 @@ def test_model_validation():
         VariogramModel("parabolic", 0.1, 2.0, 1.0)
 
 
+def test_model_call_is_eval_model():
+    model = VariogramModel("exponential", 0.1, 2.0, 1.0)
+    h = np.array([0.0, 0.5, 2.0, 7.0])
+    np.testing.assert_array_equal(model(h), eval_model(model, h))
+    assert model(1.5) == eval_model(model, 1.5)
+
+
 # --- empirical estimator ----------------------------------------------------
 
 def test_empirical_single_pair():
@@ -179,6 +186,16 @@ def test_empirical_max_lag_cutoff():
           for m, r in [(0.0, 1.0), (1.0, 2.0), (4.0, 1.5)]]
     emp = empirical_variogram(ms, spec, bin_width=1.0, max_lag=2.0)
     assert [round(b.h_center) for b in emp.bins] == [1]
+
+
+@pytest.mark.parametrize("option, value", [
+    ("bin_width", 0.0), ("bin_width", -1.0), ("bin_width", math.inf), ("bin_width", math.nan),
+    ("max_lag", -1.0), ("max_lag", math.inf), ("max_lag", math.nan),
+])
+def test_empirical_rejects_bad_bin_width_and_max_lag(option, value):
+    ms = [Measurement(Combination(m, 1.0), r) for m, r in [(0.0, 1.0), (1.0, 2.0), (4.0, 1.5)]]
+    with pytest.raises(ConfigurationError, match=f"^{option} must be"):
+        empirical_variogram(ms, line_grid(8.0), **{option: value})
 
 
 @pytest.mark.filterwarnings("error")
@@ -314,6 +331,23 @@ def test_fit_single_bin_falls_back():
     assert fit.family == "spherical"
     assert fit.sill == pytest.approx(1.6)   # sample variance of the responses
     assert fit.range == pytest.approx(2.0)  # half the largest pair distance
+
+
+def test_fit_with_no_bins_falls_back_with_zero_mse():
+    """max_lag below every pair leaves no bin: the fallback has nothing to
+    score its MSE on, so it keeps 0 rather than the mean of nothing."""
+    ms = [Measurement(Combination(m, 1.0), r) for m, r in [(0.0, 1.0), (1.0, 2.0), (4.0, 1.5)]]
+    emp = empirical_variogram(ms, line_grid(8.0), bin_width=1.0, max_lag=0.4)
+    assert emp.n_bins == 0
+    fit = fit_model(emp, "gaussian")
+    assert fit.flag == FLAG_LOW_INFORMATION and fit.fit_mse == 0.0
+    assert fit.range == pytest.approx(2.0)  # half the largest pair distance, 4
+
+
+def test_fit_rejects_an_unknown_family():
+    emp = make_empirical(VariogramModel("spherical", 0.1, 2.0, 1.0), [0.5, 1.0, 1.5])
+    with pytest.raises(ConfigurationError, match="unknown variogram family 'parabolic'"):
+        fit_model(emp, "parabolic")
 
 
 def test_fit_weighted_by_pair_counts():
