@@ -41,7 +41,7 @@ from .errors import (
 from .grid import Combination, GridSpec, Measurement, ensure_unique_locations
 from .kriging import EPS, KrigingSystem, LatticePrediction, _solve, assemble_system, solve_lattice, z_quantile
 from .region import LABELS, UNCERTAIN, classify_cells
-from .variogram import FAMILIES, VariogramModel, empirical_variogram, fit_model, select_model
+from .variogram import VariogramModel, _ranked_fits, empirical_variogram, select_model
 
 # Not called here, but the benchmark's tracer (perfbench/spans.py) wraps
 # these names on this module, so they must stay importable from it.
@@ -273,10 +273,10 @@ def _admissible_fit(state: ExperimentState) -> _Evaluation:
     lowest-MSE family whose lattice solve raises no NumericalFailureError,
     exact MSE ties broken by FAMILIES order as in select_model.
 
-    select_model's pick is evaluated first; the other families are fitted
-    (fit_model) only when its solve fails, which a bounded-linear fit, valid
-    only in 1-D, can do on larger layouts.  When no family qualifies, the
-    first failure is raised.
+    select_model's pick is evaluated first; the other distinct fits
+    (_ranked_fits) are tried only when its solve fails, which a
+    bounded-linear fit, valid only in 1-D, can do on larger layouts.  When
+    no family qualifies, the first failure is raised.
     """
     empirical = empirical_variogram(state.measurements, state.config.grid)
     model = select_model(empirical)
@@ -284,8 +284,9 @@ def _admissible_fit(state: ExperimentState) -> _Evaluation:
         return _evaluate(state, model)
     except NumericalFailureError as exc:
         failure = exc
-    others = [fit_model(empirical, family) for family in FAMILIES if family != model.family]
-    for other in sorted(others, key=lambda m: (m.fit_mse, FAMILIES.index(m.family))):
+    for other in _ranked_fits(empirical):
+        if other == model:
+            continue
         try:
             return _evaluate(state, other)
         except NumericalFailureError:

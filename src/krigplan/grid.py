@@ -215,20 +215,49 @@ def offset_distances(spec: GridSpec) -> np.ndarray:
     to within a few ulps of the largest coordinate: the coordinates round,
     the offsets do not.  Where every scaled coordinate is an integer the two
     are equal.  Each kriging.KrigingSystem evaluates its variogram over this
-    table once and gathers every semivariance it needs from it.
+    table once and gathers every semivariance it needs from it;
+    pair_distances gives the entries at chosen offsets alone, for
+    variogram.empirical_variogram's pair lags.
     """
-    dm = np.arange(1 - spec.m_count, spec.m_count) * spec.m_stride
-    dk = np.arange(1 - spec.k_count, spec.k_count) * spec.k_stride * spec.k_scale
-    return np.sqrt(dm[:, None] ** 2 + dk[None, :] ** 2)
+    return _offset_length(spec, np.arange(1 - spec.m_count, spec.m_count)[:, None],
+                          np.arange(1 - spec.k_count, spec.k_count))
+
+
+def _offset_length(spec: GridSpec, di: np.ndarray, dj: np.ndarray) -> np.ndarray:
+    """Scaled length of the index offsets di rows and dj columns, which broadcast."""
+    return np.sqrt((di * spec.m_stride) ** 2 + (dj * spec.k_stride * spec.k_scale) ** 2)
+
+
+def grid_indices(spec: GridSpec, locations, what: str) -> np.ndarray:
+    """Row-major indices of locations on spec's grid; ConfigurationError,
+    naming the first, when any location is not a grid point."""
+    flat = spec.flat_indices(locations)
+    off = np.flatnonzero(flat < 0)
+    if off.size:
+        c = locations[int(off[0])]
+        raise ConfigurationError(f"{what} ({c.m}, {c.k}) is not a point of the grid")
+    return flat
+
+
+def pair_distances(spec: GridSpec, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Scaled distances between the grid points at row-major indices src and
+    dst, which broadcast: offset_distances at each pair's index offset, bit
+    for bit, computed for those offsets alone rather than read from the
+    whole table."""
+    (i, j), (ii, jj) = np.divmod(src, spec.k_count), np.divmod(dst, spec.k_count)
+    return _offset_length(spec, ii - i, jj - j)
 
 
 def ensure_unique_locations(measurements) -> None:
+    # Combinations are equal exactly when their (m, k) tuples are, and the
+    # tuples hash without a Python-level __hash__ call.
     seen = set()
     for meas in measurements:
         loc = meas.location
-        if loc in seen:
+        key = (loc.m, loc.k)
+        if key in seen:
             raise DuplicateLocationError(f"duplicate measurement at ({loc.m}, {loc.k})")
-        seen.add(loc)
+        seen.add(key)
 
 
 def evenly_spaced_design(spec: GridSpec, n_m: int, n_k: int) -> list[Combination]:

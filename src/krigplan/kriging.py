@@ -42,7 +42,7 @@ from .errors import (
     InsufficientDataError,
     NumericalFailureError,
 )
-from .grid import Combination, GridSpec, ensure_unique_locations, offset_distances
+from .grid import Combination, GridSpec, ensure_unique_locations, grid_indices, offset_distances, pair_distances
 from .variogram import VariogramModel, eval_model
 
 # Two-sided normal quantiles for the supported confidence levels
@@ -120,7 +120,7 @@ class KrigingSystem:
         self.model = model
         self.spec = spec
         self.values = np.array([m.response for m in measurements], dtype=float)
-        self.flat = _grid_indices(spec, [m.location for m in measurements], "measurement")
+        self.flat = grid_indices(spec, [m.location for m in measurements], "measurement")
         self.table = eval_model(model, offset_distances(spec))
 
         n, m_count, k_count = len(measurements), spec.m_count, spec.k_count
@@ -151,13 +151,10 @@ class KrigingSystem:
         return self._cond
 
     def _closest_pair(self) -> tuple[Combination, Combination]:
-        # d[r, c]: offset_distances at the index offset from measurement r to c.
-        spec = self.spec
-        i, j = np.divmod(self.flat, spec.k_count)
-        d = offset_distances(spec)[spec.m_count - 1 + i - i[:, None], spec.k_count - 1 + j - j[:, None]]
+        d = pair_distances(self.spec, self.flat[:, None], self.flat)
         np.fill_diagonal(d, np.inf)
         i, j = np.unravel_index(np.argmin(d), d.shape)
-        return spec.point(int(self.flat[i])), spec.point(int(self.flat[j]))
+        return self.spec.point(int(self.flat[i])), self.spec.point(int(self.flat[j]))
 
     def check_conditioning(self) -> None:
         cond = self.condition_estimate()
@@ -232,17 +229,6 @@ class GridSolution:
     solution: np.ndarray   # (n+1, P), system solved against rhs
 
 
-def _grid_indices(spec: GridSpec, locations, what: str) -> np.ndarray:
-    """Row-major indices of locations on spec's grid; ConfigurationError,
-    naming the first, when any location is not a grid point."""
-    flat = spec.flat_indices(locations)
-    off = np.flatnonzero(flat < 0)
-    if off.size:
-        c = locations[int(off[0])]
-        raise ConfigurationError(f"{what} ({c.m}, {c.k}) is not a point of the grid")
-    return flat
-
-
 def _solve(system: KrigingSystem, flat: np.ndarray, rhs: np.ndarray):
     """(means, variances, solution) at the grid points at row-major indices
     flat, whose right-hand sides rhs are system.lattice[:, flat]: the solve
@@ -294,7 +280,7 @@ def solve_grid(system: KrigingSystem, targets) -> GridSolution:
     failing on its singular system; its solution is zero.
     """
     targets = list(targets)
-    flat = _grid_indices(system.spec, targets, "kriging target")
+    flat = grid_indices(system.spec, targets, "kriging target")
     rhs = np.take(system.lattice, flat, axis=1)  # C-ordered, like the lattice; [:, flat] is not
     means, variances, sol = _solve(system, flat, rhs)
     return GridSolution(tuple(targets), means, variances, rhs, sol)

@@ -9,13 +9,12 @@ and the nugget only widens predictions away from data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import ConfigurationError, InsufficientDataError
-from .grid import GridSpec, ensure_unique_locations, scaled_coords
+from .grid import GridSpec, ensure_unique_locations, grid_indices, pair_distances
 
 BOUNDED_LINEAR = "bounded_linear"
 SPHERICAL = "spherical"
@@ -31,13 +30,16 @@ FLAG_LOW_INFORMATION = "low_information"
 # Parameter-space tolerance for the range refinement.
 FIT_TOL = 1e-8
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Golden-section steps per array call of the range refinement.  A call
-# profiles every range those steps could read, at most 2**_LOOKAHEAD per
-# family, so each further step doubles it; three was the fastest per
-# selection on a 2-core x86-64 host, with two and four about 15% slower.
-_LOOKAHEAD = 3
+# Ranges per family at each level of the range refinement.  A level
+# profiles this many evenly spaced ranges across the bracket and keeps the
+# two steps around the best, so the bracket shrinks (K - 1) / 2 fold; from
+# the coarse bracket to FIT_TOL takes 6 or 7 levels on criterion 6's
+# campaign.  Chosen by the comparison with golden-section search in
+# tests/test_variogram.py: on its 60 recorded variograms no fit at 32 is
+# worse on the weighted objective by more than 3.9e-12 relative, while 24,
+# 40 and 48 each leave one fit 3.2e-6 worse and 64 one 1.0e-10 worse.
+_REFINE_POINTS = 32
+_REFINE_STEPS = np.arange(_REFINE_POINTS)
 
 
 def _shape(family: str, h: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
@@ -51,9 +53,7 @@ def _shape(family: str, h: np.ndarray, a, out: np.ndarray | None = None) -> np.n
         return np.minimum(t, 1.0, out=t)
     if family == SPHERICAL:
         np.minimum(t, 1.0, out=t)
-        # t[()] is a numpy scalar when t is 0-d: scalar ** rounds unlike the
-        # array loop, and a scalar h has always taken the scalar path.
-        cube = 0.5 * t[()] ** 3
+        cube = 0.5 * (t * t * t)
         return np.subtract(np.multiply(t, 1.5, out=t), cube, out=t)
     if family == EXPONENTIAL:
         return np.subtract(1.0, np.exp(np.negative(t, out=t), out=t), out=t)
@@ -130,24 +130,26 @@ class VariogramBin:
 @dataclass(frozen=True)
 class EmpiricalVariogram:
     """Binned method-of-moments estimate plus the summary statistics the
-    low-information fallback fit needs (see fit_model)."""
+    low-information fallback fit needs (see fit_model).  h, gamma and count
+    are the bins' h_center, gamma_hat and pair_count as read-only float
+    arrays, built once from bins."""
 
     bins: tuple[VariogramBin, ...]
     response_variance: float
     max_distance: float
+    h: np.ndarray = field(init=False, repr=False, compare=False)
+    gamma: np.ndarray = field(init=False, repr=False, compare=False)
+    count: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        columns = np.array([(b.h_center, b.gamma_hat, b.pair_count) for b in self.bins], dtype=float)
+        for name, column in zip(("h", "gamma", "count"), columns.reshape(-1, 3).T.copy()):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def n_bins(self) -> int:
         return len(self.bins)
-
-    def h_centers(self) -> np.ndarray:
-        return np.array([b.h_center for b in self.bins], dtype=float)
-
-    def gammas(self) -> np.ndarray:
-        return np.array([b.gamma_hat for b in self.bins], dtype=float)
-
-    def counts(self) -> np.ndarray:
-        return np.array([b.pair_count for b in self.bins], dtype=float)
 
 
 def empirical_variogram(
@@ -158,12 +160,16 @@ def empirical_variogram(
 ) -> EmpiricalVariogram:
     """Method-of-moments estimate over fixed-width distance bins.
 
+    Every measurement must be a grid point of spec (ConfigurationError names
+    the first that is not); a pair's scaled distance is the
+    grid.offset_distances entry at its index offset (grid.pair_distances).
     Each pair lands in the bin whose center (an integer multiple of
-    bin_width) is nearest to its scaled distance; a bin's reported h_center
-    is the mean of its pair distances.  Bins with no pairs are dropped, as
-    are bins centered beyond max_lag, where the estimator has too few pairs
-    to be trusted.  Defaults: bin_width is the grid's nearest-neighbor
-    spacing, max_lag is half the scaled domain diameter.
+    bin_width) is nearest to its distance; a bin's reported h_center is the
+    mean of its pair distances, and its sums run in pair order.  Bins with
+    no pairs are dropped, as are bins whose h_center lies beyond max_lag,
+    where the estimator has too few pairs to be trusted.  Defaults:
+    bin_width is the grid's nearest-neighbor spacing, max_lag is half the
+    scaled domain diameter.
     """
     measurements = list(measurements)
     if len(measurements) < 2:
@@ -178,233 +184,178 @@ def empirical_variogram(
     if max_lag < 0 or not math.isfinite(max_lag):
         raise ConfigurationError(f"max_lag must be nonnegative and finite, got {max_lag}")
 
-    pts = scaled_coords([m.location for m in measurements], spec)
+    iu, ju = np.triu_indices(len(measurements), k=1)
+    flat = grid_indices(spec, [m.location for m in measurements], "measurement")
+    d = pair_distances(spec, flat[iu], flat[ju])
     y = np.array([m.response for m in measurements], dtype=float)
-    d = pdist(pts)
-    n = len(measurements)
-    iu, ju = np.triu_indices(n, k=1)
     sq = (y[iu] - y[ju]) ** 2
 
     max_distance = float(d.max())
-    # Bin indices must be exact integers, well inside the int64 range.
+    # Bin indices must be exact integers, so that neighbouring bins stay apart.
     if not max_distance / bin_width < 2.0 ** 53:
         raise ConfigurationError(
             f"bin_width {bin_width} is too small for the largest pair distance {max_distance}"
         )
 
-    # A stable sort keeps each bin's pairs in their original order for its sums.
-    idx = np.round(d / bin_width).astype(int)
-    order = np.argsort(idx, kind="stable")
-    idx, d, sq = idx[order], d[order], sq[order]
-    # Pairs from bin floor(max_lag / bin_width) + 2 on lie more than half a bin
-    # width beyond max_lag, so no bin of theirs can be kept; the boundary bins
-    # are still judged by their mean distance below.
-    n_near = int(np.searchsorted(idx, np.floor(max_lag / bin_width) + 2.0))
-    idx, d, sq = idx[:n_near], d[:n_near], sq[:n_near]
-    edges = np.flatnonzero(np.diff(idx)) + 1
-    bins = []
-    for start, stop in zip(np.r_[0, edges], np.r_[edges, n_near]) if n_near else ():
-        h_c = float(d[start:stop].mean())
-        if h_c > max_lag:
-            continue
-        count = int(stop - start)
-        gamma = float(sq[start:stop].sum() / (2.0 * count))
-        bins.append(VariogramBin(h_c, gamma, count))
-
+    # np.unique numbers the occupied bins 0, 1, ... in increasing distance,
+    # so bincount's output stays as short as the bin count.
+    _, label = np.unique(np.round(d / bin_width), return_inverse=True)
+    count = np.bincount(label)
+    h = np.bincount(label, weights=d) / count
+    gamma = np.bincount(label, weights=sq) / (2.0 * count)
+    keep = h <= max_lag
+    bins = tuple(map(VariogramBin, h[keep].tolist(), gamma[keep].tolist(), count[keep].tolist()))
     return EmpiricalVariogram(
-        bins=tuple(bins),
+        bins=bins,
         response_variance=float(np.var(y, ddof=1)),
         max_distance=max_distance,
     )
 
 
-def _profiled_linear(phi, gam, wts, s1, sy):
+def _profiled_linear(phi, gam, wts, s1, sy, flat):
     """Weighted least squares for (nugget, sill) at each row's fixed range.
 
-    phi is (R, bins), one row of unit shapes per trial range; s1 and sy are
-    wts.sum() and (wts * gam).sum(), which do not depend on the range.  The
-    model is linear in (C0, b) then, so each row has a closed form.  Where it
-    is infeasible, the nugget-free fit wins unless the flat (pure-nugget) fit
-    has a strictly smaller objective.  Returns (C0, b, objective) arrays.
+    phi is (R, bins), one row of unit shapes per trial range; gam and wts
+    are the bins' gammas and weights, each broadcasting with phi or tiled to
+    its shape (the same arithmetic, and cheaper).  s1 and sy are the weights'
+    sum and the weighted gammas' sum, and flat is the flat (pure-nugget) fit's
+    (C0, objective); none depends on the range.  The model is linear in
+    (C0, b) then, so each row has a closed form.  Where it is infeasible,
+    the nugget-free fit wins unless the flat fit has a strictly smaller
+    objective.  Returns (C0, b, objective) arrays.
     """
     wphi = wts * phi
     sp = wphi.sum(axis=-1)
     spp = (wphi * phi).sum(axis=-1)
     spy = (wphi * gam).sum(axis=-1)
-    zeros = np.zeros_like(sp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         det = s1 * spp - sp * sp
-        # Rows of c0s and bs: unconstrained, nugget-free and flat candidates.
-        c0s = np.array([(spp * sy - sp * spy) / det, zeros, zeros + max(sy / s1, 0.0)])
-        bs = np.array([(s1 * spy - sp * sy) / det, np.maximum(spy / spp, 0.0), zeros])
-        r = c0s[..., None] + bs[..., None] * phi - gam
-        objs = (wts * r * r).sum(axis=-1)
-        free = (det > 1e-12 * np.maximum(s1 * spp, 1e-300)) & (c0s[0] >= 0) & (bs[0] >= 0)
-    pick = np.where(free, 0, np.where((spp > 0) & (objs[1] <= objs[2]), 1, 2))
-    return np.choose(pick, c0s), np.choose(pick, bs), np.choose(pick, objs)
+        c0 = (spp * sy - sp * spy) / det
+        b = (s1 * spy - sp * sy) / det
+        free = (det > 1e-12 * np.maximum(s1 * spp, 1e-300)) & (c0 >= 0) & (b >= 0)
+        # One residual: the free fit where feasible, else the nugget-free one.
+        c0[~free] = 0.0
+        b[~free] = np.maximum(spy[~free] / spp[~free], 0.0)
+        r = b[:, None] * phi
+        r += c0[:, None]
+        r -= gam
+        wr = wts * r
+        wr *= r
+        obj = wr.sum(axis=-1)
+    to_flat = ~free & ~((spp > 0) & (obj <= flat[1]))
+    c0[to_flat], b[to_flat], obj[to_flat] = flat[0], 0.0, flat[1]
+    return c0, b, obj
 
 
 def _fallback_model(empirical: EmpiricalVariogram) -> VariogramModel:
-    """Low-information fit used when fewer than 3 bins are available."""
-    a = max(empirical.max_distance / 2.0, float(np.finfo(float).tiny))
+    """Low-information fit used when fewer than 3 bins are available.  Its
+    family is spherical whatever family was asked for."""
     model = VariogramModel(
         family=SPHERICAL,
         nugget=0.0,
-        range=float(a),
+        range=max(empirical.max_distance / 2.0, float(np.finfo(float).tiny)),
         sill=float(max(empirical.response_variance, 0.0)),
-        fit_mse=0.0,
         flag=FLAG_LOW_INFORMATION,
     )
-    return _with_mse(model, empirical)
-
-
-def _with_mse(model: VariogramModel, empirical: EmpiricalVariogram) -> VariogramModel:
     if empirical.n_bins == 0:
         return model
-    resid = eval_model(model, empirical.h_centers()) - empirical.gammas()
-    return replace(model, fit_mse=float(np.mean(resid**2)))
+    return replace(model, fit_mse=float(np.mean((eval_model(model, empirical.h) - empirical.gamma) ** 2)))
 
 
 def _fit_families(empirical: EmpiricalVariogram, families) -> list[VariogramModel]:
-    """fit_model for each of `families`, the range searches in lockstep: all
-    coarse grids are profiled as one array, then one array per _LOOKAHEAD
-    golden-section steps of every family still refining (_golden_search).
-    Each row is reduced on its own, so the fits are bit for bit those of one
-    family searched one range at a time."""
+    """fit_model for each of `families`, the range searches in lockstep: one
+    array call of _profiled_linear per level profiles every family still
+    refining, the 40-point coarse grids first.  Each row is reduced on its
+    own and each family refines until its own bracket closes, so a family's
+    fit is bit for bit the same whichever families are fitted with it."""
     for family in families:
         if family not in FAMILIES:
             raise ConfigurationError(f"unknown variogram family {family!r}")
     if empirical.n_bins < 3:
         return [_fallback_model(empirical)] * len(families)
 
-    h = empirical.h_centers()
-    gam = empirical.gammas()
-    wts = empirical.counts() / empirical.counts().sum()
-
+    h, gam = empirical.h, empirical.gamma
     if np.all(gam == 0.0):
-        return [_with_mse(VariogramModel(family=family, nugget=0.0, range=empirical.max_distance,
-                                         sill=0.0, fit_mse=0.0, flag=FLAG_DEGENERATE), empirical)
-                for family in families]
+        return [VariogramModel(family=family, nugget=0.0, range=empirical.max_distance,
+                               sill=0.0, flag=FLAG_DEGENERATE) for family in families]
 
+    wts = empirical.count / empirical.count.sum()
     s1, sy = wts.sum(), (wts * gam).sum()
+    flat_c0 = max(sy / s1, 0.0)
+    r = flat_c0 - gam
+    flat = (flat_c0, (wts * r * r).sum())
 
-    def profile(fams, ranges):
-        """Flat (C0, b, objective) arrays of fams[i] at every range in ranges[i]."""
-        phi = np.concatenate([_shape(f, h, np.array(a, dtype=float)[:, None]) for f, a in zip(fams, ranges)])
-        return _profiled_linear(phi, gam, wts, s1, sy)
+    # best: (range, C0, b, objective) rows, one per family, of the best range
+    # profiled so far; rows: the families still refining, with their ranges.
+    best = None
+    rows = np.arange(len(families))
+    ranges = np.tile(np.geomspace(float(h.min()), 2.0 * float(h.max()), 40), (len(families), 1))
+    # Row-broadcast products cost about twice same-shape ones, so the
+    # weights and gammas are tiled once, to the largest level, and each
+    # level's shapes are written into one buffer.
+    rows_max = ranges.size
+    wts_rows, gam_rows = np.tile(wts, (rows_max, 1)), np.tile(gam, (rows_max, 1))
+    phi_rows = np.empty((rows_max, h.size))
+    while rows.size:
+        n, width = ranges.size, ranges.shape[1]
+        for slot, (i, a) in enumerate(zip(rows.tolist(), ranges)):
+            _shape(families[i], h, a[:, None], out=phi_rows[slot * width:(slot + 1) * width])
+        c0, b, obj = _profiled_linear(phi_rows[:n], gam_rows[:n], wts_rows[:n], s1, sy, flat)
+        i, k = np.arange(rows.size), obj.reshape(ranges.shape).argmin(axis=1)
+        k_flat = i * width + k
+        level = np.array([ranges[i, k], c0[k_flat], b[k_flat], obj[k_flat]])
+        if best is None:
+            best = level
+        else:
+            # Only a strictly better range replaces the best: ties keep the earlier.
+            better = level[3] < best[3, rows]
+            best[:, rows[better]] = level[:, better]
+        lo = ranges[i, np.maximum(k - 1, 0)]
+        hi = ranges[i, np.minimum(k + 1, width - 1)]
+        open_ = hi - lo > FIT_TOL * np.maximum(1.0, hi)
+        rows, lo, hi = rows[open_], lo[open_], hi[open_]
+        # np.linspace(lo, hi, _REFINE_POINTS, axis=1), bit for bit, at a third of its cost.
+        ranges = lo[:, None] + _REFINE_STEPS * ((hi - lo) / (_REFINE_POINTS - 1))[:, None]
+        ranges[:, -1] = hi
 
-    def objective(probes):
-        return profile([families[i] for i in probes], list(probes.values()))[2].tolist()
-
-    a_grid = np.geomspace(float(h.min()), 2.0 * float(h.max()), 40)
-    coarse = profile(families, [a_grid] * len(families))[2].reshape(len(families), len(a_grid))
-    best = np.argmin(coarse, axis=1)
-
-    # Golden-section on the bracket around each family's best coarse point.
-    brackets = [(float(a_grid[max(k - 1, 0)]), float(a_grid[min(k + 1, len(a_grid) - 1)]))
-                for k in best.tolist()]
-    mids = _golden_search(brackets, objective, _LOOKAHEAD)
-
-    # The best coarse point, column 0, wins ties against the bracket midpoint.
-    final = np.column_stack([a_grid[best], mids])
-    c0, b, obj = (v.reshape(final.shape) for v in profile(families, final))
-    pick = (obj[:, 1] < obj[:, 0]).astype(int)
-    return [_with_mse(VariogramModel(family=family, nugget=float(max(c0[i, j], 0.0)),
-                                     range=float(final[i, j]), sill=float(max(b[i, j], 0.0))), empirical)
-            for i, (family, j) in enumerate(zip(families, pick))]
-
-
-def _is_open(lo, hi) -> bool:
-    return hi - lo > FIT_TOL * max(1.0, hi)
-
-
-def _golden_search(brackets, objective, depth):
-    """Golden-section search of each (lo, hi) bracket down to FIT_TOL;
-    returns the midpoint of each final bracket, bit for bit that of the
-    textbook loop:
-
-        x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-        while hi - lo > FIT_TOL * max(1.0, hi):
-            if f(x1) <= f(x2):
-                hi, x2 = x2, x1
-                x1 = hi - invphi * (hi - lo)
-            else:
-                lo, x1 = x1, x2
-                x2 = lo + invphi * (hi - lo)
-        return (lo + hi) / 2
-
-    Each search is that loop reading f from its own table of profiled
-    ranges.  A round takes up to `depth` steps of every open search, then
-    one call objective({search index: [ranges]}), which returns the flat
-    list of objectives in that order, profiles all the next `depth` steps
-    can read: the bracket's interior points not in the table, then the new
-    point of every open bracket depth - 1 steps can reach, level by level.
-    """
-    mids = [(lo + hi) / 2.0 for lo, hi in brackets]
-    # Open searches: index -> (lo, hi, x1, x2, table of range -> objective).
-    searches = {i: (lo, hi, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo), {})
-                for i, (lo, hi) in enumerate(brackets) if _is_open(lo, hi)}
-    while searches:
-        still_open, probes = {}, {}
-        for i, (lo, hi, x1, x2, f) in searches.items():
-            # The last call profiled all these steps read; the first has no values yet.
-            for _ in range(depth if f else 0):
-                if f[x1] <= f[x2]:
-                    hi, x2 = x2, x1
-                    x1 = hi - _INVPHI * (hi - lo)
-                else:
-                    lo, x1 = x1, x2
-                    x2 = lo + _INVPHI * (hi - lo)
-                if not _is_open(lo, hi):
-                    break
-            if not _is_open(lo, hi):
-                mids[i] = (lo + hi) / 2.0
-                continue
-            still_open[i] = (lo, hi, x1, x2, f)
-            new = probes[i] = [x for x in (x1, x2) if x not in f]
-            level = [(lo, hi, x1, x2)]
-            for _ in range(depth - 1):
-                below = []
-                for lo, hi, x1, x2 in level:
-                    if _is_open(lo, x2):  # where f(x1) <= f(x2) leads
-                        x = x2 - _INVPHI * (x2 - lo)
-                        below.append((lo, x2, x, x1))
-                        new.append(x)
-                    if _is_open(x1, hi):
-                        x = x1 + _INVPHI * (hi - x1)
-                        below.append((x1, hi, x2, x))
-                        new.append(x)
-                level = below
-        searches = still_open
-        if probes:
-            objs = iter(objective(probes))
-            for i, xs in probes.items():
-                searches[i][4].update(zip(xs, objs))
-    return mids
+    a, c0, b = best[:3]
+    phi = np.stack([_shape(f, h, a_f) for f, a_f in zip(families, a)])
+    fit_mse = np.mean((np.where(h > 0, b[:, None] * phi + c0[:, None], 0.0) - gam) ** 2, axis=1)
+    return [VariogramModel(*fit) for fit in zip(families, c0.tolist(), a.tolist(), b.tolist(), fit_mse.tolist())]
 
 
 def fit_model(empirical: EmpiricalVariogram, family: str) -> VariogramModel:
     """Fit one family to the empirical variogram.
 
     Minimizes the pair-count-weighted MSE over (C0, a, b) with C0 >= 0,
-    b >= 0, and a within [smallest bin distance, 2 x largest bin distance]:
-    a coarse 40-point grid over a with exact profiling of (C0, b) at each
-    trial range, refined by golden-section down to FIT_TOL, which keeps the
-    fit robust on the ragged empirical variograms sparse designs give.  The
-    refinement reads each range's objective from a table that one array call
-    fills per _LOOKAHEAD steps (_golden_search).  fit_mse on the result is
-    the unweighted MSE used for model selection.
+    b >= 0, and a within [smallest bin distance, 2 x largest bin distance].
+    (C0, b) are profiled exactly at each trial range.  The range comes from
+    nested grids, which keep the fit robust on the ragged empirical
+    variograms sparse designs give: a 40-point geometric grid, then levels
+    of _REFINE_POINTS evenly spaced ranges, each level spanning the two
+    steps around the previous level's best range, until that bracket is
+    within FIT_TOL.  The best range profiled at any level wins, exact ties
+    to the earlier.  fit_mse on the result is the unweighted MSE used for
+    model selection.  With fewer than 3 bins the fit is the spherical
+    low-information fallback whatever the family.
     """
     return _fit_families(empirical, (family,))[0]
+
+
+def _ranked_fits(empirical: EmpiricalVariogram) -> list[VariogramModel]:
+    """The distinct fits of the four families, best first: lowest
+    unweighted MSE, exact ties broken by family order (FAMILIES).  One
+    model, the fallback, when there are fewer than 3 bins."""
+    fits = sorted(_fit_families(empirical, FAMILIES), key=lambda m: (m.fit_mse, FAMILIES.index(m.family)))
+    return list(dict.fromkeys(fits))
 
 
 def select_model(empirical: EmpiricalVariogram) -> VariogramModel:
     """Fit all four families and keep the lowest unweighted-MSE model.
 
-    The four searches of fit_model run in lockstep, one array evaluation per
-    _LOOKAHEAD golden-section steps.  Exact MSE ties break by family order
-    (FAMILIES); with fewer than 3 bins every family degrades to the same
-    fallback.
+    The four range searches of fit_model run in lockstep, one array
+    evaluation per level of the nested grids.  Exact MSE ties break by
+    family order (FAMILIES); with fewer than 3 bins every family degrades
+    to the same fallback.
     """
-    fits = _fit_families(empirical, FAMILIES)
-    return min(fits, key=lambda m: (m.fit_mse, FAMILIES.index(m.family)))
+    return _ranked_fits(empirical)[0]

@@ -836,3 +836,23 @@ def test_no_admissible_family_raises_the_first_failure(monkeypatch):
     assert sorted(model.family for model, _ in calls) == sorted(FAMILIES)
     assert all(exc is not None for _, exc in calls)
     assert state.model is None
+
+
+def test_a_fallback_fit_is_evaluated_once(monkeypatch):
+    """Below 3 bins every family's fit is the same spherical fallback, so
+    when its solve fails there is no other model to try: one evaluation,
+    then the failure."""
+    from krigplan import kriging
+
+    grid = study_config().grid
+    config = replace(study_config(), initial_design=(grid.point(0), grid.point(grid.point_count - 1)))
+    oracle = SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7)
+    state = ExperimentState(config=config, measurements=[
+        Measurement(p, oracle.evaluate(p)) for p in config.initial_design])
+    assert empirical_variogram(state.measurements, config.grid).n_bins < 3
+    calls = _spy_evaluate(monkeypatch)
+    monkeypatch.setattr(kriging, "VARIANCE_FLOOR", 1e9)
+    with pytest.raises(NumericalFailureError) as raised:
+        suggest_next(state)
+    assert [(model.flag, exc) for model, exc in calls] == [("low_information", raised.value)]
+    assert state.model is None

@@ -20,13 +20,13 @@ STUDY_GRID = {"m_min": 0.5, "m_max": 6.0, "m_stride": 0.5,
 EXPECTED = {
     # criterion 6: seed 7, 50 iterations
     (7, 50): {
-        "audit.ndjson": "dc03174a984526ea180c35cfd08c162a540e7457f1f68c69273fac464ab5afbb",
-        "labels.csv": "a180fbd48b5fbee724b7c710cc898fb5541077e9ed2a44d4bae6bb5cfc502f8a",
-        "region.json": "5c34c01d0136cd48c80c5ca8801adbb30d53282b500e45136f5dfc6576265431",
+        "audit.ndjson": "d473898a896c40e645e36de7b241529291b3036fbd0eafcd31ce38177c819eb1",
+        "labels.csv": "39893dbb7883aaefef2c25e52552117e4f324fc47f1dc0eaa82b033ce19b43f9",
+        "region.json": "fb45077180721ae74543f45ca61442c74e50a2191d465be4dc45f9c20778555f",
     },
     # criterion 8: seed 9, 12 iterations
     (9, 12): {
-        "audit.ndjson": "0a4673ef15d493d1b46712cc504790fb0236270af32ef5add162707de249392d",
+        "audit.ndjson": "b5ce9d44db25a0740c53122392c08d40b5a4126f2ee9304b41c4a110a404ad4f",
         "labels.csv": "d8bbeba14b75248513d29b5ef3f3ab7348cdb76adc31b948109bc1429c8fb761",
         "region.json": "696a91e0319bca1e0fbd2d7c5808daadb8f7a3ae5ae5029b5a668e524b57be33",
     },

@@ -19,6 +19,7 @@ from krigplan.grid import (
     ensure_unique_locations,
     lattice_coords,
     offset_distances,
+    pair_distances,
     scaled_coords,
 )
 from krigplan.variogram import FAMILIES, VariogramModel, eval_model
@@ -224,6 +225,17 @@ def test_offset_distances_match_coordinate_distances(spec):
     gathered, direct, ulp = offset_pairs(spec)
     assert np.array_equal(gathered == 0.0, direct == 0.0)
     np.testing.assert_allclose(gathered, direct, rtol=0, atol=OFFSET_ULPS * ulp)
+
+
+@pytest.mark.parametrize("spec", OFFSET_GRIDS)
+def test_pair_distances_are_the_table_entries(spec):
+    """pair_distances computes each pair's offset length alone, bit for bit
+    the offset_distances entry at that offset, whichever point comes first."""
+    rows = np.random.default_rng(1).choice(spec.point_count, size=min(spec.point_count, 60), replace=False)
+    i, j = np.divmod(rows, spec.k_count)
+    gathered = offset_distances(spec)[spec.m_count - 1 + i - i[:, None], spec.k_count - 1 + j - j[:, None]]
+    assert np.array_equal(pair_distances(spec, rows[:, None], rows), gathered)
+    assert np.array_equal(pair_distances(spec, rows, rows[:, None]), gathered.T)
 
 
 @pytest.mark.parametrize("spec", OFFSET_GRIDS)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from scipy.spatial.distance import pdist
 from krigplan import (
     Combination,
     ConfigurationError,
+    ExperimentConfig,
     GridSpec,
     InsufficientDataError,
     Measurement,
@@ -21,8 +26,11 @@ from krigplan import (
     run_experiment,
     select_model,
 )
-from krigplan import variogram
+import krigplan
+from krigplan import adaptive, variogram
+from krigplan.grid import offset_distances
 from krigplan.variogram import (
+    _REFINE_POINTS,
     FAMILIES,
     FIT_TOL,
     FLAG_DEGENERATE,
@@ -30,7 +38,6 @@ from krigplan.variogram import (
     EmpiricalVariogram,
     VariogramBin,
     _fit_families,
-    _golden_search,
 )
 
 from conftest import random_measurements, scaled_points
@@ -101,8 +108,9 @@ def test_eval_matches_plain_expression_and_keeps_input():
             x = np.asarray(x)
             expected = np.where(x > 0, 0.2 + 0.9 * reference_shape(family, x, 2.5), 0.0)
             assert eval_model(model, x).tobytes() == expected.tobytes()
-        # At 1.6 the spherical value differs in the last bit between numpy's
-        # scalar and array power; a scalar distance keeps the scalar result.
+        # A scalar distance takes the same arithmetic as an array: the cube
+        # is two products, not numpy's power, whose scalar and array loops
+        # round differently (at 1.6 they did).
         for x in (0.0, 1.6, 1.7, 9.0):
             got = eval_model(model, x)
             assert type(got) is float
@@ -150,7 +158,7 @@ def test_empirical_constant_responses():
     ms = [Measurement(Combination(float(i), 1.0), 4.0) for i in range(4)]
     emp = empirical_variogram(ms, spec)
     assert emp.n_bins >= 1
-    assert np.all(emp.gammas() == 0.0)
+    assert np.all(emp.gamma == 0.0)
 
 
 def test_empirical_three_collinear_points():
@@ -198,13 +206,22 @@ def test_empirical_rejects_bad_bin_width_and_max_lag(option, value):
         empirical_variogram(ms, line_grid(8.0), **{option: value})
 
 
+def table_lags(ms, spec):
+    """Each pair's scaled distance, in pdist's pair order, read one by one
+    from grid.offset_distances at the pair's index offset."""
+    table = offset_distances(spec)
+    ij = [divmod(spec.flat_index(m.location), spec.k_count) for m in ms]
+    return np.array([table[spec.m_count - 1 + i2 - i1, spec.k_count - 1 + j2 - j1]
+                     for a, (i1, j1) in enumerate(ij) for i2, j2 in ij[a + 1:]])
+
+
 @pytest.mark.filterwarnings("error")
 def test_empirical_rejects_bin_width_that_overflows_the_bin_index(study_grid):
-    """A bin index past 2**53 is no longer an exact integer and past the
-    int64 range the cast is garbage; such a width is refused before the cast,
-    so it raises ConfigurationError and no RuntimeWarning."""
+    """A bin index past 2**53 is no longer an exact integer, so neighbouring
+    bins would merge; such a width is refused before binning, with a
+    ConfigurationError and no RuntimeWarning."""
     ms = random_measurements(np.random.default_rng(20), study_grid, 40)
-    max_distance = float(pdist(scaled_points([m.location for m in ms], study_grid)).max())
+    max_distance = float(table_lags(ms, study_grid).max())
     for bin_width in (1e-300, max_distance / 2.0 ** 53):
         with pytest.raises(ConfigurationError, match="bin_width"):
             empirical_variogram(ms, study_grid, bin_width=bin_width)
@@ -214,13 +231,20 @@ def test_empirical_rejects_bin_width_that_overflows_the_bin_index(study_grid):
     assert sum(b.pair_count for b in emp.bins) == 40 * 39 // 2
 
 
+def test_empirical_rejects_an_off_grid_measurement(study_grid):
+    ms = [Measurement(Combination(0.5, 1.0), 1.0), Measurement(Combination(0.75, 2.0), 2.0),
+          Measurement(Combination(1.0, 3.0), 3.0)]
+    with pytest.raises(ConfigurationError, match=r"^measurement \(0\.75, 2\.0\) is not a point of the grid$"):
+        empirical_variogram(ms, study_grid)
+
+
 def test_empirical_h_centers_increasing(study_grid):
     rng = np.random.default_rng(5)
     ms = random_measurements(rng, study_grid, 30)
     emp = empirical_variogram(ms, study_grid)
-    assert np.all(np.diff(emp.h_centers()) > 0)
-    assert np.all(emp.gammas() >= 0)
-    assert np.all(emp.counts() >= 1)
+    assert np.all(np.diff(emp.h) > 0)
+    assert np.all(emp.gamma >= 0)
+    assert np.all(emp.count >= 1)
 
 
 def test_empirical_permutation_invariant(study_grid):
@@ -236,12 +260,13 @@ def test_empirical_permutation_invariant(study_grid):
 
 
 def assert_matches_per_bin_masks(study_grid, seed, max_lag, bin_width):
-    """Every bin, computed from its own mask, is kept when its mean distance
-    is within max_lag; max_distance covers every pair."""
+    """Every bin, computed from its own mask of the table lags with its sums
+    taken in pair order, is kept when its mean distance is within max_lag;
+    max_distance covers every pair."""
     rng = np.random.default_rng(seed)
     ms = random_measurements(rng, study_grid, 40)
     emp = empirical_variogram(ms, study_grid, max_lag=max_lag, bin_width=bin_width)
-    d = pdist(scaled_points([m.location for m in ms], study_grid))
+    d = table_lags(ms, study_grid)
     y = np.array([m.response for m in ms])
     iu, ju = np.triu_indices(len(ms), k=1)
     sq = (y[iu] - y[ju]) ** 2
@@ -249,9 +274,10 @@ def assert_matches_per_bin_masks(study_grid, seed, max_lag, bin_width):
     expected = []
     for b in np.unique(idx):
         mask = idx == b
-        if d[mask].mean() <= (0.5 * study_grid.scaled_diameter() if max_lag is None else max_lag):
-            expected.append(VariogramBin(float(d[mask].mean()),
-                                         float(sq[mask].sum() / (2.0 * mask.sum())), int(mask.sum())))
+        count = int(mask.sum())
+        h_center = sum(d[mask].tolist()) / count
+        if h_center <= (0.5 * study_grid.scaled_diameter() if max_lag is None else max_lag):
+            expected.append(VariogramBin(h_center, sum(sq[mask].tolist()) / (2.0 * count), count))
     assert emp.bins == tuple(expected)
     assert emp.max_distance == d.max()
 
@@ -264,10 +290,33 @@ def test_empirical_matches_per_bin_masks(study_grid):
     (9, None, None), (10, 0.0, None), (11, 1.03, 0.5), (12, 0.2, 0.3), (13, 1e12, None), (14, 0.0, 1e-3),
 ])
 def test_empirical_far_pairs_dropped_before_the_bin_loop(study_grid, seed, max_lag, bin_width):
-    """Pairs more than half a bin beyond max_lag never reach the bin loop;
-    the bins and max_distance are still those of the per-bin masks, also
-    when max_lag is 0 or keeps every pair."""
+    """Pairs beyond max_lag leave with their bins: the bins and max_distance
+    are still those of the per-bin masks, also when max_lag is 0 or keeps
+    every pair."""
     assert_matches_per_bin_masks(study_grid, seed, max_lag, bin_width)
+
+
+@pytest.mark.parametrize("seed, bin_width", [(8, None), (9, None), (11, 0.5), (12, 0.3), (14, 1e-3)])
+def test_table_lags_bin_like_pdist(study_grid, seed, bin_width):
+    """The table's lags agree with pdist on the scaled coordinates to a few
+    ulps of the largest coordinate, and no pair changes bin."""
+    ms = random_measurements(np.random.default_rng(seed), study_grid, 40)
+    table = table_lags(ms, study_grid)
+    direct = pdist(scaled_points([m.location for m in ms], study_grid))
+    assert np.abs(table - direct).max() <= 4 * np.spacing(study_grid.m_max)
+    width = bin_width or study_grid.nearest_neighbor_spacing()
+    assert np.array_equal(np.round(table / width), np.round(direct / width))
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    """The package takes every distance from grid index offsets, so
+    importing it (the CLI included) does not load scipy.spatial and its
+    memory."""
+    code = "import sys, krigplan, krigplan.cli; print('scipy.spatial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(krigplan.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_empirical_needs_two_measurements(study_grid):
@@ -420,7 +469,7 @@ def reference_shape(family, h, a):
         return np.minimum(h / a, 1.0)
     if family == "spherical":
         t = np.minimum(h / a, 1.0)
-        return 1.5 * t - 0.5 * t**3
+        return 1.5 * t - 0.5 * (t * t * t)
     if family == "exponential":
         return 1.0 - np.exp(-h / a)
     return 1.0 - np.exp(-((h / a) ** 2))
@@ -474,10 +523,12 @@ def textbook_golden(lo, hi, f):
 
 def reference_fit(emp, family):
     """One family's fit, one range at a time: the 40-point coarse grid, then
-    golden-section on the bracket around its best point.  Returns the model
-    and the profile branch of the chosen range."""
-    h, gam = emp.h_centers(), emp.gammas()
-    wts = emp.counts() / emp.counts().sum()
+    levels of _REFINE_POINTS evenly spaced ranges across the two steps
+    around the last level's best point, until that bracket is within
+    FIT_TOL; the best range seen wins, ties to the earlier.  Returns the
+    model and the profile branch of the chosen range."""
+    h, gam = emp.h, emp.gamma
+    wts = emp.count / emp.count.sum()
 
     def with_mse(nugget, a, sill, flag=None):
         fitted = np.where(h > 0, nugget + sill * reference_shape(family, h, a), 0.0)
@@ -486,15 +537,19 @@ def reference_fit(emp, family):
     if np.all(gam == 0.0):
         return with_mse(0.0, emp.max_distance, 0.0, FLAG_DEGENERATE), None
 
-    def obj(a):
-        return reference_profile(family, a, h, gam, wts)[2]
-
-    a_grid = np.geomspace(float(h.min()), 2.0 * float(h.max()), 40)
-    best = int(np.argmin([obj(a) for a in a_grid]))
-    mid, _ = textbook_golden(a_grid[max(best - 1, 0)], a_grid[min(best + 1, len(a_grid) - 1)], obj)
-    a_best = min([a_grid[best], mid], key=obj)
-    c0, b, _, branch = reference_profile(family, a_best, h, gam, wts)
-    return with_mse(float(max(c0, 0.0)), float(a_best), float(max(b, 0.0))), branch
+    grid = np.geomspace(float(h.min()), 2.0 * float(h.max()), 40)
+    best = None
+    while True:
+        profiles = [reference_profile(family, a, h, gam, wts) for a in grid]
+        k = int(np.argmin([p[2] for p in profiles]))
+        if best is None or profiles[k][2] < best[1][2]:
+            best = grid[k], profiles[k]
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        if not hi - lo > FIT_TOL * max(1.0, hi):
+            break
+        grid = np.linspace(lo, hi, _REFINE_POINTS)
+    a, (c0, b, _, branch) = best
+    return with_mse(float(c0), float(a), float(b)), branch
 
 
 def assert_fits_match_reference(emp):
@@ -562,65 +617,57 @@ def test_lockstep_fit_covers_every_profile_branch(gammas, branch):
     assert_fits_match_reference(emp)
 
 
-# --- the lookahead range search against the textbook loop ---------------------
+# --- the nested grids against golden-section search --------------------------
 
-@st.composite
-def search_problems(draw):
-    """Brackets, each with an objective of the range: piecewise constant
-    (plateaus), scattered by the float's hash (no unimodal shape at all) or
-    a rounded parabola; the values come from a small set, so ties are
-    common.  Narrow brackets close after a few steps, in the middle of a
-    round."""
-    problems = []
-    for _ in range(draw(st.integers(1, 4))):
-        lo = draw(st.floats(1e-3, 100.0))
-        hi = lo + lo * 10.0 ** draw(st.floats(-9.0, 1.0))
-        values = draw(st.lists(st.integers(0, 3).map(float), min_size=1, max_size=8))
-        kind = draw(st.sampled_from(("plateau", "hash", "parabola")))
-        if kind == "plateau":
-            def f(x, lo=lo, hi=hi, values=values):
-                return values[min(max(int((x - lo) / (hi - lo) * len(values)), 0), len(values) - 1)]
-        elif kind == "hash":
-            def f(x, values=values):
-                return values[hash(x) % len(values)]
-        else:
-            centre = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
-            def f(x, centre=centre, scale=(hi - lo) / 8.0):
-                return float(round(((x - centre) / scale) ** 2))
-        problems.append(((lo, hi), f))
-    return problems
+def golden_fit_objectives(emp):
+    """Each family's weighted objective, and the index of the family
+    selected by unweighted MSE, for golden-section search on the bracket
+    around the best coarse point, one range at a time."""
+    h, gam = emp.h, emp.gamma
+    wts = emp.count / emp.count.sum()
+    objectives, mses = [], []
+    for family in FAMILIES:
+        def obj(a, family=family):
+            return reference_profile(family, a, h, gam, wts)[2]
+        grid = np.geomspace(float(h.min()), 2.0 * float(h.max()), 40)
+        best = int(np.argmin([obj(a) for a in grid]))
+        mid, _ = textbook_golden(grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)], obj)
+        a = min([grid[best], mid], key=obj)
+        c0, b, objective, _ = reference_profile(family, a, h, gam, wts)
+        objectives.append(objective)
+        mses.append(float(np.mean((c0 + b * reference_shape(family, h, a) - gam) ** 2)))
+    return objectives, min(range(len(FAMILIES)), key=lambda i: (mses[i], i))
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(problems=search_problems(), depth=st.integers(1, 5))
-def test_golden_search_equals_textbook_loop(problems, depth):
-    """Each bracket's midpoint is the textbook loop's, bit for bit, at every
-    lookahead depth, and one objective call covers `depth` steps of every
-    open search: ceil(steps / depth) calls for the slowest one."""
-    calls = []
-
-    def objective(probes):
-        calls.append(probes)
-        return [problems[i][1](x) for i, xs in probes.items() for x in xs]
-
-    mids = _golden_search([bracket for bracket, _ in problems], objective, depth)
-    used = [[] for _ in problems]
-    expected = [textbook_golden(*bracket, lambda x, f=f, used=used[i]: used.append(x) or f(x))
-                for i, (bracket, f) in enumerate(problems)]
-    assert [m.hex() for m in mids] == [float(m).hex() for m, _ in expected]
-    assert len(calls) == max(-(-steps // depth) for _, steps in expected)
-    assert all(len(xs) <= 2**depth for probes in calls for xs in probes.values())
-    # Every probe whose value the loop reads was profiled, bit for bit (the
-    # loop's last probe, taken after its bracket closed, is never read).
-    for i, ((_, steps), xs) in enumerate(zip(expected, used)):
-        profiled = {x.hex() for probes in calls for x in probes.get(i, ())}
-        assert {float(x).hex() for x in xs[:-1] if steps} <= profiled
+def test_nested_grids_fit_as_well_as_golden_section(monkeypatch):
+    """The fit-quality gate, on every variogram a criterion 6 campaign
+    (seed 7) and a large_grid-config campaign fit: no family's weighted
+    objective is worse than golden-section search's by more than 1e-10
+    relative, and no selection flips."""
+    recorded = []
+    estimate = adaptive.empirical_variogram
+    monkeypatch.setattr(adaptive, "empirical_variogram",
+                        lambda ms, spec: recorded.append(estimate(ms, spec)) or recorded[-1])
+    run_experiment(study_config(), SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7))
+    large = GridSpec(0.5, 6.0, 0.1, 1.0, 100.0, 1.0, k_scale=0.1)
+    config = ExperimentConfig(grid=large, threshold=4.0, alpha=0.1, max_iterations=8, seed=7,
+                              initial_design=tuple(evenly_spaced_design(large, 3, 4)))
+    run_experiment(config, SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7))
+    assert len(recorded) == 60 and all(emp.n_bins >= 3 for emp in recorded)
+    for emp in recorded:
+        golden, golden_pick = golden_fit_objectives(emp)
+        fits = _fit_families(emp, FAMILIES)
+        wts = emp.count / emp.count.sum()
+        for family, fit, reference in zip(FAMILIES, fits, golden):
+            assert reference_profile(family, fit.range, emp.h, emp.gamma, wts)[2] <= reference * (1 + 1e-10)
+        assert select_model(emp).family == FAMILIES[golden_pick]
 
 
 def test_select_model_profile_calls_are_bounded(monkeypatch):
-    """A guard on the lookahead: selection on criterion 6's initial design
-    (seed 7) profiles at most 16 times; one golden-section step per call
-    took 37.  Counts, not timings, so it is deterministic."""
+    """A guard on the nested grids: selection on criterion 6's initial
+    design (seed 7) profiles exactly 7 times, the coarse grids and 6 levels;
+    golden-section search took 13 calls at three steps per call, 37 at one.
+    Counts, not timings, so it is deterministic."""
     spec = GridSpec(0.5, 6.0, 0.5, 1.0, 60.0, 1.0, k_scale=0.1)
     oracle = SyntheticLogisticOracle(noise_std=math.sqrt(0.025), seed=7)
     emp = empirical_variogram([Measurement(p, oracle.evaluate(p)) for p in evenly_spaced_design(spec, 3, 4)],
@@ -630,16 +677,17 @@ def test_select_model_profile_calls_are_bounded(monkeypatch):
     monkeypatch.setattr(variogram, "_profiled_linear", lambda *args: calls.append(1) or profiled_linear(*args))
     model = select_model(emp)
     assert model.flag is None and emp.n_bins >= 3
-    assert len(calls) <= 16
+    assert len(calls) == 7
 
 
 def test_study_campaign_profile_calls_are_pinned(monkeypatch):
     """A whole criterion 6 campaign (seed 7, 51 selections) makes exactly
-    713 array calls, so a change to the search that costs or saves calls
-    shows here.  Counts, not timings, so it is deterministic."""
+    405 array calls: 48 selections take the coarse grids and 7 levels, and
+    3 close every bracket after 6.  A change to the search that costs or
+    saves calls shows here.  Counts, not timings, so it is deterministic."""
     calls = []
     profiled_linear = variogram._profiled_linear
     monkeypatch.setattr(variogram, "_profiled_linear", lambda *args: calls.append(1) or profiled_linear(*args))
     state = run_experiment(study_config(), SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7))
     assert state.iteration == 50
-    assert len(calls) == 713
+    assert len(calls) == 51 * 8 - 3
