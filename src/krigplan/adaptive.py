@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft
 
 from .errors import (
     ConfigurationError,
@@ -89,14 +88,32 @@ _CLOSED_FORM_TARGETS_PER_ROW = 10
 _CLOSED_FORM_RTOL = 1e-6
 
 # The closed form transforms its n + 2 planes this many at a time, reusing
-# one padded input and one spectra array from batch to batch.  All at once,
-# the spectra of the 5,600-cell grid take about 4 MB per pick, and the page
-# faults of that fresh memory cost about as much as the transforms.
-# Closed-form CPU time per pick, median of four runs of ten large_grid and
-# four study_run campaigns (seed 7) on a 2-core x86-64 host, all at once /
-# four at a time: 9.7 / 7.2 ms with 2,028 / 779 page faults on the
-# 5,600-cell grid, 1.35 / 1.08 ms with 213 / 18 on the 720-cell grid.
+# one padded input from batch to batch.  All at once, the spectra of the
+# 5,600-cell grid take about 4 MB per pick, and the page faults of that
+# fresh memory cost about as much as the transforms.  np.fft has no
+# in-place transform, so every batch's m-axis spectra are fresh arrays;
+# batching keeps each a quarter of that size.  Closed-form CPU time per
+# pick, median of four runs of ten large_grid and four study_run campaigns
+# (seed 7) on a 2-core x86-64 host, all at once / four at a time: 9.1 /
+# 7.3 ms with 2,414 / 1,034 page faults on the 5,600-cell grid, 1.67 /
+# 1.31 ms with 375 / 24 on the 720-cell grid.
 _FFT_PLANES = 4
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer (2^a 3^b 5^c) at least n >= 1: a
+    transform length that pocketfft factors into radix-2, -3 and -5 passes
+    only, as scipy.fft.next_fast_len(n, real=True) gives it."""
+    best = 1 << (n - 1).bit_length()  # the power of two at least n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-n // p35) - 1).bit_length()  # least power of two with p2 * p35 >= n
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -183,6 +200,13 @@ class ExperimentState:
     pending: PendingSuggestion | None = None
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise unless the measurements are distinct and the history is
+        numbered 1..iteration, each record a distinct measured location.
+        Construction runs it; experiment_io.save_state runs it again before
+        writing, since the lists can be edited after construction."""
         ensure_unique_locations(self.measurements)
         if self.iteration < 0 or len(self.history) != self.iteration:
             raise ConfigurationError(
@@ -407,8 +431,8 @@ def _closed_form_scores(ev: _Evaluation, indicators, XT, D, variances, denom):
     are lattice correlations of the n+1 rows of D, and of the target
     indicator, with the offset table and its square; the table is symmetric
     under reversal of both axes, so they are convolutions (Dietrich &
-    Newsam 1997, circulant embedding).  Real FFTs of next_fast_len(2m-1) x
-    next_fast_len(2k-1), at least the table's size, give all n+2 of them
+    Newsam 1997, circulant embedding).  Real FFTs of _next_fast_len(2m-1) x
+    _next_fast_len(2k-1), at least the table's size, give all n+2 of them
     with no offset wrapping onto another.  The score is F clamped at 0.
 
     S / v(x) cancels against V when v(x) is small: its rounding is about
@@ -422,30 +446,26 @@ def _closed_form_scores(ev: _Evaluation, indicators, XT, D, variances, denom):
     m, k = ev.system.spec.m_count, ev.system.spec.k_count
     n1 = len(D)
     cols = np.flatnonzero(indicators)
-    shape = (fft.next_fast_len(2 * m - 1, real=True), fft.next_fast_len(2 * k - 1, real=True))
-    kernels = fft.rfft2(np.stack([table, table * table]), s=shape)
+    shape = (_next_fast_len(2 * m - 1), _next_fast_len(2 * k - 1))
+    kernels = np.fft.rfft2(np.stack([table, table * table]), s=shape)
     targets = np.divmod(idx[cols], k)
     row, col = np.divmod(idx, k)
     values = np.vstack([D, np.ones(len(cols))])
     conv = np.empty((n1 + 1, len(idx)))
     # rfft2 and irfft2 one axis at a time, so that the k-axis transforms
     # skip the rows that are padding on the way in and unused on the way out.
-    # Each batch reuses the same zero-padded input and spectra, the m-axis
-    # transforms in place: only the target nodes of the input are written,
-    # and the spectra rows past m are zeroed for each batch.
+    # Each batch reuses the same zero-padded input, of which only the target
+    # nodes are written; the m-axis transform pads its m rows of spectra.
     planes = np.zeros((min(_FFT_PLANES, n1 + 1), m, shape[1]))
-    spectra = np.empty((len(planes), shape[0], shape[1] // 2 + 1), dtype=complex)
     for start in range(0, n1 + 1, _FFT_PLANES):
         batch = values[start:start + _FFT_PLANES]
         b = len(batch)
         planes[:b, targets[0], targets[1]] = batch
-        spectra[:b, :m] = fft.rfft(planes[:b])
-        spectra[:b, m:] = 0.0
-        s = fft.fft(spectra[:b], axis=1, overwrite_x=True)
+        s = np.fft.fft(np.fft.rfft(planes[:b]), n=shape[0], axis=1)
         s[:n1 - start] *= kernels[0]  # rows of D
         s[n1 - start:] *= kernels[1]  # the target indicator, in the last batch
-        s = fft.ifft(s, axis=1, overwrite_x=True)
-        conv[start:start + b] = fft.irfft(s[:, m - 1:2 * m - 1], n=shape[1])[:, row, col + k - 1]
+        s = np.fft.ifft(s, axis=1)
+        conv[start:start + b] = np.fft.irfft(s[:, m - 1:2 * m - 1], n=shape[1])[:, row, col + k - 1]
     C, H = conv[:n1], conv[n1]
     R = np.einsum("pi,ip->p", XT, C)
     Q = np.einsum("pi,pi->p", XT @ (D @ D.T), XT)

@@ -314,6 +314,9 @@ _WRITER = _StateWriter()
 
 
 def save_state(state: ExperimentState, oracle_spec: dict, path) -> None:
+    """Write the experiment file; a state that load_state would refuse
+    (ExperimentState.check) raises before anything is written."""
+    state.check()
     atomic_write_text(path, _WRITER.text(state, oracle_spec))
 
 

@@ -190,34 +190,20 @@ def distance(a: Combination, b: Combination, spec: GridSpec) -> float:
     return math.hypot(a.m - b.m, (a.k - b.k) * spec.k_scale)
 
 
-def scaled_coords(locations, spec: GridSpec) -> np.ndarray:
-    """(n, 2) array of (m, k * k_scale) coordinates for vectorized code."""
-    out = np.array([(c.m, c.k * spec.k_scale) for c in locations], dtype=float)
-    return out.reshape(len(locations), 2)
-
-
-def lattice_coords(spec: GridSpec) -> np.ndarray:
-    """(P, 2) scaled coordinates of every grid point in row-major order,
-    equal to scaled_coords(build_grid(spec), spec) without the Combinations."""
-    return np.column_stack([
-        np.repeat(spec.m_values(), spec.k_count),
-        np.tile(spec.k_values() * spec.k_scale, spec.m_count),
-    ])
-
-
 def offset_distances(spec: GridSpec) -> np.ndarray:
     """Scaled distance between two grid points by their index offset.
 
     Entry [m_count - 1 + di, k_count - 1 + dj] is the distance between points
     di rows and dj columns apart, for every offset the grid holds: a
     (2 * m_count - 1, 2 * k_count - 1) array, symmetric under reversal of
-    both axes.  It agrees with the distance of the two points' lattice_coords
-    to within a few ulps of the largest coordinate: the coordinates round,
-    the offsets do not.  Where every scaled coordinate is an integer the two
-    are equal.  Each kriging.KrigingSystem evaluates its variogram over this
-    table once and gathers every semivariance it needs from it;
-    pair_distances gives the entries at chosen offsets alone, for
-    variogram.empirical_variogram's pair lags.
+    both axes.  It agrees with the distance of the two points' scaled
+    coordinates (m, k * k_scale) to within a few ulps of the largest
+    coordinate: the coordinates round, the offsets do not.  Where every
+    scaled coordinate is an integer the two are equal.  Each
+    kriging.KrigingSystem evaluates its variogram over this table once and
+    gathers every semivariance it needs from it; pair_distances gives the
+    entries at chosen offsets alone, for variogram.empirical_variogram's
+    pair lags.
     """
     return _offset_length(spec, np.arange(1 - spec.m_count, spec.m_count)[:, None],
                           np.arange(1 - spec.k_count, spec.k_count))

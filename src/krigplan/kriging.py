@@ -19,12 +19,13 @@ right-hand sides over the whole lattice are one contiguous window of that
 table; the system copies each window once, and Gamma and every target's
 right-hand side are columns of the copy.
 
-Each system is LU-factorized once, and the factors give its inverse once,
-made exactly symmetric like the matrix.  Every batch of targets is then
-solved by one matrix product (GEMM) with that inverse.  A product with a
-computed inverse is not backward stable: its variances are accurate to
-about EPS * cond**2 of the largest variance, where a triangular (LU) solve
-reaches about EPS * cond.  Where the first could exceed
+Each system is inverted once, by np.linalg.inv (LAPACK gesv: one LU
+factorization with partial pivoting, solved against the identity), and the
+inverse is made exactly symmetric like the matrix.  Every batch of targets
+is then solved by one matrix product (GEMM) with that inverse.  A product
+with a computed inverse is not backward stable: its variances are accurate
+to about EPS * cond**2 of the largest variance, where a triangular (LU)
+solve reaches about EPS * cond.  Where the first could exceed
 INVERSE_VARIANCE_RTOL (near-singular systems, such as zero-nugget Gaussian
 fits), the product is refined twice against the matrix, which brings it to
 the LU solve's accuracy.  Measured targets are solved exactly (see _solve).
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     ConfigurationError,
@@ -105,10 +105,10 @@ class KrigingSystem:
     ones.  It is copied once, here, and is read-only; the matrix and every
     target's right-hand side are columns of it.
 
-    The condition estimate and the inverse, built from one LU factorization,
-    are each computed once, on first use; every target solved against this
-    system is then one product with the cached inverse, refined on
-    near-singular systems (solve_rhs).
+    The condition estimate and the inverse (one LU factorization, solved
+    against the identity) are each computed once, on first use; every
+    target solved against this system is then one product with the cached
+    inverse, refined on near-singular systems (solve_rhs).
     """
 
     def __init__(self, measurements, model: VariogramModel, spec: GridSpec):
@@ -165,11 +165,12 @@ class KrigingSystem:
                 f"nearest locations are ({a.m}, {a.k}) and ({b.m}, {b.k})"
             )
 
-    def lu(self):
-        """LU factors of the matrix; solve_rhs calls this once per system."""
+    def lu(self) -> np.ndarray:
+        """The matrix's inverse from its LU factors (np.linalg.inv, LAPACK
+        gesv against the identity); solve_rhs calls this once per system."""
         try:
-            return lu_factor(self.matrix)
-        except Exception as exc:  # singular factorization
+            return np.linalg.inv(self.matrix)
+        except np.linalg.LinAlgError as exc:  # singular factorization
             a, b = self._closest_pair()
             raise NumericalFailureError(
                 f"kriging system factorization failed ({exc}); "
@@ -180,14 +181,14 @@ class KrigingSystem:
         """The system solved against rhs ((n+1,) or (n+1, P)) by one product
         with the inverse.
 
-        The inverse is built on first use from the LU factors.  The matrix
-        is symmetric, so its inverse is too: the computed one is averaged
-        with its transpose, the nearest symmetric matrix to it, whose error
-        is no larger.  If EPS * cond**2 exceeds INVERSE_VARIANCE_RTOL, each
+        The inverse is built on first use by lu().  The matrix is
+        symmetric, so its inverse is too: the computed one is averaged with
+        its transpose, the nearest symmetric matrix to it, whose error is no
+        larger.  If EPS * cond**2 exceeds INVERSE_VARIANCE_RTOL, each
         solve is refined twice by the product of the inverse with the
         residual."""
         if self._inverse is None:
-            b = lu_solve(self.lu(), np.eye(self.n + 1))
+            b = self.lu()
             self._inverse = (b + b.T) / 2
         sol = self._inverse @ rhs
         if EPS * self.condition_estimate() ** 2 > INVERSE_VARIANCE_RTOL:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigurationError
 from .grid import Combination
@@ -134,19 +133,46 @@ def largest_region(codes: np.ndarray, m_axis, k_axis) -> LatticeRegion:
     """Largest 4-connected component of region-eligible cells (reliable or
     measured pass) of an (m_count, k_count) code array.
 
-    Adjacency is one step along either axis.  Size ties break toward the
-    component whose first cell in row-major order comes first, which is the
-    component ndimage.label numbers lowest.
+    Adjacency is one step along either axis.  The components are labelled by
+    run-length union-find (Rosenfeld & Pfaltz 1966): each row's runs of
+    eligible cells, numbered in row-major order, are joined to the runs they
+    overlap in the row above, and every component is rooted at its lowest
+    run.  Size ties break toward the lowest root, the component whose first
+    cell in row-major order comes first.
     """
-    components, count = ndimage.label(np.isin(codes, _REGION_CODES))
-    flat = components.reshape(-1)
-    if count:
-        sizes = np.bincount(flat)
-        sizes[0] = 0  # background
-        cells = np.flatnonzero(flat == np.argmax(sizes))
-    else:
-        cells = np.empty(0, dtype=np.intp)
-    rows, cols = np.divmod(cells, codes.shape[1])
+    eligible = np.isin(codes, _REGION_CODES)
+    k_count = eligible.shape[1]
+    edges = np.diff(np.pad(eligible.view(np.int8), ((0, 0), (1, 1))), axis=1)
+    run_row, start = np.nonzero(edges == 1)
+    end = np.nonzero(edges == -1)[1]  # one past each run's last cell
+    # The runs of the row above that overlap a run [start, end) are
+    # consecutive: from the first that ends after its start to the last that
+    # starts before its end.  Sort keys row * (k_count + 1) + column keep
+    # each search inside the row above.
+    above = (run_row - 1) * (k_count + 1)
+    first = np.searchsorted(run_row * (k_count + 1) + end, above + start, side="right")
+    last = np.searchsorted(run_row * (k_count + 1) + start, above + end)
+    counts = np.maximum(last - first, 0)
+    lower = np.repeat(np.arange(len(start)), counts)
+    upper = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+    parent = list(range(len(start)))
+
+    def root(run):
+        while parent[run] != run:
+            parent[run] = parent[parent[run]]  # path halving
+            run = parent[run]
+        return run
+
+    for a, b in zip(upper.tolist(), lower.tolist()):
+        a, b = root(a), root(b)
+        parent[max(a, b)] = min(a, b)
+    roots = np.array([root(run) for run in range(len(parent))], dtype=np.intp)
+    cell_roots = np.repeat(roots, end - start)  # the eligible cells, row-major
+    cells = np.flatnonzero(eligible)
+    if len(cells):
+        cells = cells[cell_roots == np.argmax(np.bincount(cell_roots))]
+    rows, cols = np.divmod(cells, k_count)
     return LatticeRegion(np.asarray(m_axis, dtype=float), np.asarray(k_axis, dtype=float), rows, cols)
 
 

@@ -17,10 +17,8 @@ from krigplan import (
 from krigplan.grid import (
     MAX_GRID_POINTS,
     ensure_unique_locations,
-    lattice_coords,
     offset_distances,
     pair_distances,
-    scaled_coords,
 )
 from krigplan.variogram import FAMILIES, VariogramModel, eval_model
 
@@ -152,6 +150,21 @@ def test_evenly_spaced_design_degenerate_axis(study_grid):
     design = evenly_spaced_design(study_grid, 1, 2)
     assert len(design) == 2
     assert all(c.m == 0.5 for c in design)
+
+
+def scaled_coords(locations, spec: GridSpec) -> np.ndarray:
+    """(n, 2) array of (m, k * k_scale) coordinates of Combinations."""
+    out = np.array([(c.m, c.k * spec.k_scale) for c in locations], dtype=float)
+    return out.reshape(len(locations), 2)
+
+
+def lattice_coords(spec: GridSpec) -> np.ndarray:
+    """(P, 2) scaled coordinates of every grid point in row-major order,
+    equal to scaled_coords(build_grid(spec), spec) without the Combinations."""
+    return np.column_stack([
+        np.repeat(spec.m_values(), spec.k_count),
+        np.tile(spec.k_values() * spec.k_scale, spec.m_count),
+    ])
 
 
 def test_scaled_coords_matches_distance(study_grid):

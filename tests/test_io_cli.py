@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from krigplan import (
     Combination,
+    ConfigurationError,
     ExperimentConfig,
     ExperimentState,
     GridSpec,
@@ -245,14 +249,22 @@ def test_every_save_writes_the_canonical_encoding(data):
                     location = grid.point(data.draw(st.sampled_from(free)))
                     state.measurements.append(Measurement(location, data.draw(SIGNED)))
             elif step == "record":
-                state.history.append(IterationRecord(
-                    iteration=state.iteration + 1,
-                    location=grid.point(data.draw(st.integers(0, grid.point_count - 1))),
-                    rc_score=data.draw(SIGNED), model=data.draw(variogram_models()),
-                    n_uncertain=data.draw(st.integers(0, grid.point_count))))
-                state.iteration += 1
-            elif step == "pop" and state.measurements:
-                state.measurements.pop(data.draw(st.integers(0, len(state.measurements) - 1)))
+                # A record names a measured point no earlier record chose,
+                # and "pop" drops only a measurement no record names: save
+                # refuses any other state (test_save_refuses_a_state_load_would_refuse).
+                chosen = {rec.location for rec in state.history}
+                unchosen = [m.location for m in state.measurements if m.location not in chosen]
+                if unchosen:
+                    state.history.append(IterationRecord(
+                        iteration=state.iteration + 1, location=data.draw(st.sampled_from(unchosen)),
+                        rc_score=data.draw(SIGNED), model=data.draw(variogram_models()),
+                        n_uncertain=data.draw(st.integers(0, grid.point_count))))
+                    state.iteration += 1
+            elif step == "pop":
+                chosen = {rec.location for rec in state.history}
+                unchosen = [i for i, m in enumerate(state.measurements) if m.location not in chosen]
+                if unchosen:
+                    state.measurements.pop(data.draw(st.sampled_from(unchosen)))
             elif step == "model":
                 state.model = data.draw(st.none() | variogram_models())
             elif step == "pending":
@@ -280,6 +292,23 @@ def test_every_save_writes_the_canonical_encoding(data):
                 spec["noise_std"] = data.draw(SIGNED)
             save_state(state, spec, path)
             assert path.read_bytes() == canonical_text(state, spec).encode()
+
+
+def test_save_refuses_a_state_load_would_refuse(tmp_path):
+    """A history record naming a measurement since dropped would make a file
+    that load_state rejects, so save_state raises before writing: no new
+    file, and a file already at the path is unchanged."""
+    state = finished_state()
+    state.measurements.pop()
+    spec = {"kind": "synthetic_logistic"}
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    message = "history record 3 chose (2.0, 25.0), which is not measured or was chosen before"
+    for path in (fresh, kept):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            save_state(state, spec, path)
+    assert kept.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["kept.json"]
 
 
 def test_load_rejects_wrong_version(tmp_path):
@@ -634,6 +663,54 @@ def test_cli_init_run_report(tmp_path, capsys):
 
     assert main(["report", exp_path]) == 0
     assert "reliable region" in capsys.readouterr().out
+
+
+# Run in a fresh interpreter in which no scipy module can be imported.  Every
+# fit inverts a system and every report labels the region; the closed-form
+# calls are counted so that the transforms are known to have run too.
+NO_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+import krigplan
+import krigplan.cli
+from krigplan import adaptive
+
+closed_form = adaptive._closed_form_scores
+calls = []
+adaptive._closed_form_scores = lambda *args: calls.append(1) or closed_form(*args)
+config, experiment = sys.argv[1:]
+for argv in (["init", "--config", config], ["run", experiment], ["report", experiment]):
+    if krigplan.cli.main(argv) != 0:
+        sys.exit(f"krigplan {argv[0]} failed")
+assert calls, "the closed form never ran"
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """The package needs numpy alone: init, run and report on the study grid
+    exit 0 with every scipy import refused, and load no scipy module."""
+    config_path = write_config(tmp_path, {
+        "grid": {"m_min": 0.5, "m_max": 6.0, "m_stride": 0.5,
+                 "k_min": 1.0, "k_max": 60.0, "k_stride": 1.0, "k_scale": 0.1},
+        "initial_design": {"lattice": [3, 4]}, "max_iterations": 3})
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(config_path), str(tmp_path / "demo.json")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for name in ARTIFACTS:
+        assert (tmp_path / name).exists()
 
 
 def test_cli_summary_names_an_empty_region(tmp_path, capsys):

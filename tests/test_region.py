@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from krigplan import (
     Combination,
@@ -158,11 +159,80 @@ def test_component_tie_breaks_to_lexicographic_anchor():
     assert report.cells == (Combination(1.0, 1.0),)
 
 
+def test_component_tie_breaks_to_first_cell_not_last():
+    """Two 3-cell components: the column starts first but ends last."""
+    labels = grid_labels([
+        "RUUUU",
+        "RURRR",
+        "RUUUU",
+    ])
+    report = largest_reliable_region(labels)
+    assert report.cells == (Combination(1.0, 1.0), Combination(2.0, 1.0), Combination(3.0, 1.0))
+
+
 def test_empty_region():
     labels = grid_labels(["UA", "FU"])
     report = largest_reliable_region(labels)
     assert report == RegionReport.empty()
     assert report.cell_count == 0
+
+
+ELIGIBLE = (LABELS.index(RELIABLE_CANDIDATE), LABELS.index(MEASURED_PASS))
+# Every other code, and -1 for a cell largest_reliable_region has no label for.
+INELIGIBLE = tuple(code for code in range(-1, len(LABELS)) if code not in ELIGIBLE)
+
+
+def ndimage_region(codes):
+    """(rows, cols) of the largest eligible component by scipy.ndimage.label,
+    which numbers components by their first cell in row-major order; size
+    ties go to the lowest number."""
+    components, count = ndimage.label(np.isin(codes, ELIGIBLE))
+    flat = components.reshape(-1)
+    cells = np.empty(0, dtype=np.intp)
+    if count:
+        sizes = np.bincount(flat)
+        sizes[0] = 0  # background
+        cells = np.flatnonzero(flat == np.argmax(sizes))
+    return np.divmod(cells, codes.shape[1])
+
+
+@st.composite
+def region_codes(draw):
+    """Code arrays up to 9x11, 1xk and mx1 among them, in one of five
+    layouts: random cells, no eligible cell, a checkerboard (no two
+    eligible cells adjacent, every component one cell), and stripes of
+    equal length along either axis (equal-size components)."""
+    shape = draw(st.sampled_from(["1xk", "mx1", "mxk"]))
+    m = 1 if shape == "1xk" else draw(st.integers(1, 9))
+    k = 1 if shape == "mx1" else draw(st.integers(1, 11))
+    i, j = np.indices((m, k))
+    layout = draw(st.sampled_from(["random", "empty", "checkerboard", "row-stripes", "column-stripes"]))
+    if layout == "random":
+        eligible = np.array(draw(st.lists(st.booleans(), min_size=m * k, max_size=m * k)), dtype=bool)
+        eligible = eligible.reshape(m, k)
+    elif layout == "empty":
+        eligible = np.zeros((m, k), dtype=bool)
+    elif layout == "checkerboard":
+        eligible = (i + j) % 2 == draw(st.integers(0, 1))
+    else:
+        along, across = (j, i) if layout == "row-stripes" else (i, j)
+        length, gap = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+        eligible = (across % (gap + 1) == 0) & (along < length)
+    codes = np.array([draw(st.sampled_from(ELIGIBLE if e else INELIGIBLE)) for e in eligible.reshape(-1)])
+    return codes.reshape(m, k).astype(np.int8)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(codes=region_codes())
+def test_largest_region_equals_ndimage_reference(codes):
+    """largest_region's cells, in the row-major order LatticeRegion holds
+    them, are those of the scipy.ndimage.label reference, ties included."""
+    m_axis, k_axis = np.arange(codes.shape[0]) * 0.5, np.arange(codes.shape[1]) + 1.0
+    region = largest_region(codes, m_axis, k_axis)
+    rows, cols = ndimage_region(codes)
+    assert region.rows.tolist() == rows.tolist()
+    assert region.cols.tolist() == cols.tolist()
+    assert np.array_equal(region.m_axis, m_axis) and np.array_equal(region.k_axis, k_axis)
 
 
 def test_region_cross_check_detects_mismatch():

@@ -18,12 +18,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import fft
 
 import krigplan.adaptive as adaptive
 import krigplan.kriging as kriging
 from krigplan import ExperimentState, Measurement, SyntheticLogisticOracle, run_experiment
 from krigplan.cli import main
 from krigplan.experiment_io import load_state
+from krigplan.grid import MAX_GRID_POINTS
 
 from test_acceptance import NOISE_STD, study_config
 from test_adaptive import SPH
@@ -107,6 +109,14 @@ def test_criterion_6_takes_the_closed_form_early_and_the_walk_late():
                                  _walk_scores=spy("_walk_scores")):
             adaptive._pick(state, ev)
         assert paths == [path]
+
+
+def test_transform_lengths_match_scipy_next_fast_len():
+    """The closed form pads each axis of 2 * count - 1 offsets to
+    _next_fast_len of it: scipy.fft.next_fast_len's real-input length, the
+    next 5-smooth integer, for every n up to 2 * MAX_GRID_POINTS."""
+    ns = range(1, 2 * MAX_GRID_POINTS + 1)
+    assert [adaptive._next_fast_len(n) for n in ns] == [fft.next_fast_len(n, real=True) for n in ns]
 
 
 def test_one_semivariance_table_per_fit_and_pick():

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +22,6 @@ from krigplan import (
     run_experiment,
     select_model,
 )
-import krigplan
 from krigplan import adaptive, variogram
 from krigplan.grid import offset_distances
 from krigplan.variogram import (
@@ -306,17 +301,6 @@ def test_table_lags_bin_like_pdist(study_grid, seed, bin_width):
     assert np.abs(table - direct).max() <= 4 * np.spacing(study_grid.m_max)
     width = bin_width or study_grid.nearest_neighbor_spacing()
     assert np.array_equal(np.round(table / width), np.round(direct / width))
-
-
-def test_import_leaves_scipy_spatial_unloaded():
-    """The package takes every distance from grid index offsets, so
-    importing it (the CLI included) does not load scipy.spatial and its
-    memory."""
-    code = "import sys, krigplan, krigplan.cli; print('scipy.spatial' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(krigplan.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
 
 
 def test_empirical_needs_two_measurements(study_grid):
