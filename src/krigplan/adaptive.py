@@ -37,7 +37,7 @@ from .errors import (
     NumericalFailureError,
     OracleMissError,
 )
-from .grid import Combination, GridSpec, Measurement, ensure_unique_locations
+from .grid import Combination, GridSpec, Measurement, ensure_unique_locations, pair_distances
 from .kriging import EPS, KrigingSystem, LatticePrediction, _solve, assemble_system, solve_lattice, z_quantile
 from .region import LABELS, UNCERTAIN, classify_cells
 from .variogram import VariogramModel, _ranked_fits, empirical_variogram, select_model
@@ -244,7 +244,7 @@ class _Evaluation:
     system: KrigingSystem
     prediction: LatticePrediction
     codes: np.ndarray      # (m_count, k_count), indices into region.LABELS
-    solution: np.ndarray   # (n+1, P), the system solved against system.lattice
+    solution: np.ndarray | None  # (n+1, P), the system solved against system.lattice; None if degenerate
     unmeasured_idx: np.ndarray
     indicators: np.ndarray  # bool, aligned with unmeasured_idx
 
@@ -265,14 +265,22 @@ class _Evaluation:
 
 
 def _evaluate(state: ExperimentState, model: VariogramModel) -> _Evaluation:
-    """Krig and classify every grid point under model, intervals at the config's alpha."""
+    """Krig and classify every grid point under model, intervals at the config's alpha.
+    A degenerate model (no variability observed) tells nothing away from the measurements
+    and is not kriged: every unmeasured point gets the mean response at infinite variance."""
     spec = state.config.grid
     z = z_quantile(state.config.alpha)
     system = assemble_system(state.measurements, model, spec)
-    means, variances, solution = solve_lattice(system)
     measured = system.flat
+    if model.is_degenerate:
+        means = np.full(spec.point_count, system.values.mean())
+        variances = np.full(spec.point_count, np.inf)
+        means[measured], variances[measured] = system.values, 0.0
+        solution = None
+    else:
+        means, variances, solution = solve_lattice(system)
     prediction = LatticePrediction.from_flat(spec, means, variances, z)
-    # solve_lattice gives every measured point its observed response as mean.
+    # means holds every measured point's observed response.
     codes = classify_cells(prediction.mean, prediction.ci_lower, prediction.ci_upper,
                            state.config.threshold, measured, means[measured])
     unmeasured_idx = np.delete(np.arange(spec.point_count), measured)
@@ -355,12 +363,14 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     agree to rounding: the closed form's scores move in the last bits
     against the walk's.  Candidates with vanishing current variance, and
     closed-form candidates the cancellation guard flags, are rescored by full
-    re-assembly (rc_score).  A degenerate model leaves no variance to
-    reduce, so every score is zero.
+    re-assembly (rc_score).  A degenerate model has no solution (_evaluate):
+    its scores are space-filling, each candidate's shortfall from the largest
+    nearest-measurement distance, so the farthest candidate scores 0.
     """
     idx = ev.unmeasured_idx
-    if ev.model.is_degenerate or len(idx) == 0:
-        return np.zeros(len(idx))
+    if ev.model.is_degenerate:
+        nearest = pair_distances(ev.system.spec, idx[:, None], ev.system.flat).min(axis=1)
+        return np.max(nearest, initial=0.0) - nearest
     variances = ev.variances[idx]
     cols = np.flatnonzero(indicators)
     XT = ev.solution[:, idx].T
@@ -500,7 +510,8 @@ def rc_score(candidate: Combination, state: ExperimentState, indicators=None) ->
     one score use this.  The indicator set comes from the current fit unless
     an explicit boolean array (aligned with the unmeasured grid points in
     row-major order) is supplied.  Raises InsufficientDataError while the
-    initial design is incomplete.
+    initial design is incomplete, and NumericalFailureError under a
+    degenerate fit, whose augmented system kriging refuses.
     """
     ev, ind = _scoring_view(state, indicators)
     i = int(state.config.grid.flat_indices([candidate])[0])  # -1 off the grid, never unmeasured

@@ -119,8 +119,9 @@ def _print_summary(state: ExperimentState, region: LatticeRegion) -> None:
     print(f"measurements: {len(state.measurements)} (adaptive iterations: {state.iteration})")
     if state.stop_reason:
         print(f"stop: {state.stop_reason}")
+    flag = f" flag={model.flag}" if model.flag else ""
     print(f"model: {model.family} nugget={eio.format_float(model.nugget)} "
-          f"range={eio.format_float(model.range)} sill={eio.format_float(model.sill)}")
+          f"range={eio.format_float(model.range)} sill={eio.format_float(model.sill)}{flag}")
     if region.cell_count:
         m_min, m_max, k_min, k_max = (eio.format_float(v) for v in region.bbox())
         print(f"reliable region: {region.cell_count} cells, "

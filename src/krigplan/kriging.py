@@ -202,16 +202,7 @@ def assemble_system(measurements, model: VariogramModel, spec: GridSpec) -> Krig
 
 
 def solve(system: KrigingSystem, target: Combination):
-    """Weights and prediction variance for one target.
-
-    A degenerate model has a singular system and so no weights; it raises
-    NumericalFailureError saying so (solve_grid and solve_lattice instead
-    predict the common response with zero variance)."""
-    if system.model.is_degenerate:
-        raise NumericalFailureError(
-            "the variogram model is degenerate (nugget and sill 0): its kriging "
-            "system is singular and has no weights"
-        )
+    """Weights and prediction variance for one target."""
     solution = solve_grid(system, [target])
     sol = solution.solution[:, 0]
     weights = SolvedWeights(weights=sol[: system.n].copy(), lagrange=float(-sol[-1]))
@@ -234,37 +225,37 @@ def _solve(system: KrigingSystem, flat: np.ndarray, rhs: np.ndarray):
     """(means, variances, solution) at the grid points at row-major indices
     flat, whose right-hand sides rhs are system.lattice[:, flat]: the solve
     behind solve_grid, solve_lattice and the planner's re-assembly scoring.
-    A variance below VARIANCE_FLOOR raises NumericalFailureError naming the
-    first such point; roundoff below zero clamps to 0.
+    A degenerate model (nugget and sill 0: a singular system) raises
+    NumericalFailureError saying so, whatever the targets, and a variance
+    below VARIANCE_FLOOR raises it naming the first such point; roundoff
+    below zero clamps to 0.
 
     A measured target's right-hand side is its measurement's column of the
     matrix, so its solution column is set to that unit vector exactly: the
     product with the inverse leaves roundoff there that grows with the
     semivariance scale and could trip VARIANCE_FLOOR at a zero variance."""
+    if system.model.is_degenerate:
+        raise NumericalFailureError("the variogram model is degenerate (nugget and sill 0): its kriging "
+                                    "system is singular and has no weights")
     row_at = np.full(system.spec.point_count, -1)
     row_at[system.flat] = np.arange(system.n)
     rows = row_at[flat]
     pos = np.flatnonzero(rows >= 0)
     rows = rows[pos]
-    if system.model.is_degenerate or not len(flat):
-        sol = np.zeros(rhs.shape)
-        means = np.full(len(flat), system.values.mean())
-        variances = np.zeros(len(flat))
-    else:
-        system.check_conditioning()
-        sol = system.solve_rhs(rhs)
-        sol[:, pos] = 0.0
-        sol[rows, pos] = 1.0
-        means = system.values @ sol[: system.n, :]
-        variances = np.einsum("ip,ip->p", rhs, sol)
-        bad = np.flatnonzero(variances < VARIANCE_FLOOR)
-        if bad.size:
-            target = system.spec.point(int(flat[bad[0]]))
-            raise NumericalFailureError(
-                f"kriging variance {float(variances[bad[0]])} at ({target.m}, {target.k}) is negative "
-                "beyond roundoff; the fitted model is not usable on this layout"
-            )
-        variances = np.maximum(variances, 0.0)
+    system.check_conditioning()
+    sol = system.solve_rhs(rhs)
+    sol[:, pos] = 0.0
+    sol[rows, pos] = 1.0
+    means = system.values @ sol[: system.n, :]
+    variances = np.einsum("ip,ip->p", rhs, sol)
+    bad = np.flatnonzero(variances < VARIANCE_FLOOR)
+    if bad.size:
+        target = system.spec.point(int(flat[bad[0]]))
+        raise NumericalFailureError(
+            f"kriging variance {float(variances[bad[0]])} at ({target.m}, {target.k}) is negative "
+            "beyond roundoff; the fitted model is not usable on this layout"
+        )
+    variances = np.maximum(variances, 0.0)
     means[pos] = system.values[rows]
     variances[pos] = 0.0
     return means, variances, sol
@@ -275,10 +266,6 @@ def solve_grid(system: KrigingSystem, targets) -> GridSolution:
     grid (ConfigurationError names the first that is not); measured targets
     reproduce their observations exactly with zero variance.  rhs is a copy
     of the targets' columns of system.lattice.
-
-    A degenerate model (zero nugget and sill, i.e. no observed variability)
-    predicts the common response everywhere with zero variance rather than
-    failing on its singular system; its solution is zero.
     """
     targets = list(targets)
     flat = grid_indices(system.spec, targets, "kriging target")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import krigplan.adaptive as adaptive
 
@@ -43,10 +44,19 @@ from krigplan import (
 )
 from krigplan.adaptive import STOP_BUDGET, STOP_NATURAL
 from krigplan.experiment_io import audit_log_text, state_from_dict, state_to_dict
-from krigplan.variogram import FAMILIES, empirical_variogram, fit_model, select_model
+from krigplan.region import LABELS, UNCERTAIN, largest_region
+from krigplan.variogram import (
+    FAMILIES,
+    FLAG_DEGENERATE,
+    FLAG_LOW_INFORMATION,
+    empirical_variogram,
+    fit_model,
+    select_model,
+)
 
 from conftest import random_measurements
 from test_acceptance import NOISE_STD, study_config
+from test_grid import scaled_coords
 
 SPH = VariogramModel("spherical", 0.025, 2.0, 0.5)
 
@@ -66,6 +76,11 @@ def replay_oracle(config, exclude=()):
     records = [ResponseRecord(c, oracle.evaluate(c))
                for c in build_grid(config.grid) if c not in set(exclude)]
     return TableReplayOracle(records)
+
+
+def flat_oracle(config, response=3.0):
+    """The same response everywhere: every fit of it is degenerate."""
+    return TableReplayOracle([ResponseRecord(c, response) for c in build_grid(config.grid)])
 
 
 # --- indicator ---------------------------------------------------------------
@@ -499,27 +514,30 @@ def test_run_rejects_foreign_state():
 def test_interrupted_run_resumes_identically():
     """A run interrupted after any on_update call (each initial-design
     append, each adaptive iteration, the stop) resumes from that call's
-    persisted snapshot to exactly the uninterrupted run."""
+    persisted snapshot to exactly the uninterrupted run, on the synthetic
+    surface and on all-equal responses, whose every fit is degenerate."""
     config = small_config(max_iterations=5)
 
-    full = run_experiment(config, replay_oracle(config))
+    for oracle in (replay_oracle, flat_oracle):
+        full = run_experiment(config, oracle(config))
 
-    snapshots = []
+        snapshots = []
 
-    def persist(st):
-        snapshots.append(json.dumps(state_to_dict(st, {"kind": "synthetic_logistic"})))
+        def persist(st):
+            snapshots.append(json.dumps(state_to_dict(st, {"kind": "synthetic_logistic"})))
 
-    run_experiment(config, replay_oracle(config), on_update=persist)
-    assert len(snapshots) == len(full.measurements) + 1
+        run_experiment(config, oracle(config), on_update=persist)
+        assert len(snapshots) == len(full.measurements) + 1
 
-    for snapshot in snapshots:
-        restored, _ = state_from_dict(json.loads(snapshot))
-        resumed = run_experiment(config, replay_oracle(config), state=restored)
+        for snapshot in snapshots:
+            restored, _ = state_from_dict(json.loads(snapshot))
+            resumed = run_experiment(config, oracle(config), state=restored)
 
-        assert resumed.history == full.history
-        assert [(m.location, m.response) for m in resumed.measurements] == \
-               [(m.location, m.response) for m in full.measurements]
-        assert resumed.stop_reason == full.stop_reason
+            assert resumed.history == full.history
+            assert [(m.location, m.response) for m in resumed.measurements] == \
+                   [(m.location, m.response) for m in full.measurements]
+            assert resumed.stop_reason == full.stop_reason
+    assert full.model.is_degenerate and full.stop_reason == STOP_BUDGET
 
 
 def test_planner_lists_no_grid_of_combinations():
@@ -556,29 +574,84 @@ def test_oracle_miss_aborts_with_partial_state():
     assert len(exc.value.state.measurements) == 2  # the points before the miss
 
 
+DEGENERATE_MESSAGE = r"degenerate \(nugget and sill 0\)"
+
+
+def nearest_measurement_distances(config, measured):
+    """(unmeasured grid points in row-major order, each one's scaled distance
+    to its nearest point of measured), from coordinates."""
+    grid = build_grid(config.grid)
+    unmeasured = [c for c in grid if c not in measured]
+    d = cdist(scaled_coords(unmeasured, config.grid), scaled_coords(list(measured), config.grid))
+    return unmeasured, d.min(axis=1)
+
+
+def assert_no_information_campaign(state):
+    """Every pick of a campaign under degenerate fits is the
+    unmeasured point farthest from every earlier measurement, ties to the
+    first in row-major order, scored 0 while every unmeasured point was
+    uncertain.  At its end, every unmeasured point is labelled uncertain
+    and the largest region holds measured points only."""
+    config = state.config
+    n0 = len(state.measurements) - state.iteration
+    for record in state.history:
+        measured = {m.location for m in state.measurements[:n0 + record.iteration - 1]}
+        unmeasured, nearest = nearest_measurement_distances(config, measured)
+        farthest = unmeasured[int(np.argmax(nearest >= nearest.max() * (1 - 1e-9)))]
+        assert record.location == farthest
+        assert record.model.is_degenerate
+        assert record.rc_score == 0.0
+        assert record.n_uncertain == len(unmeasured)
+
+    ev = adaptive._fit(state)
+    measured = ev.system.flat
+    codes = ev.codes.reshape(-1)
+    assert (np.delete(codes, measured) == LABELS.index(UNCERTAIN)).all()
+    region = largest_region(ev.codes, config.grid.m_values(), config.grid.k_values())
+    assert set(region.rows * config.grid.k_count + region.cols) <= set(measured.tolist())
+
+
 def test_degenerate_model_behaviour():
-    """All-equal responses fit a variogram with no variability: every cell is
-    predicted with certainty, so nothing is uncertain and nothing scores."""
+    """All-equal responses fit a variogram with no variability, which says
+    nothing away from the measurements: every unmeasured point stays
+    uncertain, the picks fill space until the budget stops the run, and
+    re-assembly scoring raises, as kriging refuses the degenerate system."""
     config = small_config()
-    flat = TableReplayOracle([ResponseRecord(c, 3.0) for c in build_grid(config.grid)])
-    state = run_experiment(config, flat)
+    state = run_experiment(config, flat_oracle(config))
     assert state.model.is_degenerate
-    assert state.stop_reason == STOP_NATURAL
-    assert state.iteration == 0 and state.history == []
-    assert check_stop(state) == STOP_NATURAL
-    assert select_next(state) is None
+    assert state.stop_reason == STOP_BUDGET and state.iteration == config.max_iterations
+    assert check_stop(state) == STOP_BUDGET
+    assert_no_information_campaign(state)
 
     candidates, scores = candidate_scores(state)
+    unmeasured, nearest = nearest_measurement_distances(config, state.measured_locations())
+    assert candidates == unmeasured
+    np.testing.assert_allclose(scores, nearest.max() - nearest, rtol=0, atol=1e-12)
     ones = np.ones(len(candidates), dtype=bool)
-    np.testing.assert_array_equal(scores, np.zeros(len(candidates)))
-    np.testing.assert_array_equal(candidate_scores(state, indicators=ones)[1],
-                                  np.zeros(len(candidates)))
-    assert rc_score(candidates[0], state) == 0.0
-    assert rc_score(candidates[7], state, indicators=ones) == 0.0
+    np.testing.assert_array_equal(candidate_scores(state, indicators=ones)[1], scores)
+    assert select_next(state) == candidates[int(np.argmin(scores))]
+    for call in (lambda: rc_score(candidates[0], state),
+                 lambda: rc_score(candidates[7], state, indicators=ones),
+                 lambda: predict_grid(state.measurements, state.model, config.grid, candidates)):
+        with pytest.raises(NumericalFailureError, match=DEGENERATE_MESSAGE):
+            call()
 
-    preds = predict_grid(state.measurements, state.model, config.grid, build_grid(config.grid))
-    assert all(p.mean == 3.0 and p.variance == 0.0 and p.ci_lower == p.ci_upper == 3.0
-               for p in preds)
+
+@pytest.mark.parametrize("design, flag", [
+    (tuple(study_config().initial_design), FLAG_DEGENERATE),
+    ((Combination(1.0, 10.0), Combination(5.0, 40.0)), FLAG_LOW_INFORMATION),
+], ids=["study-design", "two-points"])
+def test_equal_responses_certify_nothing_unmeasured(design, flag):
+    """On the study grid (threshold 4.0), all responses at 3.0: the 3x4
+    design first fits a degenerate variogram, and the 2-point design the
+    low-information fallback with sill 0.  Neither claims a cell it did not
+    measure: each campaign runs to its budget, every unmeasured point
+    uncertain at every step, picking space-filling."""
+    config = replace(study_config(threshold=4.0, max_iterations=4), initial_design=design)
+    state = run_experiment(config, flat_oracle(config))
+    assert state.history[0].model.flag == flag
+    assert state.stop_reason == STOP_BUDGET and state.iteration == 4
+    assert_no_information_campaign(state)
 
 
 # --- interactive stepping ----------------------------------------------------

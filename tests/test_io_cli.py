@@ -23,6 +23,7 @@ from krigplan import (
     PendingSuggestion,
     SchemaError,
     VariogramModel,
+    build_grid,
     run_experiment,
 )
 from krigplan.adaptive import STOP_BUDGET, STOP_NATURAL
@@ -711,6 +712,43 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in ARTIFACTS:
         assert (tmp_path / name).exists()
+
+
+def test_cli_degenerate_campaign_certifies_nothing_unmeasured(tmp_path, capsys):
+    """init, run and report on a replay table of equal responses exit 0.  The
+    run spends its budget under degenerate fits, whose flag the summary
+    names; predictions.csv gives every unmeasured cell infinite variance and
+    an unbounded interval, labels.csv marks it uncertain, and the region
+    holds measured cells only."""
+    grid = GridSpec(**CONFIG["grid"])
+    table_path = tmp_path / "table.csv"
+    table_path.write_text("m,k,response\n" + "".join(f"{c.m},{c.k},3.0\n" for c in build_grid(grid)))
+    config_path = write_config(tmp_path, {"oracle": {"kind": "table_replay", "path": str(table_path)}})
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = capsys.readouterr().out.strip()
+    assert main(["run", exp_path]) == 0
+    assert main(["report", exp_path]) == 0
+    state, _ = load_state(exp_path)
+    model = state.model
+    assert state.stop_reason == STOP_BUDGET and state.iteration == CONFIG["max_iterations"]
+    assert model.is_degenerate and model.flag == FLAG_DEGENERATE
+    summary = (f"model: {model.family} nugget=0 range={format_float(model.range)} sill=0 "
+               f"flag={FLAG_DEGENERATE}\n")
+    assert capsys.readouterr().out.count(summary) == 2
+
+    measured = {(m.location.m, m.location.k) for m in state.measurements}
+    predictions = (tmp_path / "predictions.csv").read_text().splitlines()[1:]
+    labels = (tmp_path / "labels.csv").read_text().splitlines()[1:]
+    assert len(predictions) == len(labels) == grid.point_count
+    for prediction, label in zip(predictions, labels):
+        m, k, mean, variance, lower, upper = prediction.split(",")
+        assert label.startswith(f"{m},{k},") and mean == "3"
+        if (float(m), float(k)) in measured:
+            assert (variance, lower, upper) == ("0", "3", "3") and label.endswith(",measured_pass")
+        else:
+            assert (variance, lower, upper) == ("inf", "-inf", "inf") and label.endswith(",uncertain")
+    cells = json.loads((tmp_path / "region.json").read_text())["cells"]
+    assert cells and {tuple(cell) for cell in cells} <= measured
 
 
 def test_cli_summary_names_an_empty_region(tmp_path, capsys):

@@ -158,7 +158,7 @@ def test_off_grid_measurement_is_rejected(study_grid, point):
 @pytest.mark.parametrize("point", OFF_GRID, ids=["between-nodes", "outside", "off-k"])
 def test_off_grid_target_is_rejected(study_grid, point):
     """The same for a target, named, even under a degenerate model, whose
-    solve gathers nothing."""
+    solve would be refused."""
     ms = [Measurement(Combination(1.0, 3.0), 2.0), Measurement(Combination(3.0, 20.0), 5.0)]
     system = assemble_system(ms, SPH, study_grid)
     targets = [Combination(2.0, 10.0), point, Combination(0.0, 10.0)]
@@ -448,32 +448,53 @@ def test_variance_zero_at_measured_targets(study_grid):
     assert sol.variances[0] == 0.0
 
 
-def test_degenerate_model_predicts_constant(study_grid):
+DEGENERATE = VariogramModel("spherical", 0.0, 1.0, 0.0)
+DEGENERATE_MESSAGE = r"degenerate \(nugget and sill 0\)"
+
+
+def test_degenerate_model_refused_at_measured_targets(study_grid):
+    """A degenerate model predicts nothing, not even at a measured target,
+    whose response it would otherwise reproduce at zero variance."""
     ms = [Measurement(Combination(1.0, 3.0), 4.0), Measurement(Combination(2.0, 9.0), 4.0)]
-    degenerate = VariogramModel("spherical", 0.0, 1.0, 0.0)
-    targets = [Combination(5.0, 50.0), ms[0].location]
-    preds = predict_grid(ms, degenerate, study_grid, targets)
-    assert preds[0].mean == 4.0 and preds[0].variance == 0.0
-    assert preds[1].mean == 4.0 and preds[1].variance == 0.0
+    for targets in ([ms[0].location], [m.location for m in ms]):
+        with pytest.raises(NumericalFailureError, match=DEGENERATE_MESSAGE):
+            predict_grid(ms, DEGENERATE, study_grid, targets)
 
 
 def test_solve_names_a_degenerate_model(study_grid):
-    """solve has no weights to return under a degenerate model and says why,
-    rather than reporting its singular system as merely ill-conditioned."""
+    """Every solve and prediction has no weights to use under a degenerate
+    model and says why, rather than reporting its singular system as merely
+    ill-conditioned."""
     ms = [Measurement(Combination(0.5, 1.0), 4.0), Measurement(Combination(3.0, 1.0), 4.0)]
-    system = assemble_system(ms, VariogramModel("spherical", 0.0, 1.0, 0.0), study_grid)
-    with pytest.raises(NumericalFailureError, match=r"degenerate \(nugget and sill 0\)") as exc:
-        solve(system, Combination(5.0, 50.0))
-    assert "ill-conditioned" not in str(exc.value)
+    system = assemble_system(ms, DEGENERATE, study_grid)
+    target = Combination(5.0, 50.0)
+    calls = (lambda: solve(system, target),
+             lambda: solve_grid(system, [target]),
+             lambda: predict(ms, DEGENERATE, study_grid, target),
+             lambda: predict_grid(ms, DEGENERATE, study_grid, [target, ms[1].location]),
+             lambda: predict_lattice(ms, DEGENERATE, study_grid))
+    for call in calls:
+        with pytest.raises(NumericalFailureError, match=DEGENERATE_MESSAGE) as exc:
+            call()
+        assert "ill-conditioned" not in str(exc.value)
 
 
-def test_degenerate_grid_solution_arrays_are_distinct(study_grid):
+def test_degenerate_grid_solve_refused_even_without_targets(study_grid):
+    """solve_grid and solve_lattice refuse a degenerate system whatever the
+    targets, none included; under a usable model a solve at no targets
+    returns empty arrays, the solution distinct from the right-hand sides."""
     ms = [Measurement(Combination(1.0, 3.0), 4.0), Measurement(Combination(2.0, 9.0), 4.0)]
-    system = assemble_system(ms, VariogramModel("spherical", 0.0, 1.0, 0.0), study_grid)
-    sol = solve_grid(system, [Combination(5.0, 50.0), Combination(1.5, 7.0)])
+    system = assemble_system(ms, DEGENERATE, study_grid)
+    for call in (lambda: solve_grid(system, [Combination(5.0, 50.0), Combination(1.5, 7.0)]),
+                 lambda: solve_grid(system, []),
+                 lambda: solve_lattice(system)):
+        with pytest.raises(NumericalFailureError, match=DEGENERATE_MESSAGE):
+            call()
+    sol = solve_grid(assemble_system(ms, SPH, study_grid), [])
+    assert sol.means.shape == sol.variances.shape == (0,)
+    assert sol.rhs.shape == sol.solution.shape == (3, 0)
     assert sol.rhs is not sol.solution
     assert not np.shares_memory(sol.rhs, sol.solution)
-    np.testing.assert_array_equal(sol.solution, np.zeros((3, 2)))
 
 
 def test_predict_requires_measurements(study_grid):
@@ -485,14 +506,15 @@ def test_predict_requires_measurements(study_grid):
 
 LATTICE_MODELS = [SPH, VariogramModel("gaussian", 0.1, 3.0, 0.6),
                   VariogramModel("exponential", 0.0, 2.0, 1.0),
-                  VariogramModel("spherical", 0.0, 1.0, 0.0)]  # degenerate
+                  DEGENERATE]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
 @given(data=st.data())
 def test_predict_lattice_equals_predict_grid(data):
     """Every mean, variance and bound of predict_lattice equals predict_grid's
-    on build_grid exactly, measured cells included."""
+    on build_grid exactly, measured cells included; under a degenerate model
+    both raise the same error."""
     n_m, n_k = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 9))
     m_stride = data.draw(st.sampled_from([1.0, 0.5, 0.1]))
     k_stride = data.draw(st.sampled_from([1.0, 3.0, 0.2]))
@@ -503,6 +525,15 @@ def test_predict_lattice_equals_predict_grid(data):
     model = data.draw(st.sampled_from(LATTICE_MODELS))
     alpha = data.draw(st.sampled_from(sorted(Z_QUANTILES)))
 
+    if model.is_degenerate:
+        messages = []
+        for call in (lambda: predict_lattice(ms, model, spec, alpha=alpha),
+                     lambda: predict_grid(ms, model, spec, build_grid(spec), alpha=alpha)):
+            with pytest.raises(NumericalFailureError, match=DEGENERATE_MESSAGE) as exc:
+                call()
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        return
     lattice = predict_lattice(ms, model, spec, alpha=alpha)
     preds = predict_grid(ms, model, spec, build_grid(spec), alpha=alpha)
     for field in ("mean", "variance", "ci_lower", "ci_upper"):
