@@ -172,12 +172,16 @@ class IterationRecord:
     n_uncertain: int
 
     def __post_init__(self):
+        if not isinstance(self.model, VariogramModel):
+            raise ConfigurationError(f"history record {self.iteration} has no variogram model")
         _check_audit_values(self.rc_score, self.n_uncertain)
 
 
 @dataclass(frozen=True)
 class PendingSuggestion:
-    """A suggestion produced by one fit+selection step, awaiting its measurement."""
+    """A suggestion produced by one fit+selection step, awaiting its
+    measurement.  An initial-design suggestion carries no score, model or
+    count; an adaptive one carries all three."""
 
     location: Combination
     phase: str  # "initial" or "adaptive"
@@ -186,6 +190,14 @@ class PendingSuggestion:
     n_uncertain: int | None = None
 
     def __post_init__(self):
+        if self.phase == "initial":
+            if (self.rc_score, self.model, self.n_uncertain) != (None, None, None):
+                raise ConfigurationError("an initial-design pending suggestion carries no score, model or count")
+        elif self.phase == "adaptive":
+            if self.rc_score is None or self.n_uncertain is None or not isinstance(self.model, VariogramModel):
+                raise ConfigurationError("an adaptive pending suggestion needs a score, a model and a count")
+        else:
+            raise ConfigurationError(f"unknown pending phase {self.phase!r}")
         _check_audit_values(self.rc_score, self.n_uncertain)
 
 
@@ -203,11 +215,18 @@ class ExperimentState:
         self.check()
 
     def check(self) -> None:
-        """Raise unless the measurements are distinct and the history is
-        numbered 1..iteration, each record a distinct measured location.
-        Construction runs it; experiment_io.save_state runs it again before
-        writing, since the lists can be edited after construction."""
+        """Raise unless the measurements are distinct, the history is
+        numbered 1..iteration, each record a distinct measured location, the
+        stop reason is known and a pending suggestion is exactly a grid
+        point.  Construction runs it; experiment_io.save_state runs it again
+        before writing, since the fields can be edited after construction."""
         ensure_unique_locations(self.measurements)
+        if self.stop_reason not in (None, STOP_NATURAL, STOP_BUDGET):
+            raise ConfigurationError(f"unknown stop_reason {self.stop_reason!r}")
+        if self.pending is not None:
+            p = self.pending.location
+            if self.config.grid.snap(p.m, p.k) != p:  # snap raises for a point off the grid
+                raise ConfigurationError(f"pending suggestion ({p.m}, {p.k}) is not exactly a grid point")
         if self.iteration < 0 or len(self.history) != self.iteration:
             raise ConfigurationError(
                 f"history length {len(self.history)} does not match iteration {self.iteration}"

@@ -15,14 +15,12 @@ import tempfile
 from dataclasses import asdict
 
 from .adaptive import (
-    STOP_BUDGET,
-    STOP_NATURAL,
     ExperimentConfig,
     ExperimentState,
     IterationRecord,
     PendingSuggestion,
 )
-from .errors import SchemaError
+from .errors import ConfigurationError, SchemaError
 from .grid import GridSpec, Measurement, evenly_spaced_design
 from .kriging import LatticePrediction
 from .region import LABELS, LatticeRegion
@@ -197,11 +195,9 @@ def _pending_from_dict(pend: dict, grid: GridSpec) -> PendingSuggestion:
     location = grid.snap(as_float(pend["m"]), as_float(pend["k"]))
     if pend["phase"] == "initial":
         return PendingSuggestion(location=location, phase="initial")
-    if pend["phase"] != "adaptive":
-        raise ValueError(f"unknown pending phase {pend['phase']!r}")
-    return PendingSuggestion(
+    return PendingSuggestion(  # PendingSuggestion refuses a phase it does not know
         location=location,
-        phase="adaptive",
+        phase=pend["phase"],
         rc_score=as_float(pend["rc_score"]),
         model=_model_from_dict(pend["model"]),
         n_uncertain=as_int(pend["n_uncertain"]),
@@ -232,16 +228,13 @@ def state_from_dict(data: dict) -> tuple[ExperimentState, dict]:
             for rec in data["history"]
         ]
         pend = data.get("pending_suggestion")
-        stop_reason = data.get("stop_reason")
-        if stop_reason not in (None, STOP_NATURAL, STOP_BUDGET):
-            raise ValueError(f"unknown stop_reason {stop_reason!r}")
         state = ExperimentState(
             config=config,
             measurements=measurements,
             model=None if data["model"] is None else _model_from_dict(data["model"]),
             iteration=as_int(data["iteration"]),
             history=history,
-            stop_reason=stop_reason,
+            stop_reason=data.get("stop_reason"),
             pending=None if pend is None else _pending_from_dict(pend, grid),
         )
         oracle_spec = _as_object(data["oracle"], "oracle")
@@ -315,8 +308,11 @@ _WRITER = _StateWriter()
 
 def save_state(state: ExperimentState, oracle_spec: dict, path) -> None:
     """Write the experiment file; a state that load_state would refuse
-    (ExperimentState.check) raises before anything is written."""
+    (ExperimentState.check), or an oracle spec that is not an object,
+    raises before anything is written."""
     state.check()
+    if not isinstance(oracle_spec, dict):
+        raise ConfigurationError(f"oracle spec must be an object, got {oracle_spec!r}")
     atomic_write_text(path, _WRITER.text(state, oracle_spec))
 
 

@@ -19,13 +19,13 @@ right-hand sides over the whole lattice are one contiguous window of that
 table; the system copies each window once, and Gamma and every target's
 right-hand side are columns of the copy.
 
-Each system is inverted once, by np.linalg.inv (LAPACK gesv: one LU
-factorization with partial pivoting, solved against the identity), and the
-inverse is made exactly symmetric like the matrix.  Every batch of targets
-is then solved by one matrix product (GEMM) with that inverse.  A product
-with a computed inverse is not backward stable: its variances are accurate
-to about EPS * cond**2 of the largest variance, where a triangular (LU)
-solve reaches about EPS * cond.  Where the first could exceed
+Each solve inverts its system once, by np.linalg.inv (LAPACK gesv: one LU
+factorization with partial pivoting, solved against the identity), makes
+the inverse exactly symmetric like the matrix, and solves every target by
+one matrix product (GEMM) with it; the system keeps nothing of the solve.
+A product with a computed inverse is not backward stable: its variances are
+accurate to about EPS * cond**2 of the largest variance, where a triangular
+(LU) solve reaches about EPS * cond.  Where the first could exceed
 INVERSE_VARIANCE_RTOL (near-singular systems, such as zero-nugget Gaussian
 fits), the product is refined twice against the matrix, which brings it to
 the LU solve's accuracy.  Measured targets are solved exactly (see _solve).
@@ -103,12 +103,9 @@ class KrigingSystem:
     right-hand sides of every grid point in row-major order, each
     measurement's row one window of table and the last row the border of
     ones.  It is copied once, here, and is read-only; the matrix and every
-    target's right-hand side are columns of it.
-
-    The condition estimate and the inverse (one LU factorization, solved
-    against the identity) are each computed once, on first use; every
-    target solved against this system is then one product with the cached
-    inverse, refined on near-singular systems (solve_rhs).
+    target's right-hand side are columns of it.  Nothing is written after
+    construction: _solve reads the condition estimate and the inverse once
+    each and keeps neither.
     """
 
     def __init__(self, measurements, model: VariogramModel, spec: GridSpec):
@@ -116,7 +113,6 @@ class KrigingSystem:
         if not measurements:
             raise InsufficientDataError("kriging needs at least one measurement")
         ensure_unique_locations(measurements)
-        self.measurements = measurements
         self.model = model
         self.spec = spec
         self.values = np.array([m.response for m in measurements], dtype=float)
@@ -138,63 +134,34 @@ class KrigingSystem:
         mat[:, :n] = self.lattice[:, self.flat]
         mat[n, n] = 0.0
         self.matrix = mat
-        self._inverse = None
-        self._cond = None
 
     @property
     def n(self) -> int:
         return len(self.values)
 
     def condition_estimate(self) -> float:
-        if self._cond is None:
-            self._cond = float(np.linalg.cond(self.matrix))
-        return self._cond
+        return float(np.linalg.cond(self.matrix))
 
-    def _closest_pair(self) -> tuple[Combination, Combination]:
+    def _nearest_pair(self) -> str:
+        """"nearest locations are (m, k) and (m, k)": the closest two
+        measurements, which a numerical failure names."""
         d = pair_distances(self.spec, self.flat[:, None], self.flat)
         np.fill_diagonal(d, np.inf)
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        return self.spec.point(int(self.flat[i])), self.spec.point(int(self.flat[j]))
-
-    def check_conditioning(self) -> None:
-        cond = self.condition_estimate()
-        if not math.isfinite(cond) or cond > CONDITION_LIMIT:
-            a, b = self._closest_pair()
-            raise NumericalFailureError(
-                f"kriging system is ill-conditioned (estimate {cond:.3e}); "
-                f"nearest locations are ({a.m}, {a.k}) and ({b.m}, {b.k})"
-            )
+        a, b = (self.spec.point(int(self.flat[i])) for i in np.unravel_index(np.argmin(d), d.shape))
+        return f"nearest locations are ({a.m}, {a.k}) and ({b.m}, {b.k})"
 
     def lu(self) -> np.ndarray:
         """The matrix's inverse from its LU factors (np.linalg.inv, LAPACK
-        gesv against the identity); solve_rhs calls this once per system."""
+        gesv against the identity), averaged with its transpose, the nearest
+        symmetric matrix to it.  _solve calls it once per solve; the name is
+        the one the benchmark's tracer times it under."""
         try:
-            return np.linalg.inv(self.matrix)
+            inverse = np.linalg.inv(self.matrix)
         except np.linalg.LinAlgError as exc:  # singular factorization
-            a, b = self._closest_pair()
             raise NumericalFailureError(
-                f"kriging system factorization failed ({exc}); "
-                f"nearest locations are ({a.m}, {a.k}) and ({b.m}, {b.k})"
+                f"kriging system factorization failed ({exc}); {self._nearest_pair()}"
             ) from exc
-
-    def solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        """The system solved against rhs ((n+1,) or (n+1, P)) by one product
-        with the inverse.
-
-        The inverse is built on first use by lu().  The matrix is
-        symmetric, so its inverse is too: the computed one is averaged with
-        its transpose, the nearest symmetric matrix to it, whose error is no
-        larger.  If EPS * cond**2 exceeds INVERSE_VARIANCE_RTOL, each
-        solve is refined twice by the product of the inverse with the
-        residual."""
-        if self._inverse is None:
-            b = self.lu()
-            self._inverse = (b + b.T) / 2
-        sol = self._inverse @ rhs
-        if EPS * self.condition_estimate() ** 2 > INVERSE_VARIANCE_RTOL:
-            for _ in range(2):  # one step falls short of LU above cond ~1e10
-                sol += self._inverse @ (rhs - self.matrix @ sol)
-        return sol
+        return (inverse + inverse.T) / 2
 
 
 def assemble_system(measurements, model: VariogramModel, spec: GridSpec) -> KrigingSystem:
@@ -226,9 +193,10 @@ def _solve(system: KrigingSystem, flat: np.ndarray, rhs: np.ndarray):
     flat, whose right-hand sides rhs are system.lattice[:, flat]: the solve
     behind solve_grid, solve_lattice and the planner's re-assembly scoring.
     A degenerate model (nugget and sill 0: a singular system) raises
-    NumericalFailureError saying so, whatever the targets, and a variance
-    below VARIANCE_FLOOR raises it naming the first such point; roundoff
-    below zero clamps to 0.
+    NumericalFailureError saying so, whatever the targets; so does a
+    condition estimate past CONDITION_LIMIT, naming the nearest two
+    measurements, and a variance below VARIANCE_FLOOR, naming the first
+    such point.  Roundoff below zero clamps to 0.
 
     A measured target's right-hand side is its measurement's column of the
     matrix, so its solution column is set to that unit vector exactly: the
@@ -242,8 +210,16 @@ def _solve(system: KrigingSystem, flat: np.ndarray, rhs: np.ndarray):
     rows = row_at[flat]
     pos = np.flatnonzero(rows >= 0)
     rows = rows[pos]
-    system.check_conditioning()
-    sol = system.solve_rhs(rhs)
+    cond = system.condition_estimate()
+    if not math.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise NumericalFailureError(
+            f"kriging system is ill-conditioned (estimate {cond:.3e}); {system._nearest_pair()}"
+        )
+    inverse = system.lu()
+    sol = inverse @ rhs
+    if EPS * cond**2 > INVERSE_VARIANCE_RTOL:
+        for _ in range(2):  # one step falls short of LU above cond ~1e10
+            sol += inverse @ (rhs - system.matrix @ sol)
     sol[:, pos] = 0.0
     sol[rows, pos] = 1.0
     means = system.values @ sol[: system.n, :]

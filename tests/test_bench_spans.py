@@ -58,3 +58,5 @@ def test_tracer_wraps_and_restores_every_entry_point(spans, tmp_path, capsys):
     assert counts["variogram.select.calls"] >= 2
     assert "kriging.lu.ms" in times
     assert "kriging.condition.ms" in times
+    # One condition read and one inversion per assembled system.
+    assert counts["kriging.condition.calls"] == counts["kriging.lu.calls"] == counts["kriging.assemble.calls"]

@@ -19,6 +19,7 @@ from krigplan import (
     ExperimentState,
     GridSpec,
     IterationRecord,
+    KrigplanError,
     Measurement,
     PendingSuggestion,
     SchemaError,
@@ -307,6 +308,51 @@ def test_save_refuses_a_state_load_would_refuse(tmp_path):
     message = "history record 3 chose (2.0, 25.0), which is not measured or was chosen before"
     for path in (fresh, kept):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
+            save_state(state, spec, path)
+    assert kept.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["kept.json"]
+
+
+def _stop_finished(state):
+    state.stop_reason = "finished"
+
+
+def _pending(*args):
+    def edit(state):
+        state.pending = PendingSuggestion(*args)
+    return edit
+
+
+def _unmodelled_record(state):
+    state.history[-1] = replace(state.history[-1], model=None)
+
+
+SPEC = {"kind": "synthetic_logistic"}
+
+
+@pytest.mark.parametrize("edit, spec, message", [
+    pytest.param(_stop_finished, SPEC, "unknown stop_reason 'finished'", id="stop_reason-finished"),
+    pytest.param(_pending(Combination(1.0, 2.0), "later"), SPEC, "unknown pending phase 'later'",
+                 id="pending-unknown-phase"),
+    pytest.param(_pending(Combination(1.0, 2.0), "adaptive"), SPEC, "needs a score, a model and a count",
+                 id="pending-adaptive-unscored"),
+    pytest.param(_pending(Combination(1.0, 2.0), "initial", 1.0), SPEC, "carries no score, model or count",
+                 id="pending-initial-scored"),
+    pytest.param(_unmodelled_record, SPEC, "history record 3 has no variogram model", id="history-model-none"),
+    pytest.param(_pending(Combination(0.55, 1.0), "initial"), SPEC, "(0.55, 1.0) is not on the measurement grid",
+                 id="pending-off-grid"),
+    pytest.param(lambda state: None, ["x"], "oracle spec must be an object", id="oracle-list"),
+])
+def test_save_refuses_every_state_load_refuses(tmp_path, edit, spec, message):
+    """Each state here would be written as a file that load_state refuses,
+    or that loads back unequal.  Building it, or saving it, raises a
+    KrigplanError, and the target path is left as it was."""
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    for path in (fresh, kept):
+        state = finished_state()
+        with pytest.raises(KrigplanError, match=re.escape(message)):
+            edit(state)
             save_state(state, spec, path)
     assert kept.read_text() == "kept\n"
     assert os.listdir(tmp_path) == ["kept.json"]

@@ -546,8 +546,8 @@ def test_negative_variance_names_its_cell_on_both_paths(study_grid):
     """A variance below roundoff raises, naming the first offending grid cell,
     from the lattice prediction and from predict_grid alike."""
     ms = [Measurement(Combination(1.0, 3.0), 2.0), Measurement(Combination(3.0, 20.0), 5.0)]
-    original = KrigingSystem.solve_rhs
-    negated = mock.patch.object(KrigingSystem, "solve_rhs", lambda self, rhs: -original(self, rhs))
+    original = KrigingSystem.lu
+    negated = mock.patch.object(KrigingSystem, "lu", lambda self: -original(self))
     messages = []
     with negated:
         for call in (lambda: predict_lattice(ms, SPH, study_grid),
@@ -559,7 +559,7 @@ def test_negative_variance_names_its_cell_on_both_paths(study_grid):
     assert "at (0.5, 1.0) is negative beyond roundoff" in messages[0]
 
 
-# --- the solve through the cached inverse ------------------------------------
+# --- the solve through the inverse ---------------------------------------------
 
 
 def refined_lu_lattice(system):
@@ -599,7 +599,7 @@ LATTICE_SOLVE_MODELS = st.one_of(
 def test_lattice_solve_matches_refined_lu(data):
     """solve_lattice's means and variances agree with an LU solve plus one
     step of iterative refinement to within lattice_tolerance, and each system
-    is inverted once however many times it is solved."""
+    is inverted once per solve."""
     n_m, n_k = data.draw(st.integers(1, 10)), data.draw(st.integers(2, 12))
     spec = GridSpec(0.5, 0.5 + (n_m - 1) * 0.5, 0.5, 1.0, float(n_k), 1.0,
                     k_scale=data.draw(st.sampled_from([0.1, 1.0, 0.37])))
@@ -616,11 +616,27 @@ def test_lattice_solve_matches_refined_lu(data):
     tol = lattice_tolerance(condition)
     with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inverse:
         means, variances, _ = solve_lattice(system)
-        for _ in range(3):
-            system.solve_rhs(system.lattice)
     assert np.all(np.abs(means - ref_means) <= tol * np.abs(system.values).max())
     assert np.all(np.abs(variances - ref_variances) <= tol * ref_variances.max())
     assert inverse.call_count == 1
+
+
+def test_a_solve_leaves_the_system_as_it_was(study_grid):
+    """A system is a plain value: solve_lattice and solve_grid, refined or
+    not, write no attribute on it and leave every array it holds unchanged."""
+    ms = random_measurements(np.random.default_rng(3), study_grid, 12)
+    refined = []
+    for model in (SPH, VariogramModel("gaussian", 0.0, 4.0, 1.4)):
+        system = assemble_system(ms, model, study_grid)
+        before = {name: np.copy(value) if isinstance(value, np.ndarray) else value
+                  for name, value in vars(system).items()}
+        solve_lattice(system)
+        solve_grid(system, build_grid(study_grid)[:7])
+        assert vars(system).keys() == before.keys()
+        for name, value in vars(system).items():
+            assert np.array_equal(value, before[name]) if isinstance(value, np.ndarray) else value is before[name]
+        refined.append(kriging.EPS * system.condition_estimate() ** 2 > kriging.INVERSE_VARIANCE_RTOL)
+    assert refined == [False, True]
 
 
 def test_near_singular_gaussian_lattice_matches_refined_lu():
