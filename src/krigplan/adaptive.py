@@ -64,7 +64,8 @@ FAST_PATH_VARIANCE_MIN = 1e-10
 # working memory whatever the grid and uncertain-set sizes, and keeps each
 # block's temporaries in cache: on the 5,600-cell grid, on a 2-core x86-64
 # host with single-threaded OpenBLAS, 2**16 scored about twice as fast as
-# 2**20.
+# 2**20.  The index, g and product blocks live in the campaign's _Workspace
+# (the index and the product share one), so a warm walk allocates no block.
 _SCORE_BLOCK_ELEMENTS = 2 ** 16
 
 # _fast_scores takes the closed form when the flagged targets number at
@@ -87,11 +88,12 @@ _CLOSED_FORM_TARGETS_PER_ROW = 10
 # the summed target variance (see _closed_form_scores).
 _CLOSED_FORM_RTOL = 1e-6
 
-# The closed form transforms its n + 2 planes this many at a time, reusing
-# one padded input from batch to batch.  All at once, the spectra of the
-# 5,600-cell grid take about 4 MB per pick, and the page faults of that
-# fresh memory cost about as much as the transforms.  np.fft has no
-# in-place transform, so every batch's m-axis spectra are fresh arrays;
+# The closed form transforms its n + 1 planes this many at a time, reusing
+# one padded input, kept in the campaign's _Workspace, from batch to batch
+# and pick to pick.  All at once, the spectra of the 5,600-cell grid take
+# about 4 MB per pick, and the page faults of that fresh memory cost about
+# as much as the transforms.  np.fft writes no output in place before numpy
+# 2.0 (the floor is 1.24), so every batch's spectra are fresh arrays;
 # batching keeps each a quarter of that size.  Closed-form CPU time per
 # pick, median of four runs of ten large_grid and four study_run campaigns
 # (seed 7) on a 2-core x86-64 host, all at once / four at a time: 9.1 /
@@ -114,6 +116,41 @@ def _next_fast_len(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+class _Workspace:
+    """Scratch storage for the scoring of a campaign's picks.
+
+    Fresh arrays cost a page fault per page on first touch, and on the
+    5,600-cell grid those faults took about as long as the arithmetic.  So
+    _fast_scores writes every large array into named slots of this storage
+    instead: the XT and D gathers in their own, the walk's index and product
+    blocks, or the closed form's convolutions, in "product", and the walk's
+    g block, or the closed form's kernel input and planes, in "g".  A pick
+    takes the walk or the closed form, never both, so they share storage.
+    n grows by one at every pick, so a slot that must grow takes twice what
+    it is asked for, and a few regrowths serve a campaign.  np.fft's outputs
+    still allocate: their out= needs numpy 2.0.
+
+    run_experiment owns one for its campaign and drops it when it returns;
+    every other step or view scores with a fresh one.  None outlives its
+    campaign: storage never freed keeps glibc's mmap threshold low, so more
+    np.fft outputs take fresh pages (on large_grid, seed 7: 7,930 faults per
+    campaign with one workspace for the process, 6,236 with one per campaign).
+    """
+
+    def __init__(self):
+        self._slots: dict[str, np.ndarray] = {}
+
+    def array(self, slot: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """A C-ordered array of shape and dtype (float64, int64 or
+        complex128) on slot's storage, holding whatever the slot's last use
+        left there."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize // 8  # in float64 items
+        if slot not in self._slots or self._slots[slot].size < size:
+            self._slots.pop(slot, None)  # free the old storage before taking more
+            self._slots[slot] = np.empty(2 * size)
+        return self._slots[slot][:size].view(dtype).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -217,10 +254,13 @@ class ExperimentState:
     def check(self) -> None:
         """Raise unless the measurements are distinct, the history is
         numbered 1..iteration, each record a distinct measured location, the
-        stop reason is known and a pending suggestion is exactly a grid
-        point.  Construction runs it; experiment_io.save_state runs it again
-        before writing, since the fields can be edited after construction."""
+        stop reason is known, the model is a VariogramModel or None and a
+        pending suggestion is exactly a grid point.  Construction runs it;
+        experiment_io.save_state runs it again before writing, since the
+        fields can be edited after construction."""
         ensure_unique_locations(self.measurements)
+        if self.model is not None and not isinstance(self.model, VariogramModel):
+            raise ConfigurationError(f"model must be a variogram model or None, got {self.model!r}")
         if self.stop_reason not in (None, STOP_NATURAL, STOP_BUDGET):
             raise ConfigurationError(f"unknown stop_reason {self.stop_reason!r}")
         if self.pending is not None:
@@ -361,7 +401,8 @@ def _stop_reason(state: ExperimentState, ev: _Evaluation) -> str | None:
     return None
 
 
-def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray) -> np.ndarray:
+def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray,
+                 workspace: _Workspace) -> np.ndarray:
     """Scores for every unmeasured candidate via the bordered-system identity.
 
     Appending candidate x to the measurement set extends the solved system by
@@ -384,7 +425,8 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     closed-form candidates the cancellation guard flags, are rescored by full
     re-assembly (rc_score).  A degenerate model has no solution (_evaluate):
     its scores are space-filling, each candidate's shortfall from the largest
-    nearest-measurement distance, so the farthest candidate scores 0.
+    nearest-measurement distance, so the farthest candidate scores 0.  Every
+    large array is written into workspace's storage.
     """
     idx = ev.unmeasured_idx
     if ev.model.is_degenerate:
@@ -392,22 +434,34 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
         return np.max(nearest, initial=0.0) - nearest
     variances = ev.variances[idx]
     cols = np.flatnonzero(indicators)
-    XT = ev.solution[:, idx].T
-    D = ev.system.lattice[:, idx[cols]]
+    XT = _gather_columns(ev.solution, idx, workspace, "XT").T
+    D = _gather_columns(ev.system.lattice, idx[cols], workspace, "D")
     safe = variances >= FAST_PATH_VARIANCE_MIN
     denom = np.where(safe, variances, 1.0)
     if len(cols) >= _CLOSED_FORM_TARGETS_PER_ROW * len(D):
-        scores, unsure = _closed_form_scores(ev, indicators, XT, D, variances, denom)
+        scores, unsure = _closed_form_scores(ev, indicators, XT, D, variances, denom, workspace)
         rescore = ~safe | unsure
     else:
-        scores = _walk_scores(ev, indicators, XT, D, variances, denom)
+        scores = _walk_scores(ev, indicators, XT, D, variances, denom, workspace)
         rescore = ~safe
     for pos in np.flatnonzero(rescore):
         scores[pos] = _score_by_reassembly(state, ev, indicators, int(pos))
     return scores
 
 
-def _walk_scores(ev: _Evaluation, indicators, XT, D, variances, denom) -> np.ndarray:
+def _gather_columns(matrix: np.ndarray, columns: np.ndarray, workspace: _Workspace, slot: str) -> np.ndarray:
+    """matrix[:, columns] on slot's storage, laid out as that index lays it
+    out: the transpose is C-ordered.  The einsum sums over the gathered rows
+    round by their layout, so it is kept; np.take writes C order only, so the
+    columns are taken into the "product" slot and transposed from there."""
+    taken = np.take(matrix, columns, axis=1, mode="clip",
+                    out=workspace.array("product", (len(matrix), len(columns))))
+    gathered = workspace.array(slot, (len(columns), len(matrix)))
+    np.copyto(gathered, taken.T)
+    return gathered.T
+
+
+def _walk_scores(ev: _Evaluation, indicators, XT, D, variances, denom, workspace: _Workspace) -> np.ndarray:
     """Every candidate's score, target by target, in blocks of candidate rows.
 
     Candidates and targets are lattice nodes, so g depends only on their
@@ -435,8 +489,11 @@ def _walk_scores(ev: _Evaluation, indicators, XT, D, variances, denom) -> np.nda
         self_rows = np.flatnonzero(indicators[block])
         self_cols = np.searchsorted(cols, start + self_rows)
 
-        g = np.take(gamma, offsets[block, None] + target_pos)
-        updated = XT[block] @ D
+        shape = (len(offsets[block]), len(cols))
+        # the gather's index and then the product share one block of storage
+        index = np.add(offsets[block, None], target_pos, out=workspace.array("product", shape, np.int64))
+        g = np.take(gamma, index, mode="clip", out=workspace.array("g", shape))
+        updated = np.matmul(XT[block], D, out=workspace.array("product", shape))
         updated -= g
         updated **= 2
         updated /= denom[block, None]
@@ -447,7 +504,7 @@ def _walk_scores(ev: _Evaluation, indicators, XT, D, variances, denom) -> np.nda
     return scores
 
 
-def _closed_form_scores(ev: _Evaluation, indicators, XT, D, variances, denom):
+def _closed_form_scores(ev: _Evaluation, indicators, XT, D, variances, denom, workspace: _Workspace):
     """(scores, unsure): every candidate's score in closed form, and which
     of them the cancellation guard leaves to re-assembly.
 
@@ -462,7 +519,9 @@ def _closed_form_scores(ev: _Evaluation, indicators, XT, D, variances, denom):
     under reversal of both axes, so they are convolutions (Dietrich &
     Newsam 1997, circulant embedding).  Real FFTs of _next_fast_len(2m-1) x
     _next_fast_len(2k-1), at least the table's size, give all n+2 of them
-    with no offset wrapping onto another.  The score is F clamped at 0.
+    with no offset wrapping onto another.  D's last row, the lattice's
+    border of ones on the targets, is the target indicator, so n+1 forward
+    transforms serve them.  The score is F clamped at 0.
 
     S / v(x) cancels against V when v(x) is small: its rounding is about
     eps (|Q| + 2 |R| + |H|) / v(x).  Candidates where that exceeds
@@ -476,30 +535,42 @@ def _closed_form_scores(ev: _Evaluation, indicators, XT, D, variances, denom):
     n1 = len(D)
     cols = np.flatnonzero(indicators)
     shape = (_next_fast_len(2 * m - 1), _next_fast_len(2 * k - 1))
-    kernels = np.fft.rfft2(np.stack([table, table * table]), s=shape)
+    stacked = workspace.array("g", (2,) + table.shape)
+    stacked[0] = table
+    np.multiply(table, table, out=stacked[1])
+    kernels = np.fft.rfft2(stacked, s=shape)
     targets = np.divmod(idx[cols], k)
     row, col = np.divmod(idx, k)
-    values = np.vstack([D, np.ones(len(cols))])
-    conv = np.empty((n1 + 1, len(idx)))
+    nodes = row * shape[1] + (col + k - 1)  # each candidate's flat index in a convolved plane
+    q_self = np.zeros(len(idx))
+    target_rows = np.take(XT, cols, axis=0, mode="clip", out=workspace.array("product", (len(cols), n1)))
+    q_self[cols] = np.einsum("ti,it->t", target_rows, D)
+    conv = workspace.array("product", (n1 + 1, len(idx)))
+
+    def inverse(spectra, rows: slice) -> None:
+        s = np.fft.ifft(spectra, axis=1)
+        convolved = np.fft.irfft(s[:, m - 1:2 * m - 1], n=shape[1])
+        np.take(convolved.reshape(len(s), -1), nodes, axis=1, mode="clip", out=conv[rows])
+
     # rfft2 and irfft2 one axis at a time, so that the k-axis transforms
     # skip the rows that are padding on the way in and unused on the way out.
     # Each batch reuses the same zero-padded input, of which only the target
     # nodes are written; the m-axis transform pads its m rows of spectra.
-    planes = np.zeros((min(_FFT_PLANES, n1 + 1), m, shape[1]))
-    for start in range(0, n1 + 1, _FFT_PLANES):
-        batch = values[start:start + _FFT_PLANES]
-        b = len(batch)
-        planes[:b, targets[0], targets[1]] = batch
-        s = np.fft.fft(np.fft.rfft(planes[:b]), n=shape[0], axis=1)
-        s[:n1 - start] *= kernels[0]  # rows of D
-        s[n1 - start:] *= kernels[1]  # the target indicator, in the last batch
-        s = np.fft.ifft(s, axis=1)
-        conv[start:start + b] = np.fft.irfft(s[:, m - 1:2 * m - 1], n=shape[1])[:, row, col + k - 1]
-    C, H = conv[:n1], conv[n1]
-    R = np.einsum("pi,ip->p", XT, C)
-    Q = np.einsum("pi,pi->p", XT @ (D @ D.T), XT)
-    q_self = np.zeros(len(idx))
-    q_self[cols] = np.einsum("ti,it->t", XT[cols], D)
+    planes = workspace.array("g", (min(_FFT_PLANES, n1), m, shape[1]))
+    planes.fill(0.0)
+    for start in range(0, n1, _FFT_PLANES):
+        stop = min(start + _FFT_PLANES, n1)
+        planes[:stop - start, targets[0], targets[1]] = D[start:stop]
+        s = np.fft.fft(np.fft.rfft(planes[:stop - start]), n=shape[0], axis=1)
+        if stop == n1:  # the indicator's spectrum, D's last; the planes are spent
+            spectrum = workspace.array("g", (1,) + s.shape[1:], np.complex128)
+            inverse(np.multiply(s[-1:], kernels[1], out=spectrum), slice(n1, n1 + 1))
+        s *= kernels[0]
+        inverse(s, slice(start, stop))
+    H = conv[n1]
+    R = np.einsum("pi,ip->p", XT, conv[:n1])
+    # the rows of conv that R read take X Gram
+    Q = np.einsum("pi,pi->p", np.matmul(XT, D @ D.T, out=conv[:n1].reshape(len(idx), n1)), XT)
     target_var_sum = float(variances[cols].sum())
     V = target_var_sum - np.where(indicators, variances, 0.0)
     S = Q - 2 * R + H - q_self * q_self
@@ -570,7 +641,8 @@ def candidate_scores(state: ExperimentState, indicators=None):
     Raises InsufficientDataError while the initial design is incomplete.
     """
     ev, ind = _scoring_view(state, indicators)
-    return [state.config.grid.point(i) for i in ev.unmeasured_idx.tolist()], _fast_scores(state, ev, ind)
+    scores = _fast_scores(state, ev, ind, _Workspace())
+    return [state.config.grid.point(i) for i in ev.unmeasured_idx.tolist()], scores
 
 
 def _argmin_tied(scores: np.ndarray) -> int:
@@ -579,9 +651,9 @@ def _argmin_tied(scores: np.ndarray) -> int:
     return int(np.argmax(scores <= smin + tol))
 
 
-def _pick(state: ExperimentState, ev: _Evaluation) -> tuple[int, float]:
+def _pick(state: ExperimentState, ev: _Evaluation, workspace: _Workspace) -> tuple[int, float]:
     """(position among the unmeasured points, score) of the next measurement."""
-    scores = _fast_scores(state, ev, ev.indicators)
+    scores = _fast_scores(state, ev, ev.indicators, workspace)
     pos = _argmin_tied(scores)
     return pos, float(scores[pos])
 
@@ -601,7 +673,7 @@ def select_next(state: ExperimentState) -> Combination | None:
     ev = _fit(state)
     if _stop_reason(state, ev) == STOP_NATURAL:
         return None
-    return ev.candidate(_pick(state, ev)[0])
+    return ev.candidate(_pick(state, ev, _Workspace())[0])
 
 
 def check_stop(state: ExperimentState) -> str | None:
@@ -642,8 +714,9 @@ def run_experiment(config: ExperimentConfig, oracle, state: ExperimentState | No
     elif state.config != config:
         raise ConfigurationError("state was created under a different config")
 
+    workspace = _Workspace()
     while True:
-        suggestion, _ = suggest_next(state)
+        suggestion, _ = _suggest(state, workspace)
         if suggestion is None:
             break
         try:
@@ -667,6 +740,11 @@ def suggest_next(state: ExperimentState) -> tuple[PendingSuggestion | None, str 
     fits and stores when the state has none.  The suggestion is also stored
     on state.pending so the completing append can record the audit entry.
     """
+    return _suggest(state, _Workspace())
+
+
+def _suggest(state: ExperimentState, workspace: _Workspace) -> tuple[PendingSuggestion | None, str | None]:
+    """suggest_next, scoring in workspace."""
     point = _next_design_point(state)
     if point is not None:
         state.pending = PendingSuggestion(location=point, phase="initial")
@@ -677,7 +755,7 @@ def suggest_next(state: ExperimentState) -> tuple[PendingSuggestion | None, str 
     if state.stop_reason is not None:
         state.pending = None
         return None, state.stop_reason
-    pos, score = _pick(state, ev)
+    pos, score = _pick(state, ev, workspace)
     state.pending = PendingSuggestion(
         location=ev.candidate(pos),
         phase="adaptive",

@@ -191,17 +191,19 @@ def state_to_dict(state: ExperimentState, oracle_spec: dict) -> dict:
                          [_record_fields(rec) for rec in state.history])
 
 
+_PENDING_AUDIT = (("rc_score", as_float), ("model", _model_from_dict), ("n_uncertain", as_int))
+
+
 def _pending_from_dict(pend: dict, grid: GridSpec) -> PendingSuggestion:
+    """An adaptive suggestion's score, model and count must be there.  An
+    initial one's are null, as save_state writes them, or absent; one that
+    is given is read, and PendingSuggestion refuses it, as it refuses a phase
+    it does not know."""
     location = grid.snap(as_float(pend["m"]), as_float(pend["k"]))
-    if pend["phase"] == "initial":
-        return PendingSuggestion(location=location, phase="initial")
-    return PendingSuggestion(  # PendingSuggestion refuses a phase it does not know
-        location=location,
-        phase=pend["phase"],
-        rc_score=as_float(pend["rc_score"]),
-        model=_model_from_dict(pend["model"]),
-        n_uncertain=as_int(pend["n_uncertain"]),
-    )
+    initial = pend["phase"] == "initial"
+    audit = {name: None if initial and pend.get(name) is None else parse(pend[name])
+             for name, parse in _PENDING_AUDIT}
+    return PendingSuggestion(location=location, phase=pend["phase"], **audit)
 
 
 def state_from_dict(data: dict) -> tuple[ExperimentState, dict]:

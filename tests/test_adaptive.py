@@ -303,14 +303,14 @@ def test_screened_pick_matches_the_full_argmin():
         state, oracle = grid_campaign_start(grid)
         for _ in range(3):
             ev = adaptive._fit(state)
-            pos, score = adaptive._pick(state, ev)
+            pos, score = adaptive._pick(state, ev, adaptive._Workspace())
             _, scores = candidate_scores(state)
             best = adaptive._argmin_tied(scores)
             assert (pos, repr(score)) == (best, repr(float(scores[best])))
             forced = []
             for per_row in (0, 10**9):
                 with mock.patch.object(adaptive, "_CLOSED_FORM_TARGETS_PER_ROW", per_row):
-                    forced.append(adaptive._pick(state, ev))
+                    forced.append(adaptive._pick(state, ev, adaptive._Workspace()))
             assert forced[0][0] == forced[1][0] == pos
             assert forced[0][1] == pytest.approx(forced[1][1], rel=1e-11, abs=0)
             location = ev.candidate(pos)
@@ -334,7 +334,7 @@ def test_scoring_memory_stays_below_one_candidate_matrix():
             with mock.patch.object(adaptive, "_CLOSED_FORM_TARGETS_PER_ROW", per_row), \
                     mock.patch.object(adaptive, "_closed_form_scores",
                                       wraps=adaptive._closed_form_scores) as spy:
-                adaptive._fast_scores(state, ev, ev.indicators)
+                adaptive._fast_scores(state, ev, ev.indicators, adaptive._Workspace())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -345,6 +345,127 @@ def test_scoring_memory_stays_below_one_candidate_matrix():
             # eight float64 per cell of each of the n + 2 planes, padded to
             # about four times the grid
             assert peak < 64 * (len(state.measurements) + 2) * 4 * grid.point_count
+
+
+def large_grid_config():
+    """The benchmark's large_grid campaign: the 5,600-cell grid from its 3x4
+    design, 8 picks."""
+    design = evenly_spaced_design(LARGE_GRID, 3, 4)
+    return ExperimentConfig(LARGE_GRID, 4.0, tuple(design), max_iterations=8, seed=7)
+
+
+def workspace_bytes(workspace):
+    return sum(storage.nbytes for storage in workspace._slots.values())
+
+
+@pytest.mark.parametrize("config", [study_config(seed=7), large_grid_config()],
+                         ids=["criterion-6", "5600-cells"])
+def test_reusing_the_workspace_is_invisible(config):
+    """At every pick of a campaign, walked on every pick and then in closed
+    form on every pick, the scores in the campaign's workspace equal, bit for
+    bit, those in a fresh one.  The flagged targets shrink at some picks,
+    and the closed form's count of transform batches grows at others."""
+    fast_scores = adaptive._fast_scores
+    for per_row in (10**9, 0):
+        picks = []
+
+        def compared(state, ev, indicators, workspace):
+            scores = fast_scores(state, ev, indicators, workspace)
+            assert np.array_equal(scores, fast_scores(state, ev, indicators, adaptive._Workspace()))
+            batches = -(-(len(state.measurements) + 1) // adaptive._FFT_PLANES)
+            picks.append((int(indicators.sum()), batches))
+            return scores
+
+        with mock.patch.multiple(adaptive, _fast_scores=compared, _CLOSED_FORM_TARGETS_PER_ROW=per_row):
+            state = run_experiment(config, SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7))
+        assert len(picks) == state.iteration == config.max_iterations
+        flagged, batches = zip(*picks)
+        assert any(later < earlier for earlier, later in zip(flagged, flagged[1:]))
+        assert any(later > earlier for earlier, later in zip(batches, batches[1:]))
+
+
+def test_interleaved_campaigns_on_one_workspace_match_their_runs_alone(unit_grid_5x5):
+    """Criterion 6's campaign and one on a 5 x 5 unit grid, stepped in turn
+    through one workspace, so that its arrays change shape at every pick,
+    record the histories that each records alone."""
+    design = tuple(evenly_spaced_design(unit_grid_5x5, 2, 2))
+    runs = [(study_config(seed=7), SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7)),
+            (ExperimentConfig(unit_grid_5x5, 5.5, design, max_iterations=10, seed=7),
+             SyntheticLogisticOracle(boundary_ratio=1.0, noise_std=NOISE_STD, seed=7))]
+    alone = [run_experiment(config, oracle).history for config, oracle in runs]
+    assert [len(history) for history in alone] == [50, 10]
+    workspace = adaptive._Workspace()
+    states = [ExperimentState(config) for config, _ in runs]
+    stepping = [0, 1]
+    while stepping:
+        for i in list(stepping):
+            suggestion, _ = adaptive._suggest(states[i], workspace)
+            if suggestion is None:
+                stepping.remove(i)
+                continue
+            value = runs[i][1].evaluate(suggestion.location)
+            record_appended_measurement(states[i], Measurement(suggestion.location, value))
+    assert [state.history for state in states] == alone
+
+
+def traced_peak(call, *args):
+    """(result, peak bytes traced while call ran), np.fft's arrays excepted:
+    tracing stops around each np.fft call, so what a transform allocates,
+    and its freeing later, is not counted."""
+    segment_peaks = []
+
+    def untraced(transform):
+        def call_untraced(*args, **kwargs):
+            segment_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            try:
+                return transform(*args, **kwargs)
+            finally:
+                tracemalloc.start()
+        return call_untraced
+
+    transforms = {name: untraced(getattr(np.fft, name)) for name in ("rfft2", "rfft", "fft", "ifft", "irfft")}
+    tracemalloc.start()
+    try:
+        with mock.patch.multiple(np.fft, **transforms):
+            result = call(*args)
+        segment_peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return result, max(segment_peaks)
+
+
+def test_a_warm_pick_allocates_nothing_large():
+    """From the second pick of a campaign on, a walked pick of criterion 6
+    allocates less than 64 KB beyond the iteration buffers numpy's ufuncs
+    take for a broadcast operand, and a closed-form pick of the 5,600-cell
+    campaign, its np.fft arrays aside, no more than that and 16 vectors of
+    the candidate count.  Picks at which the workspace grows are excepted,
+    and they are few: it grows geometrically.  Taking one fresh (n+1) x U
+    gather, or one fresh walk block, breaks either bound."""
+    block = np.ones((128, adaptive._SCORE_BLOCK_ELEMENTS // 128))
+    column, row = np.ones((len(block), 1)), np.ones(block.shape[1])
+    buffers = max(traced_peak(np.add, column.astype(np.int64), row.astype(np.int64), block.view(np.int64))[1],
+                  traced_peak(np.divide, block, column, block)[1],
+                  traced_peak(np.subtract, row, block, block)[1])
+    fast_scores = adaptive._fast_scores
+    for config, walked in ((study_config(seed=7), True), (large_grid_config(), False)):
+        picks = []
+
+        def measured(state, ev, indicators, workspace):
+            before = workspace_bytes(workspace)
+            scores, peak = traced_peak(fast_scores, state, ev, indicators, workspace)
+            closed = indicators.sum() >= adaptive._CLOSED_FORM_TARGETS_PER_ROW * len(ev.solution)
+            picks.append((closed, workspace_bytes(workspace) > before, peak, len(scores)))
+            return scores
+
+        with mock.patch.object(adaptive, "_fast_scores", measured):
+            run_experiment(config, SyntheticLogisticOracle(noise_std=NOISE_STD, seed=7))
+        assert sum(grew for _, grew, _, _ in picks) <= max(3, len(picks) // 5)
+        warm = [(peak, n) for closed, grew, peak, n in picks[1:] if closed != walked and not grew]
+        assert len(warm) >= len(picks) // 2
+        for peak, n in warm:
+            assert peak < 2**16 + buffers + (0 if walked else 16 * 8 * n)
 
 
 def test_rc_score_matches_batch(unit_grid_5x5):

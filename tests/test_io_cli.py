@@ -339,6 +339,8 @@ SPEC = {"kind": "synthetic_logistic"}
     pytest.param(_pending(Combination(1.0, 2.0), "initial", 1.0), SPEC, "carries no score, model or count",
                  id="pending-initial-scored"),
     pytest.param(_unmodelled_record, SPEC, "history record 3 has no variogram model", id="history-model-none"),
+    pytest.param(lambda state: setattr(state, "model", "x"), SPEC,
+                 "model must be a variogram model or None, got 'x'", id="model-str"),
     pytest.param(_pending(Combination(0.55, 1.0), "initial"), SPEC, "(0.55, 1.0) is not on the measurement grid",
                  id="pending-off-grid"),
     pytest.param(lambda state: None, ["x"], "oracle spec must be an object", id="oracle-list"),
@@ -403,6 +405,39 @@ def test_load_rejects_mistyped_field(path, value):
     target[path[-1]] = value
     with pytest.raises(SchemaError):
         state_from_dict(payload)
+
+
+@pytest.mark.parametrize("carried", [
+    pytest.param({"rc_score": 1.5, "model": {"x": 1}, "n_uncertain": 3}, id="all-three"),
+    pytest.param({"rc_score": 1.5}, id="score"),
+    pytest.param({"model": "recorded"}, id="model"),
+    pytest.param({"n_uncertain": 3}, id="count"),
+])
+def test_load_refuses_an_initial_pending_that_carries_a_score_model_or_count(tmp_path, capsys, carried):
+    """save_state refuses such a pending suggestion, so load_state refuses
+    it too, and every command exits 2 on the file.  With each field null,
+    as save_state writes it, or absent, it loads as a bare initial one."""
+    config_path = write_config(tmp_path, {"max_iterations": 1})
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = tmp_path / "demo.json"
+    assert main(["run", str(exp_path)]) == 0
+    payload = json.loads(exp_path.read_text())
+    design = payload["config"]["initial_design"][0]
+    bare = {"m": design[0], "k": design[1], "phase": "initial"}
+    for pending in (bare, {**bare, "rc_score": None, "model": None, "n_uncertain": None}):
+        payload["pending_suggestion"] = pending
+        loaded = state_from_dict(payload)[0].pending
+        assert loaded == PendingSuggestion(Combination(*design), "initial")
+    if carried.get("model") == "recorded":
+        carried = {"model": payload["history"][0]["model"]}
+    payload["pending_suggestion"] = {**bare, "rc_score": None, "model": None, "n_uncertain": None, **carried}
+    with pytest.raises(KrigplanError):
+        state_from_dict(payload)
+    exp_path.write_text(json.dumps(payload))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    for command in ("report", "step", "run"):
+        assert main([command, str(exp_path)]) == 2, command
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 NAN, INF = float("nan"), float("inf")

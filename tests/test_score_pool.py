@@ -107,7 +107,7 @@ def test_criterion_6_takes_the_closed_form_early_and_the_walk_late():
         ev.indicators = np.arange(len(ev.unmeasured_idx)) < flagged
         with mock.patch.multiple(adaptive, _closed_form_scores=spy("_closed_form_scores"),
                                  _walk_scores=spy("_walk_scores")):
-            adaptive._pick(state, ev)
+            adaptive._pick(state, ev, adaptive._Workspace())
         assert paths == [path]
 
 
@@ -133,7 +133,7 @@ def test_one_semivariance_table_per_fit_and_pick():
                 mock.patch.object(kriging, "eval_model", wraps=kriging.eval_model) as spy:
             ev = adaptive._fit(state)
             ev.indicators = ones
-            adaptive._pick(state, ev)
+            adaptive._pick(state, ev, adaptive._Workspace())
         assert closed.call_count == int(per_row == 0)
         assert spy.call_count == 1
 
