@@ -37,7 +37,7 @@ from .errors import (
     NumericalFailureError,
     OracleMissError,
 )
-from .grid import Combination, GridSpec, Measurement, ensure_unique_locations, pair_distances
+from .grid import Combination, GridSpec, Measurement, distinct_indices, pair_distances
 from .kriging import EPS, KrigingSystem, LatticePrediction, _solve, assemble_system, solve_lattice, z_quantile
 from .region import LABELS, UNCERTAIN, classify_cells
 from .variogram import VariogramModel, _ranked_fits, empirical_variogram, select_model
@@ -176,13 +176,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"seed must be in [-2**63, 2**63), got {self.seed}")
         design = tuple(self.initial_design)
         object.__setattr__(self, "initial_design", design)
-        seen = set()
-        for c, index in zip(design, self.grid.flat_indices(design).tolist()):
-            if index < 0:
-                raise ConfigurationError(f"initial design point ({c.m}, {c.k}) is not on the grid")
-            if index in seen:
-                raise DuplicateLocationError(f"duplicate initial design point ({c.m}, {c.k})")
-            seen.add(index)
+        distinct_indices(self.grid, design)
         # The first fit's empirical variogram needs two measurements; a
         # smaller design would spend an oracle call before failing on it.
         if len(design) < 2:
@@ -217,25 +211,26 @@ class IterationRecord:
 @dataclass(frozen=True)
 class PendingSuggestion:
     """A suggestion produced by one fit+selection step, awaiting its
-    measurement.  An initial-design suggestion carries no score, model or
-    count; an adaptive one carries all three."""
+    measurement.  It carries a score, a model and a count, or none of them:
+    an initial-design suggestion has none, an adaptive one all three."""
 
     location: Combination
-    phase: str  # "initial" or "adaptive"
     rc_score: float | None = None
     model: VariogramModel | None = None
     n_uncertain: int | None = None
 
     def __post_init__(self):
-        if self.phase == "initial":
-            if (self.rc_score, self.model, self.n_uncertain) != (None, None, None):
-                raise ConfigurationError("an initial-design pending suggestion carries no score, model or count")
-        elif self.phase == "adaptive":
-            if self.rc_score is None or self.n_uncertain is None or not isinstance(self.model, VariogramModel):
-                raise ConfigurationError("an adaptive pending suggestion needs a score, a model and a count")
-        else:
-            raise ConfigurationError(f"unknown pending phase {self.phase!r}")
+        given = [value is not None for value in (self.rc_score, self.model, self.n_uncertain)]
+        if any(given) and not (all(given) and isinstance(self.model, VariogramModel)):
+            raise ConfigurationError("a pending suggestion carries a score, a variogram model and a count, "
+                                     "or none of them")
         _check_audit_values(self.rc_score, self.n_uncertain)
+
+    @property
+    def phase(self) -> str:
+        """The design phase: "initial" when the suggestion carries no score,
+        model or count, "adaptive" when it carries all three."""
+        return "initial" if self.model is None else "adaptive"
 
 
 @dataclass
@@ -243,7 +238,6 @@ class ExperimentState:
     config: ExperimentConfig
     measurements: list[Measurement] = field(default_factory=list)
     model: VariogramModel | None = None  # the fit of the current measurements, or None
-    iteration: int = 0
     history: list[IterationRecord] = field(default_factory=list)
     stop_reason: str | None = None
     pending: PendingSuggestion | None = None
@@ -251,26 +245,26 @@ class ExperimentState:
     def __post_init__(self):
         self.check()
 
+    @property
+    def iteration(self) -> int:
+        """The number of adaptive measurements: one history record each."""
+        return len(self.history)
+
     def check(self) -> None:
-        """Raise unless the measurements are distinct, the history is
-        numbered 1..iteration, each record a distinct measured location, the
-        stop reason is known, the model is a VariogramModel or None and a
-        pending suggestion is exactly a grid point.  Construction runs it;
-        experiment_io.save_state runs it again before writing, since the
-        fields can be edited after construction."""
-        ensure_unique_locations(self.measurements)
+        """Raise unless the measurements are distinct grid points and a
+        pending suggestion is a grid point (grid.distinct_indices), the
+        history is numbered 1, 2, ..., each record a distinct measured
+        location, the stop reason is known and the model is a VariogramModel
+        or None.  Construction runs it; experiment_io.save_state runs it
+        again before writing, since the fields can be edited after
+        construction."""
+        distinct_indices(self.config.grid, [m.location for m in self.measurements])
+        if self.pending is not None:
+            distinct_indices(self.config.grid, [self.pending.location])
         if self.model is not None and not isinstance(self.model, VariogramModel):
             raise ConfigurationError(f"model must be a variogram model or None, got {self.model!r}")
         if self.stop_reason not in (None, STOP_NATURAL, STOP_BUDGET):
             raise ConfigurationError(f"unknown stop_reason {self.stop_reason!r}")
-        if self.pending is not None:
-            p = self.pending.location
-            if self.config.grid.snap(p.m, p.k) != p:  # snap raises for a point off the grid
-                raise ConfigurationError(f"pending suggestion ({p.m}, {p.k}) is not exactly a grid point")
-        if self.iteration < 0 or len(self.history) != self.iteration:
-            raise ConfigurationError(
-                f"history length {len(self.history)} does not match iteration {self.iteration}"
-            )
         unpicked = self.measured_locations()
         for number, record in enumerate(self.history, start=1):
             if record.iteration != number:
@@ -747,7 +741,7 @@ def _suggest(state: ExperimentState, workspace: _Workspace) -> tuple[PendingSugg
     """suggest_next, scoring in workspace."""
     point = _next_design_point(state)
     if point is not None:
-        state.pending = PendingSuggestion(location=point, phase="initial")
+        state.pending = PendingSuggestion(location=point)
         return state.pending, None
 
     ev = _fit(state)
@@ -758,7 +752,6 @@ def _suggest(state: ExperimentState, workspace: _Workspace) -> tuple[PendingSugg
     pos, score = _pick(state, ev, workspace)
     state.pending = PendingSuggestion(
         location=ev.candidate(pos),
-        phase="adaptive",
         rc_score=score,
         model=ev.model,
         n_uncertain=ev.n_uncertain,
@@ -780,9 +773,8 @@ def record_appended_measurement(state: ExperimentState, measurement: Measurement
     pending = state.pending
     if pending is not None and pending.location == loc:
         if pending.phase == "adaptive":
-            state.iteration += 1
             state.history.append(IterationRecord(
-                iteration=state.iteration,
+                iteration=state.iteration + 1,
                 location=loc,
                 rc_score=float(pending.rc_score),
                 model=pending.model,

@@ -38,7 +38,7 @@ from .errors import (
     OracleMissError,
 )
 from .grid import Measurement
-from .oracle import REPLAY_KIND, SYNTHETIC_KIND, build_oracle
+from .oracle import SYNTHETIC_KIND, build_oracle, check_oracle_spec
 from .region import LatticeRegion, contour_lines, largest_region
 
 # Not called here, but the benchmark's tracer (perfbench/spans.py) wraps
@@ -81,15 +81,10 @@ def _load_config(path: str) -> tuple[ExperimentConfig, dict, str]:
         raise ConfigurationError(f"{path}: config is missing or mistypes a field: {exc!r}") from None
 
     oracle_spec = data.get("oracle")
-    if not isinstance(oracle_spec, dict) or "kind" not in oracle_spec:
-        raise ConfigurationError(f"{path}: config needs an 'oracle' object with a 'kind'")
-    if oracle_spec["kind"] == SYNTHETIC_KIND:
-        build_oracle(oracle_spec, config.grid, default_seed=config.seed)  # validates parameters
-    elif oracle_spec["kind"] == REPLAY_KIND:
-        if not isinstance(oracle_spec.get("path"), str):
-            raise ConfigurationError(f"{path}: table_replay oracle needs a 'path' string")
-    else:
-        raise ConfigurationError(f"{path}: unknown oracle kind {oracle_spec['kind']!r}")
+    try:
+        check_oracle_spec(oracle_spec, default_seed=config.seed)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     return config, oracle_spec, name
 
 

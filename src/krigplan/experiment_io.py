@@ -197,13 +197,17 @@ _PENDING_AUDIT = (("rc_score", as_float), ("model", _model_from_dict), ("n_uncer
 def _pending_from_dict(pend: dict, grid: GridSpec) -> PendingSuggestion:
     """An adaptive suggestion's score, model and count must be there.  An
     initial one's are null, as save_state writes them, or absent; one that
-    is given is read, and PendingSuggestion refuses it, as it refuses a phase
-    it does not know."""
+    is given is read, and PendingSuggestion refuses a suggestion that
+    carries some but not all three.  The file's phase must be the one those
+    fields give the suggestion."""
     location = grid.snap(as_float(pend["m"]), as_float(pend["k"]))
-    initial = pend["phase"] == "initial"
-    audit = {name: None if initial and pend.get(name) is None else parse(pend[name])
+    phase = pend["phase"]
+    audit = {name: None if phase == "initial" and pend.get(name) is None else parse(pend[name])
              for name, parse in _PENDING_AUDIT}
-    return PendingSuggestion(location=location, phase=pend["phase"], **audit)
+    pending = PendingSuggestion(location=location, **audit)
+    if pending.phase != phase:
+        raise SchemaError(f"pending phase {phase!r} does not match its score, model and count")
+    return pending
 
 
 def state_from_dict(data: dict) -> tuple[ExperimentState, dict]:
@@ -229,12 +233,13 @@ def state_from_dict(data: dict) -> tuple[ExperimentState, dict]:
             )
             for rec in data["history"]
         ]
+        if as_int(data["iteration"]) != len(history):
+            raise SchemaError(f"iteration {data['iteration']} does not match the {len(history)} history records")
         pend = data.get("pending_suggestion")
         state = ExperimentState(
             config=config,
             measurements=measurements,
             model=None if data["model"] is None else _model_from_dict(data["model"]),
-            iteration=as_int(data["iteration"]),
             history=history,
             stop_reason=data.get("stop_reason"),
             pending=None if pend is None else _pending_from_dict(pend, grid),

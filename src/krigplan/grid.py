@@ -17,6 +17,13 @@ from .errors import ConfigurationError, DuplicateLocationError
 # Absolute tolerance for deciding that a coordinate sits on a lattice node.
 SNAP_TOL = 1e-9
 
+# GridSpec.flat_indices maps lists up to this long in a Python loop and longer
+# ones with numpy.  On a 2-core x86-64 host the two cost the same at about 50
+# locations when called back to back, but inside krigplan init and run, where
+# numpy's per-call overhead grows, at about 100: 12 against 46 us below 20
+# locations, 54 against 65 us at 80 to 99.
+_LOOP_LOCATIONS = 100
+
 # Largest grid the planner accepts (18x the 5,600-cell benchmark grid).
 # Grid solves, indicators and the point list all grow with the point count.
 MAX_GRID_POINTS = 100_000
@@ -137,17 +144,39 @@ class GridSpec:
 
     def flat_indices(self, locations) -> np.ndarray:
         """Row-major index (see point) of each location, an int64 array
-        aligned with locations: -1 where a location is not exactly a grid point."""
-        m = np.fromiter((c.m for c in locations), float, len(locations))
-        k = np.fromiter((c.k for c in locations), float, len(locations))
-        flat = np.full(len(locations), -1, dtype=np.int64)
-        with np.errstate(over="ignore"):
-            i = np.rint((m - self.m_min) / self.m_stride)
-            j = np.rint((k - self.k_min) / self.k_stride)
-            on = ((0 <= i) & (i < self.m_count) & (self.m_min + i * self.m_stride == m)
-                  & (0 <= j) & (j < self.k_count) & (self.k_min + j * self.k_stride == k))
-        flat[on] = i[on].astype(np.int64) * self.k_count + j[on].astype(np.int64)
-        return flat
+        aligned with locations: -1 where a location is not exactly a grid point.
+
+        Short lists, such as the design, measurements and pending point
+        checked on every save and fit, are mapped in a Python loop, long ones
+        such as a whole grid of targets by numpy (see _LOOP_LOCATIONS), by
+        the same arithmetic.  On the 5,600-point grid the loop took 2.4 ms
+        against numpy's 0.4 ms.
+        """
+        if len(locations) > _LOOP_LOCATIONS:
+            m = np.fromiter((c.m for c in locations), float, len(locations))
+            k = np.fromiter((c.k for c in locations), float, len(locations))
+            flat = np.full(len(locations), -1, dtype=np.int64)
+            with np.errstate(over="ignore"):
+                i = np.rint((m - self.m_min) / self.m_stride)
+                j = np.rint((k - self.k_min) / self.k_stride)
+                on = ((0 <= i) & (i < self.m_count) & (self.m_min + i * self.m_stride == m)
+                      & (0 <= j) & (j < self.k_count) & (self.k_min + j * self.k_stride == k))
+            flat[on] = i[on].astype(np.int64) * self.k_count + j[on].astype(np.int64)
+            return flat
+        m_min, m_stride, m_count = self.m_min, self.m_stride, self.m_count
+        k_min, k_stride, k_count = self.k_min, self.k_stride, self.k_count
+        flat = []
+        for c in locations:
+            i = (c.m - m_min) / m_stride
+            j = (c.k - k_min) / k_stride
+            index = -1
+            if -1 < i < m_count and -1 < j < k_count:  # round() refuses an infinite i or j
+                i, j = round(i), round(j)  # half to even, as np.rint
+                if (0 <= i < m_count and 0 <= j < k_count
+                        and m_min + i * m_stride == c.m and k_min + j * k_stride == c.k):
+                    index = i * k_count + j
+            flat.append(index)
+        return np.array(flat, dtype=np.int64)
 
     def flat_index(self, c: Combination) -> int | None:
         """Row-major index of the grid point equal to c, or None when c is
@@ -234,16 +263,20 @@ def pair_distances(spec: GridSpec, src: np.ndarray, dst: np.ndarray) -> np.ndarr
     return _offset_length(spec, ii - i, jj - j)
 
 
-def ensure_unique_locations(measurements) -> None:
-    # Combinations are equal exactly when their (m, k) tuples are, and the
-    # tuples hash without a Python-level __hash__ call.
+def distinct_indices(spec: GridSpec, locations) -> np.ndarray:
+    """Row-major indices of locations, which must be distinct grid points:
+    the first location in list order that is not exactly a grid point raises
+    ConfigurationError, and the first that repeats an earlier one raises
+    DuplicateLocationError, naming it."""
+    flat = spec.flat_indices(locations)
     seen = set()
-    for meas in measurements:
-        loc = meas.location
-        key = (loc.m, loc.k)
-        if key in seen:
-            raise DuplicateLocationError(f"duplicate measurement at ({loc.m}, {loc.k})")
-        seen.add(key)
+    for c, index in zip(locations, flat.tolist()):
+        if index < 0:
+            raise ConfigurationError(f"location ({c.m}, {c.k}) is not a point of the grid")
+        if index in seen:
+            raise DuplicateLocationError(f"duplicate location ({c.m}, {c.k})")
+        seen.add(index)
+    return flat
 
 
 def evenly_spaced_design(spec: GridSpec, n_m: int, n_k: int) -> list[Combination]:

@@ -42,7 +42,7 @@ from .errors import (
     InsufficientDataError,
     NumericalFailureError,
 )
-from .grid import Combination, GridSpec, ensure_unique_locations, grid_indices, offset_distances, pair_distances
+from .grid import Combination, GridSpec, distinct_indices, grid_indices, offset_distances, pair_distances
 from .variogram import VariogramModel, eval_model
 
 # Two-sided normal quantiles for the supported confidence levels
@@ -96,10 +96,11 @@ class Prediction:
 class KrigingSystem:
     """Bordered semivariance system for a fixed measurement set and model.
 
-    Every measurement must be a grid point of spec (ConfigurationError names
-    the first that is not).  The model is evaluated once, over
-    offset_distances(spec), into table: the semivariance of any two grid
-    points is its entry at their index offset.  lattice holds the (n+1, P)
+    The measurements must be distinct grid points of spec
+    (grid.distinct_indices names the first that is not).  The model is
+    evaluated once, over offset_distances(spec), into table: the
+    semivariance of any two grid points is its entry at their index
+    offset.  lattice holds the (n+1, P)
     right-hand sides of every grid point in row-major order, each
     measurement's row one window of table and the last row the border of
     ones.  It is copied once, here, and is read-only; the matrix and every
@@ -112,11 +113,10 @@ class KrigingSystem:
         measurements = list(measurements)
         if not measurements:
             raise InsufficientDataError("kriging needs at least one measurement")
-        ensure_unique_locations(measurements)
         self.model = model
         self.spec = spec
         self.values = np.array([m.response for m in measurements], dtype=float)
-        self.flat = grid_indices(spec, [m.location for m in measurements], "measurement")
+        self.flat = distinct_indices(spec, [m.location for m in measurements])
         self.table = eval_model(model, offset_distances(spec))
 
         n, m_count, k_count = len(measurements), spec.m_count, spec.k_count

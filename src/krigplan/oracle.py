@@ -211,8 +211,16 @@ REPLAY_KIND = "table_replay"
 
 def build_oracle(spec_dict: dict, grid: GridSpec, default_seed: int = 0):
     """Construct a response source from its JSON description."""
+    oracle = check_oracle_spec(spec_dict, default_seed)
+    return TableReplayOracle.from_csv(spec_dict["path"], grid) if oracle is None else oracle
+
+
+def check_oracle_spec(spec_dict, default_seed: int = 0) -> SyntheticLogisticOracle | None:
+    """build_oracle's checks, short of reading a replay table: the synthetic
+    oracle spec_dict describes, None for a table replay, or
+    ConfigurationError for a spec build_oracle would refuse."""
     if not isinstance(spec_dict, dict) or "kind" not in spec_dict:
-        raise ConfigurationError("oracle spec must be an object with a 'kind' field")
+        raise ConfigurationError("config needs an 'oracle' object with a 'kind'")
     kind = spec_dict["kind"]
     if kind == SYNTHETIC_KIND:
         float_fields = ("floor", "amplitude", "steepness", "boundary_ratio", "noise_std")
@@ -227,6 +235,6 @@ def build_oracle(spec_dict: dict, grid: GridSpec, default_seed: int = 0):
         return SyntheticLogisticOracle(**kwargs)
     if kind == REPLAY_KIND:
         if not isinstance(spec_dict.get("path"), str):
-            raise ConfigurationError("table_replay oracle spec needs a 'path' string")
-        return TableReplayOracle.from_csv(spec_dict["path"], grid)
+            raise ConfigurationError("table_replay oracle needs a 'path' string")
+        return None
     raise ConfigurationError(f"unknown oracle kind {kind!r}")

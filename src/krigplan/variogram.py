@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError
-from .grid import GridSpec, ensure_unique_locations, grid_indices, pair_distances
+from .grid import GridSpec, distinct_indices, pair_distances
 
 BOUNDED_LINEAR = "bounded_linear"
 SPHERICAL = "spherical"
@@ -160,9 +160,10 @@ def empirical_variogram(
 ) -> EmpiricalVariogram:
     """Method-of-moments estimate over fixed-width distance bins.
 
-    Every measurement must be a grid point of spec (ConfigurationError names
-    the first that is not); a pair's scaled distance is the
-    grid.offset_distances entry at its index offset (grid.pair_distances).
+    The measurements must be distinct grid points of spec
+    (grid.distinct_indices names the first that is not); a pair's scaled
+    distance is the grid.offset_distances entry at its index offset
+    (grid.pair_distances).
     Each pair lands in the bin whose center (an integer multiple of
     bin_width) is nearest to its distance; a bin's reported h_center is the
     mean of its pair distances, and its sums run in pair order.  Bins with
@@ -174,7 +175,7 @@ def empirical_variogram(
     measurements = list(measurements)
     if len(measurements) < 2:
         raise InsufficientDataError("empirical variogram needs at least 2 measurements")
-    ensure_unique_locations(measurements)
+    flat = distinct_indices(spec, [m.location for m in measurements])
     if bin_width is None:
         bin_width = spec.nearest_neighbor_spacing()
     if bin_width <= 0 or not math.isfinite(bin_width):
@@ -185,7 +186,6 @@ def empirical_variogram(
         raise ConfigurationError(f"max_lag must be nonnegative and finite, got {max_lag}")
 
     iu, ju = np.triu_indices(len(measurements), k=1)
-    flat = grid_indices(spec, [m.location for m in measurements], "measurement")
     d = pair_distances(spec, flat[iu], flat[ju])
     y = np.array([m.response for m in measurements], dtype=float)
     sq = (y[iu] - y[ju]) ** 2

@@ -135,9 +135,9 @@ def reference_design_error(grid, design):
     seen = set()
     for c in design:
         if not grid.contains(c):
-            return ConfigurationError, f"initial design point ({c.m}, {c.k}) is not on the grid"
+            return ConfigurationError, f"location ({c.m}, {c.k}) is not a point of the grid"
         if c in seen:
-            return DuplicateLocationError, f"duplicate initial design point ({c.m}, {c.k})"
+            return DuplicateLocationError, f"duplicate location ({c.m}, {c.k})"
         seen.add(c)
     return None
 
@@ -171,12 +171,6 @@ def test_design_check_names_the_first_bad_point(defect):
         ExperimentConfig(grid=grid, threshold=4.0, initial_design=design)
     assert type(exc.value) is expected[0]
     assert str(exc.value) == expected[1]
-
-
-def test_state_history_length_checked():
-    config = small_config()
-    with pytest.raises(ConfigurationError):
-        ExperimentState(config=config, iteration=2, history=[])
 
 
 # --- refinement scores -------------------------------------------------------
@@ -314,7 +308,7 @@ def test_screened_pick_matches_the_full_argmin():
             assert forced[0][0] == forced[1][0] == pos
             assert forced[0][1] == pytest.approx(forced[1][1], rel=1e-11, abs=0)
             location = ev.candidate(pos)
-            state.pending = PendingSuggestion(location, "adaptive", score, ev.model, ev.n_uncertain)
+            state.pending = PendingSuggestion(location, score, ev.model, ev.n_uncertain)
             record_appended_measurement(state, Measurement(location, oracle.evaluate(location)))
 
 
@@ -921,7 +915,7 @@ def test_views_follow_an_incomplete_initial_design(monkeypatch, n_measured):
         candidate_scores(state)
     with pytest.raises(InsufficientDataError, match=named):
         rc_score(point, state)
-    assert suggest_next(state) == (PendingSuggestion(point, "initial"), None)
+    assert suggest_next(state) == (PendingSuggestion(point), None)
 
 
 def test_every_entry_point_krigs_with_the_states_model(monkeypatch):

@@ -56,6 +56,10 @@ def test_tracer_wraps_and_restores_every_entry_point(spans, tmp_path, capsys):
     assert same
     assert counts["experiment_io.format.calls"] == 12  # six artifacts, twice
     assert counts["variogram.select.calls"] >= 2
+    # Every fit estimates one empirical variogram and selects one model from
+    # it; a refactor that stops calling either traced name fails here rather
+    # than zeroing its per-layer metric.
+    assert counts["variogram.empirical.calls"] == counts["variogram.select.calls"]
     assert "kriging.lu.ms" in times
     assert "kriging.condition.ms" in times
     # One condition read and one inversion per assembled system.

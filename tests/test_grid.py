@@ -1,26 +1,36 @@
 import math
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from krigplan import (
     Combination,
     ConfigurationError,
     DuplicateLocationError,
+    ExperimentConfig,
+    ExperimentState,
     GridSpec,
     Measurement,
+    assemble_system,
     build_grid,
     distance,
     evenly_spaced_design,
 )
+from krigplan.experiment_io import save_state
 from krigplan.grid import (
+    _LOOP_LOCATIONS as MAX_LOOP_LOCATIONS,
     MAX_GRID_POINTS,
-    ensure_unique_locations,
+    distinct_indices,
     offset_distances,
     pair_distances,
 )
-from krigplan.variogram import FAMILIES, VariogramModel, eval_model
+from krigplan.variogram import FAMILIES, VariogramModel, empirical_variogram, eval_model
 
 
 def test_grid_counts(study_grid):
@@ -126,12 +136,89 @@ def test_measurement_validation(study_grid):
         Measurement(Combination(1.0, 3.0), float("nan"))
 
 
-def test_ensure_unique_locations(study_grid):
-    a = Measurement(Combination(1.0, 3.0), 2.0)
-    b = Measurement(Combination(1.0, 4.0), 2.0)
-    ensure_unique_locations([a, b])
-    with pytest.raises(DuplicateLocationError):
-        ensure_unique_locations([a, b, Measurement(Combination(1.0, 3.0), 5.0)])
+def test_distinct_indices(study_grid):
+    a, b = Combination(1.0, 3.0), Combination(1.0, 4.0)
+    assert distinct_indices(study_grid, [a, b]).tolist() == [62, 63]
+    assert distinct_indices(study_grid, []).tolist() == []
+    with pytest.raises(DuplicateLocationError, match=r"^duplicate location \(1\.0, 3\.0\)$"):
+        distinct_indices(study_grid, [a, b, Combination(1.0, 3.0)])
+    with pytest.raises(ConfigurationError, match=r"^location \(1\.25, 3\.0\) is not a point of the grid$"):
+        distinct_indices(study_grid, [a, b, Combination(1.25, 3.0), a])
+
+
+STUDY_GRID = GridSpec(0.5, 6.0, 0.5, 1.0, 60.0, 1.0, k_scale=0.1)
+
+
+def first_defect(spec, locations):
+    """The rule point by point: the first location that is off the grid, or
+    that repeats an earlier one, decides the error and its message."""
+    seen = set()
+    for c in locations:
+        if not spec.contains(c):
+            return ConfigurationError, f"location ({c.m}, {c.k}) is not a point of the grid"
+        if c in seen:
+            return DuplicateLocationError, f"duplicate location ({c.m}, {c.k})"
+        seen.add(c)
+    return None
+
+
+@st.composite
+def defective_location_lists(draw):
+    """Distinct study-grid points with one off-grid point, one repeat of an
+    earlier or later entry, or both, each inserted at a random position."""
+    spec = STUDY_GRID
+    points = draw(st.lists(st.integers(0, spec.point_count - 1), min_size=2, max_size=12, unique=True))
+    locations = [spec.point(i) for i in points]
+    defects = draw(st.sampled_from(["off", "repeat", "both"]))
+    if defects != "repeat":
+        node = draw(st.sampled_from(locations))
+        off = draw(st.sampled_from([
+            Combination(node.m + 1e-12, node.k), Combination(node.m, node.k - 1e-12),
+            Combination(node.m + 0.25, node.k), Combination(node.m, node.k + 0.5),
+            Combination(6.5, node.k), Combination(node.m, 0.0),
+        ]))
+        locations.insert(draw(st.integers(0, len(locations))), off)
+    if defects != "off":
+        locations.insert(draw(st.integers(0, len(locations))), draw(st.sampled_from(locations)))
+    return locations
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(locations=defective_location_lists())
+def test_one_rule_checks_every_location_list(locations):
+    """An initial design, an experiment's measurements (at construction and
+    when edited before a save), and the measurements of a variogram or a
+    kriging system are all checked by grid.distinct_indices: each raises
+    the same error with the same message, naming the same location, and
+    the save leaves its target path as it was."""
+    spec = STUDY_GRID
+    error, message = first_defect(spec, locations)
+    measurements = [Measurement(c, 1.0 + i) for i, c in enumerate(locations)]
+    config = ExperimentConfig(grid=spec, threshold=4.0, initial_design=(spec.point(0), spec.point(1)))
+
+    def edited_state_saved(path):
+        state = ExperimentState(config=config)
+        state.measurements = measurements
+        save_state(state, {"kind": "synthetic_logistic"}, path)
+
+    with tempfile.TemporaryDirectory() as directory:
+        fresh, kept = Path(directory, "fresh.json"), Path(directory, "kept.json")
+        kept.write_text("kept\n")
+        entries = (
+            lambda: ExperimentConfig(grid=spec, threshold=4.0, initial_design=locations),
+            lambda: ExperimentState(config=config, measurements=measurements),
+            lambda: empirical_variogram(measurements, spec),
+            lambda: assemble_system(measurements, VariogramModel("spherical", 0.0, 10.0, 1.0), spec),
+            lambda: edited_state_saved(fresh),
+            lambda: edited_state_saved(kept),
+        )
+        for entry in entries:
+            with pytest.raises(error) as exc:
+                entry()
+            assert type(exc.value) is error
+            assert str(exc.value) == message
+        assert kept.read_text() == "kept\n"
+        assert os.listdir(directory) == ["kept.json"]
 
 
 def test_evenly_spaced_design(study_grid):
@@ -200,9 +287,15 @@ def test_lattice_arithmetic_matches_build_grid(spec):
         assert spec.flat_index(c) is None and not spec.contains(c)
     mixed = off + grid[::-1] + off
     lookup = {c: p for p, c in enumerate(grid)}
-    flat = spec.flat_indices(mixed)
-    assert flat.dtype == np.int64
-    assert flat.tolist() == [lookup.get(c, -1) for c in mixed]
+    # Short lists are mapped in a Python loop, long ones by numpy: the list
+    # whole (as long as needed to take numpy), and in pieces short enough
+    # for the loop, give the same indices.
+    mixed = mixed * (1 + MAX_LOOP_LOCATIONS // len(mixed))
+    pieces = [mixed[start:start + 7] for start in range(0, len(mixed), 7)]
+    for flat in (spec.flat_indices(mixed), np.concatenate([spec.flat_indices(p) for p in pieces])):
+        assert flat.dtype == np.int64
+        assert flat.tolist() == [lookup.get(c, -1) for c in mixed]
+    assert spec.flat_indices([]).dtype == np.int64 and spec.flat_indices([]).shape == (0,)
 
 
 OFFSET_GRIDS = [

@@ -166,7 +166,6 @@ def experiment_states(draw):
         config=config,
         measurements=[Measurement(points[i], draw(NONNEGATIVE)) for i in measured],
         model=draw(st.none() | variogram_models()),
-        iteration=len(history),
         history=history,
         stop_reason=draw(STOP_REASONS),
         pending=draw(pending_suggestions(grid)),
@@ -181,9 +180,8 @@ def pending_suggestions(grid):
     points = st.builds(grid.point, st.integers(0, grid.point_count - 1))
     return st.one_of(
         st.none(),
-        st.builds(PendingSuggestion, location=points, phase=st.just("initial")),
-        st.builds(PendingSuggestion, location=points,
-                  phase=st.just("adaptive"), rc_score=NONNEGATIVE, model=variogram_models(),
+        st.builds(PendingSuggestion, location=points),
+        st.builds(PendingSuggestion, location=points, rc_score=NONNEGATIVE, model=variogram_models(),
                   n_uncertain=st.integers(0, grid.point_count)),
     )
 
@@ -261,7 +259,6 @@ def test_every_save_writes_the_canonical_encoding(data):
                         iteration=state.iteration + 1, location=data.draw(st.sampled_from(unchosen)),
                         rc_score=data.draw(SIGNED), model=data.draw(variogram_models()),
                         n_uncertain=data.draw(st.integers(0, grid.point_count))))
-                    state.iteration += 1
             elif step == "pop":
                 chosen = {rec.location for rec in state.history}
                 unchosen = [i for i, m in enumerate(state.measurements) if m.location not in chosen]
@@ -327,22 +324,30 @@ def _unmodelled_record(state):
     state.history[-1] = replace(state.history[-1], model=None)
 
 
+def _first_measurement_at(m, k):
+    def edit(state):
+        state.measurements[0] = Measurement(Combination(m, k), state.measurements[0].response)
+    return edit
+
+
 SPEC = {"kind": "synthetic_logistic"}
 
 
 @pytest.mark.parametrize("edit, spec, message", [
     pytest.param(_stop_finished, SPEC, "unknown stop_reason 'finished'", id="stop_reason-finished"),
-    pytest.param(_pending(Combination(1.0, 2.0), "later"), SPEC, "unknown pending phase 'later'",
-                 id="pending-unknown-phase"),
-    pytest.param(_pending(Combination(1.0, 2.0), "adaptive"), SPEC, "needs a score, a model and a count",
-                 id="pending-adaptive-unscored"),
-    pytest.param(_pending(Combination(1.0, 2.0), "initial", 1.0), SPEC, "carries no score, model or count",
-                 id="pending-initial-scored"),
+    pytest.param(_pending(Combination(1.0, 2.0), None, VariogramModel("spherical", 0.0, 10.0, 1.0)), SPEC,
+                 "carries a score, a variogram model and a count, or none of them", id="pending-adaptive-unscored"),
+    pytest.param(_pending(Combination(1.0, 2.0), 1.0), SPEC,
+                 "carries a score, a variogram model and a count, or none of them", id="pending-initial-scored"),
     pytest.param(_unmodelled_record, SPEC, "history record 3 has no variogram model", id="history-model-none"),
     pytest.param(lambda state: setattr(state, "model", "x"), SPEC,
                  "model must be a variogram model or None, got 'x'", id="model-str"),
-    pytest.param(_pending(Combination(0.55, 1.0), "initial"), SPEC, "(0.55, 1.0) is not on the measurement grid",
+    pytest.param(_pending(Combination(0.55, 1.0)), SPEC, "location (0.55, 1.0) is not a point of the grid",
                  id="pending-off-grid"),
+    pytest.param(_first_measurement_at(0.75, 2.0), SPEC, "location (0.75, 2.0) is not a point of the grid",
+                 id="measurement-off-grid"),
+    pytest.param(_first_measurement_at(0.5 + 1e-12, 2.0), SPEC,
+                 "location (0.500000000001, 2.0) is not a point of the grid", id="measurement-off-node"),
     pytest.param(lambda state: None, ["x"], "oracle spec must be an object", id="oracle-list"),
 ])
 def test_save_refuses_every_state_load_refuses(tmp_path, edit, spec, message):
@@ -427,11 +432,31 @@ def test_load_refuses_an_initial_pending_that_carries_a_score_model_or_count(tmp
     for pending in (bare, {**bare, "rc_score": None, "model": None, "n_uncertain": None}):
         payload["pending_suggestion"] = pending
         loaded = state_from_dict(payload)[0].pending
-        assert loaded == PendingSuggestion(Combination(*design), "initial")
+        assert loaded == PendingSuggestion(Combination(*design))
     if carried.get("model") == "recorded":
         carried = {"model": payload["history"][0]["model"]}
     payload["pending_suggestion"] = {**bare, "rc_score": None, "model": None, "n_uncertain": None, **carried}
     with pytest.raises(KrigplanError):
+        state_from_dict(payload)
+    exp_path.write_text(json.dumps(payload))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    for command in ("report", "step", "run"):
+        assert main([command, str(exp_path)]) == 2, command
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("iteration", [0, 2])
+def test_load_refuses_an_iteration_that_is_not_the_record_count(tmp_path, capsys, iteration):
+    """A state's iteration is its number of history records, so a file whose
+    "iteration" says otherwise is refused, and every command exits 2 on it."""
+    config_path = write_config(tmp_path, {"max_iterations": 1})
+    assert main(["init", "--config", str(config_path)]) == 0
+    exp_path = tmp_path / "demo.json"
+    assert main(["run", str(exp_path)]) == 0
+    payload = json.loads(exp_path.read_text())
+    assert payload["iteration"] == len(payload["history"]) == 1
+    payload["iteration"] = iteration
+    with pytest.raises(SchemaError, match=f"iteration {iteration} does not match the 1 history records"):
         state_from_dict(payload)
     exp_path.write_text(json.dumps(payload))
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}

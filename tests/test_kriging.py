@@ -146,7 +146,7 @@ def test_off_grid_measurement_is_rejected(study_grid, point):
     the grid is a configuration error, named, through every entry point."""
     ms = [Measurement(Combination(1.0, 3.0), 2.0), Measurement(point, 2.5),
           Measurement(Combination(9.0, 3.0), 3.0)]
-    message = f"measurement ({point.m}, {point.k}) is not a point of the grid"
+    message = f"location ({point.m}, {point.k}) is not a point of the grid"
     calls = (lambda: assemble_system(ms, SPH, study_grid),
              lambda: predict(ms, SPH, study_grid, Combination(2.0, 10.0)),
              lambda: predict_lattice(ms, SPH, study_grid))

@@ -229,7 +229,7 @@ def test_empirical_rejects_bin_width_that_overflows_the_bin_index(study_grid):
 def test_empirical_rejects_an_off_grid_measurement(study_grid):
     ms = [Measurement(Combination(0.5, 1.0), 1.0), Measurement(Combination(0.75, 2.0), 2.0),
           Measurement(Combination(1.0, 3.0), 3.0)]
-    with pytest.raises(ConfigurationError, match=r"^measurement \(0\.75, 2\.0\) is not a point of the grid$"):
+    with pytest.raises(ConfigurationError, match=r"^location \(0\.75, 2\.0\) is not a point of the grid$"):
         empirical_variogram(ms, study_grid)
 
 
