@@ -10,10 +10,11 @@ measured next.  The run stops naturally once no point is uncertain, or on
 budget after max_iterations adaptive measurements.
 
 The scores come from one rule, _fast_scores, which the pick and
-candidate_scores share: every candidate in closed form, from lattice FFT
-convolutions, when the uncertain points are many against the measurements,
-and target by target in candidate blocks otherwise.  rc_score re-assembles
-the augmented system for one candidate and is the reference for both.
+candidate_scores share.  Only its sum of squared updates takes two paths:
+every candidate in closed form, from lattice FFT convolutions, when the
+uncertain points are many against the measurements, and target by target
+in candidate blocks otherwise.  rc_score re-assembles the augmented system
+for one candidate and is the reference for both.
 
 suggest_next is one planner step: fit, evaluate the grid once, apply the
 stop rule, pick the argmin.  run_experiment is the interactive step/append
@@ -76,16 +77,16 @@ _SCORE_BLOCK_ELEMENTS = 2 ** 16
 # at every pick of the campaigns of study_run seeds 1 and 7 (100 picks) and
 # large_grid seeds 1, 7 and 11 (24 picks), on a 2-core x86-64 host with
 # single-threaded OpenBLAS; milliseconds of scoring per set of campaigns, by
-# multiplier:
-#               walk only     4    6    8   10   12   14   16   20  closed only
-#   study_run      242      207  198  196  198  201  205  213  217     286
-#   large_grid    1896      175  175  175  175  175  175  178  183     175
-# The best choice pick by pick gave 195 and 175: 6 to 12 are all within 3%.
+# multiplier, median of five runs:
+#               walk only     4    6    8   10   12   14   16   20   24   32  closed only
+#   study_run       90      118  101   93   90   89   87   86   86   86   88     177
+#   large_grid    1148      174  174  174  174  174  174  173  175  175  175     174
+# The best choice pick by pick gave 86 and 173: 14 to 32 are all within 3%,
+# and 10 is about 5% above it on study_run.
 _CLOSED_FORM_TARGETS_PER_ROW = 10
 
-# A closed-form candidate x is rescored by re-assembly when the rounding of
-# its S(x) / v(x), about eps (|Q| + 2 |R| + |H|) / v(x), exceeds this share of
-# the summed target variance (see _closed_form_scores).
+# A closed-form candidate x is rescored by re-assembly when the rounding of its
+# S(x) / v(x) exceeds this share of the summed target variance (_fast_scores).
 _CLOSED_FORM_RTOL = 1e-6
 
 # The closed form transforms its n + 1 planes this many at a time, reusing
@@ -399,28 +400,36 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
                  workspace: _Workspace) -> np.ndarray:
     """Scores for every unmeasured candidate via the bordered-system identity.
 
-    Appending candidate x to the measurement set extends the solved system by
-    one row whose border column is exactly the right-hand side of x under the
-    current system.  Block elimination then gives the conditional variance at
-    target t in closed form:
+    Appending candidate x to the measurement set M extends the solved system
+    by one row whose border column is exactly the right-hand side of x under
+    the current system.  Block elimination then gives the conditional
+    variance at target t in closed form:
 
-        var(t | S + x) = var(t | S) - (q - g)^2 / var(x | S)
+        var(t | M + x) = var(t | M) - (q - g)^2 / v(x),   v(x) = var(x | M)
 
     with q the cross-solve term rhs(x) . solve(rhs(t)) and g = gamma(x, t).
     Everything needed is already in the lattice solution, and only the U
-    flagged targets carry weight.  With U at least
-    _CLOSED_FORM_TARGETS_PER_ROW times the n + 1 rows of the solution, every
-    candidate's sum over the targets is taken in closed form, by lattice
-    convolutions (_closed_form_scores); below it the P candidates are walked
-    in row blocks of about _SCORE_BLOCK_ELEMENTS entries each (_walk_scores),
-    so the working memory is bounded by the block, not by P^2.  The two
-    agree to rounding: the closed form's scores move in the last bits
-    against the walk's.  Candidates with vanishing current variance, and
-    closed-form candidates the cancellation guard flags, are rescored by full
-    re-assembly (rc_score).  A degenerate model has no solution (_evaluate):
-    its scores are space-filling, each candidate's shortfall from the largest
-    nearest-measurement distance, so the farthest candidate scores 0.  Every
-    large array is written into workspace's storage.
+    flagged targets carry weight.  Summed over the targets other than x, the
+    score is max(V(x) - S(x) / v(x), 0), with V their summed current
+    variance and S the sum of their (q - g)^2.  The paths differ only in how
+    they sum S: with U at least _CLOSED_FORM_TARGETS_PER_ROW times the n + 1
+    rows of the solution, in closed form by lattice convolutions
+    (_closed_form_scores); below it, by walking the P candidates in row
+    blocks of about _SCORE_BLOCK_ELEMENTS entries each (_walk_scores), so
+    the working memory is bounded by the block, not by P^2.  The two agree
+    to rounding.
+
+    Candidates with current variance below FAST_PATH_VARIANCE_MIN are
+    rescored by full re-assembly (rc_score), and so are those of the closed
+    form whose rounding of S / v, about eps (|Q| + 2 |R| + |H|) / v(x),
+    exceeds _CLOSED_FORM_RTOL of the summed target variance.  That is a
+    first-order guard on the cancellation of the closed form's large sums,
+    not an error bound: the clamp could otherwise report that such a
+    candidate removes all the uncertainty.  A degenerate model has no
+    solution (_evaluate): its scores are space-filling, each candidate's
+    shortfall from the largest nearest-measurement distance, so the farthest
+    candidate scores 0.  Every large array is written into workspace's
+    storage.
     """
     idx = ev.unmeasured_idx
     if ev.model.is_degenerate:
@@ -431,13 +440,16 @@ def _fast_scores(state: ExperimentState, ev: _Evaluation, indicators: np.ndarray
     XT = _gather_columns(ev.solution, idx, workspace, "XT").T
     D = _gather_columns(ev.system.lattice, idx[cols], workspace, "D")
     safe = variances >= FAST_PATH_VARIANCE_MIN
-    denom = np.where(safe, variances, 1.0)
+    v = np.where(safe, variances, 1.0)
+    target_var_sum = float(variances[cols].sum())
     if len(cols) >= _CLOSED_FORM_TARGETS_PER_ROW * len(D):
-        scores, unsure = _closed_form_scores(ev, indicators, XT, D, variances, denom, workspace)
-        rescore = ~safe | unsure
+        S, rounding = _closed_form_scores(ev, indicators, XT, D, workspace)
+        rescore = ~safe | (rounding > _CLOSED_FORM_RTOL * v * target_var_sum)
     else:
-        scores = _walk_scores(ev, indicators, XT, D, variances, denom, workspace)
+        S = _walk_scores(ev, indicators, XT, D, workspace)
         rescore = ~safe
+    V = target_var_sum - np.where(indicators, variances, 0.0)
+    scores = np.maximum(V - S / v, 0.0)
     for pos in np.flatnonzero(rescore):
         scores[pos] = _score_by_reassembly(state, ev, indicators, int(pos))
     return scores
@@ -455,15 +467,15 @@ def _gather_columns(matrix: np.ndarray, columns: np.ndarray, workspace: _Workspa
     return gathered.T
 
 
-def _walk_scores(ev: _Evaluation, indicators, XT, D, variances, denom, workspace: _Workspace) -> np.ndarray:
-    """Every candidate's score, target by target, in blocks of candidate rows.
+def _walk_scores(ev: _Evaluation, indicators, XT, D, workspace: _Workspace) -> np.ndarray:
+    """Every candidate's S, target by target, in blocks of candidate rows:
+    the sum over its targets of (q - g)^2, the candidate itself not one of
+    them.
 
     Candidates and targets are lattice nodes, so g depends only on their
     index offset: each block gathers g from the system's table of gamma over
     grid.offset_distances (evaluated once per fit, with the lattice solve)
     at center - pos(x) + pos(t), pos being a node's flat index in the table.
-    Each conditional variance is clamped at 0, and the candidate itself is
-    not one of its targets.
     """
     spec, idx = ev.system.spec, ev.unmeasured_idx
     cols = np.flatnonzero(indicators)
@@ -473,10 +485,9 @@ def _walk_scores(ev: _Evaluation, indicators, XT, D, variances, denom, workspace
     pos = row * width + col
     offsets = (spec.m_count - 1) * width + (spec.k_count - 1) - pos
     target_pos = pos[cols]
-    target_var = variances[cols]
     ones = np.ones(len(cols))
     rows = max(1, _SCORE_BLOCK_ELEMENTS // max(1, len(cols)))
-    scores = np.empty(len(idx))
+    sums = np.empty(len(idx))
     for start in range(0, len(idx), rows):
         block = slice(start, start + rows)
         # (row, column) of each candidate in this block that is also a target
@@ -489,23 +500,18 @@ def _walk_scores(ev: _Evaluation, indicators, XT, D, variances, denom, workspace
         g = np.take(gamma, index, mode="clip", out=workspace.array("g", shape))
         updated = np.matmul(XT[block], D, out=workspace.array("product", shape))
         updated -= g
-        updated **= 2
-        updated /= denom[block, None]
-        np.subtract(target_var, updated, out=updated)
-        np.maximum(updated, 0.0, out=updated)
         updated[self_rows, self_cols] = 0.0  # the candidate itself is not a target
-        scores[block] = updated @ ones
-    return scores
+        updated **= 2
+        sums[block] = updated @ ones
+    return sums
 
 
-def _closed_form_scores(ev: _Evaluation, indicators, XT, D, variances, denom, workspace: _Workspace):
-    """(scores, unsure): every candidate's score in closed form, and which
-    of them the cancellation guard leaves to re-assembly.
+def _closed_form_scores(ev: _Evaluation, indicators, XT, D, workspace: _Workspace):
+    """(S, rounding): every candidate's S in closed form, and the rounding
+    of S, about eps (|Q| + 2 |R| + |H|), for _fast_scores's guard.
 
-    Without the walk's per-target clamp, the score of candidate x is
-    F(x) = V(x) - S(x) / v(x), with V the summed variance of the targets
-    other than x and S = sum over those targets of (q - g)^2.  Summed over
-    all targets t instead, S = Q - 2 R + H - q(x, x)^2, the last term only
+    S(x), the sum over the targets t other than x of (q - g)^2, is summed
+    over all targets as S = Q - 2 R + H - q(x, x)^2, the last term only
     when x is a target (g(x, x) = 0), with Q = X Gram X' (X the candidate's
     solution row, Gram = D D'), R = sum_t q g and H = sum_t g^2.  R and H
     are lattice correlations of the n+1 rows of D, and of the target
@@ -515,14 +521,7 @@ def _closed_form_scores(ev: _Evaluation, indicators, XT, D, variances, denom, wo
     _next_fast_len(2k-1), at least the table's size, give all n+2 of them
     with no offset wrapping onto another.  D's last row, the lattice's
     border of ones on the targets, is the target indicator, so n+1 forward
-    transforms serve them.  The score is F clamped at 0.
-
-    S / v(x) cancels against V when v(x) is small: its rounding is about
-    eps (|Q| + 2 |R| + |H|) / v(x).  Candidates where that exceeds
-    _CLOSED_FORM_RTOL of the summed target variance are flagged unsure.
-    This is a first-order guard on the cancellation, not a bound on the
-    error: the clamp could otherwise report that such a candidate removes
-    all the uncertainty.
+    transforms serve them.
     """
     table, idx = ev.system.table, ev.unmeasured_idx
     m, k = ev.system.spec.m_count, ev.system.spec.k_count
@@ -565,13 +564,7 @@ def _closed_form_scores(ev: _Evaluation, indicators, XT, D, variances, denom, wo
     R = np.einsum("pi,ip->p", XT, conv[:n1])
     # the rows of conv that R read take X Gram
     Q = np.einsum("pi,pi->p", np.matmul(XT, D @ D.T, out=conv[:n1].reshape(len(idx), n1)), XT)
-    target_var_sum = float(variances[cols].sum())
-    V = target_var_sum - np.where(indicators, variances, 0.0)
-    S = Q - 2 * R + H - q_self * q_self
-    scores = np.maximum(V - S / denom, 0.0)
-    rounding = EPS * (np.abs(Q) + 2 * np.abs(R) + np.abs(H))
-    unsure = rounding > _CLOSED_FORM_RTOL * denom * target_var_sum
-    return scores, unsure
+    return Q - 2 * R + H - q_self * q_self, EPS * (np.abs(Q) + 2 * np.abs(R) + np.abs(H))
 
 
 def _score_by_reassembly(state: ExperimentState, ev: _Evaluation,

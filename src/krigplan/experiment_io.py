@@ -213,10 +213,9 @@ def _pending_from_dict(pend: dict, grid: GridSpec) -> PendingSuggestion:
 def state_from_dict(data: dict) -> tuple[ExperimentState, dict]:
     if not isinstance(data, dict):
         raise SchemaError("experiment file must hold a JSON object")
-    version = data.get("version")
-    if version != STATE_VERSION:
-        raise SchemaError(f"unsupported experiment file version {version!r} (expected {STATE_VERSION})")
     try:
+        if as_int(data["version"]) != STATE_VERSION:
+            raise SchemaError(f"unsupported experiment file version {data['version']!r} (expected {STATE_VERSION})")
         config = config_from_dict(data["config"])
         grid = config.grid
         measurements = [

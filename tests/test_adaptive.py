@@ -533,7 +533,9 @@ def test_score_targets_indicator_cluster():
 def test_select_next_breaks_ties_row_major():
     """On the 3 x 2 grid measured along m = 2, the four candidates mirror
     each other across both axes: they straddle and score identically by
-    symmetry, so the row-major first, (1, 1), wins."""
+    symmetry, so the row-major first, (1, 1), wins.  The walk scores them
+    equal to the bit; the closed form, which sums in another order, within
+    TIE_TOL of each other, and the tie still goes to (1, 1)."""
     grid = GridSpec(1.0, 3.0, 1.0, 1.0, 2.0, 1.0, k_scale=1.0)
     design = (Combination(2.0, 1.0), Combination(2.0, 2.0))
     config = ExperimentConfig(grid=grid, threshold=4.0, initial_design=design)
@@ -545,6 +547,12 @@ def test_select_next_breaks_ties_row_major():
     candidates, scores = candidate_scores(state)
     assert len(candidates) == 4 and len(set(scores.tolist())) == 1
     assert select_next(state) == Combination(1.0, 1.0)
+    with mock.patch.object(adaptive, "_CLOSED_FORM_TARGETS_PER_ROW", 0), \
+            mock.patch.object(adaptive, "_closed_form_scores", wraps=adaptive._closed_form_scores) as spy:
+        _, scores = candidate_scores(state)
+        assert scores.tolist() == pytest.approx([scores[0]] * 4, rel=adaptive.TIE_TOL, abs=0)
+        assert select_next(state) == Combination(1.0, 1.0)
+    assert spy.call_count == 2
 
 
 # --- stopping ----------------------------------------------------------------

@@ -390,6 +390,7 @@ def test_load_rejects_missing_field(tmp_path):
     pytest.param(("history", 0, "iteration"), 1.5, id="history-iteration-fraction"),
     pytest.param(("history", 0, "n_uncertain"), "x", id="n_uncertain-str"),
     pytest.param(("iteration",), 2.5, id="iteration-fraction"),
+    pytest.param(("version",), True, id="version-bool"),
     pytest.param(("config", "max_iterations"), 1.5, id="max_iterations-fraction"),
     pytest.param(("config", "initial_design", 0), [0.5], id="design-point-short"),
     pytest.param(("measurements", 0, "m"), 10**400, id="m-overflow"),
